@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .kernel import GroupElement
+
 GERM_FIXES = "fixes_neighbourhood"
 GERM_ISOLATED = "isolated_fixed_point"
 GERM_MOVES = "moves_x"
@@ -33,6 +35,21 @@ def is_prefix(p: str, w: str) -> bool:
 def sibling_path(w: str) -> list[str]:
     """The cylinders C_{w_1..w_{i-1} (1-w_i)} partitioning the complement of C_w."""
     return [w[:i] + ("1" if w[i] == "0" else "0") for i in range(len(w))]
+
+
+def word_to_int(word: str) -> int:
+    """The 2-adic integer whose low binary digits, lowest first, are word."""
+    value = 0
+    for k, ch in enumerate(word):
+        if ch == "1":
+            value += 1 << k
+        elif ch != "0":
+            raise ValueError("digit words use characters 0 and 1 only")
+    return value
+
+
+def int_to_word(value: int, length: int) -> str:
+    return "".join("1" if value >> k & 1 else "0" for k in range(length))
 
 
 def _complete_code(words: Iterable[str]) -> bool:
@@ -117,28 +134,27 @@ ONE_SEQ = EventuallyPeriodic("", "1")
 
 
 class Cylinders:
-    """A clopen subset of the Cantor space: a reduced antichain of words."""
+    """A clopen subset of the Cantor space: a reduced antichain of words.
+
+    Any finite word list is accepted: words lying under another one are
+    dropped and sibling pairs u0, u1 are merged into u, so equal sets have
+    equal (lexicographically sorted) words.
+    """
 
     __slots__ = ("words",)
 
     def __init__(self, words: Iterable[str]):
-        ws = sorted(set(_check_word(w) for w in words))
-        for i in range(len(ws) - 1):
-            if ws[i + 1].startswith(ws[i]):
-                raise ValueError(f"nested cylinders: {ws[i]} covers {ws[i + 1]}")
-        changed = True
-        while changed:
-            changed = False
-            have = set(ws)
-            for w in ws:
-                if w.endswith("0") and w[:-1] + "1" in have:
-                    have.discard(w)
-                    have.discard(w[:-1] + "1")
-                    have.add(w[:-1])
-                    ws = sorted(have)
-                    changed = True
-                    break
-        object.__setattr__(self, "words", tuple(ws))
+        out: list[str] = []
+        for w in sorted(set(_check_word(w) for w in words)):
+            # in sorted order a covering word is the last one kept
+            if out and w.startswith(out[-1]):
+                continue
+            out.append(w)
+            # siblings are adjacent in sorted order; merge bottom-up
+            while len(out) > 1 and out[-1].endswith("1") and out[-2] == out[-1][:-1] + "0":
+                out.pop()
+                out[-1] = out[-1][:-1]
+        object.__setattr__(self, "words", tuple(out))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cylinders is immutable")
@@ -155,11 +171,30 @@ class Cylinders:
     def empty() -> "Cylinders":
         return Cylinders([])
 
+    @staticmethod
+    def cells(max_depth: int):
+        """Single cylinders, shortest first, then in word order."""
+        for depth in range(1, max_depth + 1):
+            for k in range(1 << depth):
+                yield Cylinders.of(format(k, "0%db" % depth))
+
+    @staticmethod
+    def neighbourhoods(x, max_depth: int):
+        """The cylinders around x, shrinking."""
+        for depth in range(1, max_depth + 1):
+            yield Cylinders.of(x.digits(depth))
+
     def is_empty(self) -> bool:
         return not self.words
 
     def is_full(self) -> bool:
         return self.words == ("",)
+
+    def max_length(self) -> int:
+        return max((len(w) for w in self.words), default=0)
+
+    def measure(self) -> Fraction:
+        return sum((Fraction(1, 1 << len(w)) for w in self.words), Fraction(0))
 
     def contains_word(self, w: str) -> bool:
         """Whole cylinder C_w inside this set."""
@@ -168,11 +203,9 @@ class Cylinders:
     def meets_word(self, w: str) -> bool:
         return any(is_prefix(v, w) or is_prefix(w, v) for v in self.words)
 
-    def contains_point(self, x: EventuallyPeriodic) -> bool:
-        if self.is_empty():
-            return False
-        n = max(len(v) for v in self.words)
-        d = x.digits(n)
+    def contains_point(self, x) -> bool:
+        """x is an EventuallyPeriodic or an odometer point."""
+        d = x.digits(self.max_length())
         return any(is_prefix(v, d) for v in self.words)
 
     def subset_of(self, other: "Cylinders") -> bool:
@@ -182,12 +215,17 @@ class Cylinders:
         return not any(other.meets_word(w) for w in self.words)
 
     def union(self, other: "Cylinders") -> "Cylinders":
-        merged = []
-        for w in self.words + other.words:
-            if not any(is_prefix(v, w) for v in merged):
-                merged = [v for v in merged if not is_prefix(w, v)]
-                merged.append(w)
-        return Cylinders(merged)
+        return Cylinders(self.words + other.words)
+
+    def intersect(self, other: "Cylinders") -> "Cylinders":
+        out = []
+        for w in self.words:
+            for u in other.words:
+                if is_prefix(u, w):
+                    out.append(w)
+                elif is_prefix(w, u):
+                    out.append(u)
+        return Cylinders(out)
 
     def complement(self) -> "Cylinders":
         out: list[str] = []
@@ -203,11 +241,24 @@ class Cylinders:
             stack.append(w + "1")
         return Cylinders(out)
 
+    def translate(self, n: int) -> "Cylinders":
+        """Exact image under the odometer power x -> x + n.
+
+        A word is read as the low binary digits of a 2-adic integer, and
+        the low digits of x + n depend only on the low digits of x.
+        """
+        return Cylinders(
+            int_to_word((word_to_int(w) + n) % (1 << len(w)), len(w)) for w in self.words
+        )
+
     def image(self, f: "PrefixMap") -> "Cylinders":
         pieces: list[str] = []
         for w in self.words:
             pieces.extend(f.image_words(w))
         return Cylinders(pieces)
+
+    def preimage(self, f: "PrefixMap") -> "Cylinders":
+        return self.image(f.inverse())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cylinders):
@@ -221,7 +272,7 @@ class Cylinders:
         return "Cylinders(" + ", ".join(repr(w) for w in self.words) + ")"
 
 
-class PrefixMap:
+class PrefixMap(GroupElement):
     """A homeomorphism of the Cantor space given by prefix exchanges.
 
     rules is a tuple of (domain_word, range_word) pairs whose domain words
@@ -231,6 +282,7 @@ class PrefixMap:
     """
 
     __slots__ = ("rules",)
+    region_type = Cylinders
 
     def __init__(self, rules: Iterable[tuple[str, str]]):
         table = {}
@@ -282,21 +334,6 @@ class PrefixMap:
 
     def inverse(self) -> "PrefixMap":
         return PrefixMap([(z, v) for v, z in self.rules])
-
-    def __invert__(self) -> "PrefixMap":
-        return self.inverse()
-
-    def __pow__(self, n: int) -> "PrefixMap":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = PrefixMap.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrefixMap):
@@ -350,6 +387,23 @@ class PrefixMap:
                 out.append(z)
         return out
 
+    # -- regions and germs ----------------------------------------------------
+
+    def support(self) -> Cylinders:
+        """The cylinders of the non-identity rules: outside them g is trivial."""
+        return Cylinders(v for v, z in self.rules if v != z)
+
+    def identity_on(self, region: Cylinders) -> bool:
+        """Exact identity on every cylinder of the region."""
+        for w in region.words:
+            for v, z in self.rules:
+                if (is_prefix(v, w) or is_prefix(w, v)) and v != z:
+                    return False
+        return True
+
+    def germ_trivial_at(self, x: EventuallyPeriodic) -> bool:
+        return germ_class(self, x) == GERM_FIXES
+
     def to_json(self) -> dict:
         return {"rules": [[v, z] for v, z in self.rules]}
 
@@ -389,17 +443,9 @@ def germ_class(g: PrefixMap, x: EventuallyPeriodic) -> str:
     v, z = g.rule_at(x)
     if v == z:
         return GERM_FIXES
-    assert len(v) != len(z), "same-length exchange cannot fix a sequence"
+    if len(v) == len(z):
+        raise RuntimeError("same-length exchange cannot fix a sequence")
     return GERM_ISOLATED
-
-
-def is_identity_on(g: PrefixMap, region: Cylinders) -> bool:
-    """Exact identity on every cylinder of the region."""
-    for w in region.words:
-        for v, z in g.rules:
-            if (is_prefix(v, w) or is_prefix(w, v)) and v != z:
-                return False
-    return True
 
 
 # -- standard generators --------------------------------------------------
@@ -456,8 +502,6 @@ def compress_v(w: str, target: str) -> PrefixMap:
         rules.append((w + "1" * j + "0", e))
     rules.append((w + "1" * m, target + "1" * k))
     g = PrefixMap(rules)
-    tgt = Cylinders.of(target)
-    assert all(
-        Cylinders(g.image_words(d)).subset_of(tgt) for d in sibling_path(w)
-    ), "compression must land inside the target"
+    if not Cylinders.of(w).complement().image(g).subset_of(Cylinders.of(target)):
+        raise RuntimeError("compression must land inside the target")
     return g

@@ -11,26 +11,7 @@ are verified exactly elsewhere.
 """
 
 import os
-from fractions import Fraction
 from itertools import combinations
-
-from .cantorv import (
-    GERM_FIXES,
-    Cylinders,
-    EventuallyPeriodic,
-    PrefixMap,
-    germ_class,
-)
-from .cantorv import is_identity_on as prefix_identity_on
-from .plcircle import (
-    ArcSet,
-    PLMap,
-    germ_data,
-    maps_region_to_itself,
-    support_fix,
-)
-from .plcircle import is_identity_on as pl_identity_on
-from .scalars import Dyadic
 
 DEFAULT_BUDGET = 200_000
 
@@ -42,51 +23,32 @@ class BudgetError(RuntimeError):
 def element_budget(budget=None):
     if budget is not None:
         return budget
-    return int(os.environ.get("GERMLAB_BUDGET", DEFAULT_BUDGET))
+    text = os.environ.get("GERMLAB_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("GERMLAB_BUDGET must be an integer, got %r" % text) from None
 
 
 def _key(element):
     return element.canonical_key()
 
 
-# -- kernel dispatch ---------------------------------------------------------
-
-
-def supported_inside(element, region):
-    if isinstance(element, PLMap):
-        return support_fix(element).support.subset_of(region)
-    if isinstance(element, PrefixMap):
-        return prefix_identity_on(element, region.complement())
-    raise TypeError("unsupported kernel")
-
-
-def identity_on(element, region):
-    if isinstance(element, PLMap):
-        return pl_identity_on(element, region)
-    if isinstance(element, PrefixMap):
-        return prefix_identity_on(element, region)
-    raise TypeError("unsupported kernel")
+def spell(gens, word):
+    """Product of generator letters, rightmost applied first; '' is the identity."""
+    out = None
+    for letter in word:
+        if letter not in gens:
+            raise ValueError("unknown generator letter %r" % letter)
+        out = gens[letter] if out is None else out * gens[letter]
+    if out is not None:
+        return out
+    some = next(iter(gens.values()))
+    return some * some.inverse()
 
 
 def equal_on(left, right, region):
-    return identity_on(right.inverse() * left, region)
-
-
-def region_invariant(element, region):
-    if isinstance(element, PLMap):
-        return maps_region_to_itself(element, region)
-    if isinstance(element, PrefixMap):
-        return region.image(element) == region
-    raise TypeError("unsupported kernel")
-
-
-def identity_germ_at(element, point):
-    if isinstance(element, PLMap):
-        data = germ_data(element, point)
-        return data.left_identity and data.right_identity
-    if isinstance(element, PrefixMap):
-        return germ_class(element, point) == GERM_FIXES
-    raise TypeError("unsupported kernel")
+    return (right.inverse() * left).identity_on(region)
 
 
 # -- marked groups and balls -------------------------------------------------
@@ -126,12 +88,7 @@ class MarkedGroup:
         return tuple(sorted(self.gens))
 
     def spell(self, word):
-        out = self.identity
-        for letter in word:
-            if letter not in self.gens:
-                raise ValueError("unknown letter %r" % letter)
-            out = out * self.gens[letter]
-        return out
+        return spell(self.gens, word)
 
 
 class BallTruncation:
@@ -159,11 +116,10 @@ class BallTruncation:
     def key_set(self):
         return frozenset(self._index)
 
-    def word_for(self, element):
-        return self._index[_key(element)]
-
 
 def ball(group, radius, budget=None):
+    if radius < 0:
+        raise ValueError("radius must be nonnegative, got %d" % radius)
     limit = element_budget(budget)
     seen = {_key(group.identity): ""}
     elements = [group.identity]
@@ -235,9 +191,9 @@ class SubgroupSpec:
         if self.kind == "trivial":
             return element.is_identity()
         if self.kind == "support":
-            return supported_inside(element, self.data)
+            return element.support().subset_of(self.data)
         if self.kind == "germ":
-            return all(identity_germ_at(element, p) for p in self.data)
+            return all(element.germ_trivial_at(p) for p in self.data)
         if self.kind == "generated":
             elements, radius, budget = self.data
             labels = {chr(ord("a") + i): g for i, g in enumerate(elements)}
@@ -406,7 +362,10 @@ def neumann_check(group, cover):
     if covered != set(range(len(group))):
         raise ValueError("not a cover: union misses elements")
     best = min(indices)
-    assert best <= len(cover)
+    if best > len(cover):
+        raise RuntimeError(
+            "a cover by %d cosets has minimal index %d" % (len(cover), best)
+        )
     return best
 
 
@@ -455,105 +414,36 @@ def neumann_sweep(n_max, r_max):
 # -- disjoint open sets and the micro-support product -------------------------
 
 
-def _dyadic_arc(k, depth):
-    return ArcSet.of((Fraction(k, 1 << depth), Fraction(k + 1, 1 << depth)))
-
-
 def disjoint_open_search(elements, z, max_depth=8):
     """Regions U_1..U_r and a neighbourhood W of z, all verified disjoint.
 
     The U_i, together with their images g_i(U_i), are pairwise disjoint, and
     W avoids every U_i and every preimage g_j^-1(U_i).  Candidates are
-    scanned smallest-denominator-first, so the outcome is deterministic.
+    scanned in the region type's cell order (coarsest first), so the
+    outcome is deterministic.
     """
     if not elements:
         raise ValueError("need at least one element")
     if any(g.is_identity() for g in elements):
         raise ValueError("elements must be nontrivial")
-    if isinstance(elements[0], PLMap):
-        return _disjoint_arcs(elements, Dyadic.coerce(z), max_depth)
-    if isinstance(elements[0], PrefixMap):
-        return _disjoint_cylinders(elements, z, max_depth)
-    raise TypeError("unsupported kernel")
-
-
-def _disjoint_arcs(elements, z, max_depth):
+    region_type = elements[0].region_type
     orbit = [g(z) for g in elements] + [z]
     chosen = []
-    acc = ArcSet.empty()
+    acc = region_type.empty()
     for g in elements:
-        placed = False
-        for depth in range(2, max_depth + 1):
-            for k in range(1 << depth):
-                u = _dyadic_arc(k, depth)
-                if any(u.contains_point(p) for p in orbit):
-                    continue
-                img = u.image(g)
-                if not u.disjoint_from(img):
-                    continue
-                if not (u.disjoint_from(acc) and img.disjoint_from(acc)):
-                    continue
+        for u in region_type.cells(max_depth):
+            if any(u.contains_point(p) for p in orbit):
+                continue
+            img = u.image(g)
+            if u.disjoint_from(img) and u.disjoint_from(acc) and img.disjoint_from(acc):
                 chosen.append(u)
                 acc = acc.union(u).union(img)
-                placed = True
                 break
-            if placed:
-                break
-        if not placed:
-            raise ValueError("no disjoint region found; retry with more depth")
-    preimages = [u.preimage(g) for u in chosen for g in elements]
-    zf = z.frac().as_fraction()
-    for depth in range(2, max_depth + 1):
-        step = Fraction(1, 1 << depth)
-        scaled = zf / step
-        if scaled.denominator == 1:
-            lo = (zf - step) % 1
-            hi = lo + 2 * step
-            if hi <= 1:
-                w = ArcSet.of((lo, hi))
-            else:
-                w = ArcSet.of((lo, Fraction(1)), (Fraction(0), hi - 1))
         else:
-            k = scaled.numerator // scaled.denominator
-            w = _dyadic_arc(k, depth)
-        if all(w.disjoint_from(u) for u in chosen) and all(
-            w.disjoint_from(p) for p in preimages
-        ):
-            return tuple(chosen), w
-    raise ValueError("no neighbourhood of z found; retry with more depth")
-
-
-def _disjoint_cylinders(elements, z, max_depth):
-    orbit = [g(z) for g in elements] + [z]
-    chosen = []
-    acc = Cylinders.empty()
-    for g in elements:
-        placed = False
-        for depth in range(1, max_depth + 1):
-            for k in range(1 << depth):
-                word = format(k, "0%db" % depth)
-                u = Cylinders.of(word)
-                if any(u.contains_point(p) for p in orbit):
-                    continue
-                img = u.image(g)
-                if not u.disjoint_from(img):
-                    continue
-                if not (u.disjoint_from(acc) and img.disjoint_from(acc)):
-                    continue
-                chosen.append(u)
-                acc = acc.union(u).union(img)
-                placed = True
-                break
-            if placed:
-                break
-        if not placed:
             raise ValueError("no disjoint region found; retry with more depth")
-    preimages = [u.image(g.inverse()) for u in chosen for g in elements]
-    for depth in range(1, max_depth + 1):
-        w = Cylinders.of(z.digits(depth))
-        if all(w.disjoint_from(u) for u in chosen) and all(
-            w.disjoint_from(p) for p in preimages
-        ):
+    avoid = chosen + [u.preimage(g) for u in chosen for g in elements]
+    for w in region_type.neighbourhoods(z, max_depth):
+        if all(w.disjoint_from(u) for u in avoid):
             return tuple(chosen), w
     raise ValueError("no neighbourhood of z found; retry with more depth")
 
@@ -569,10 +459,10 @@ def micro_support_element(gamma, delta, g_ell, regions=None, w=None):
         for region in regions[1:]:
             union = union.union(region)
         for element in (gamma, delta):
-            if not supported_inside(element, union):
+            if not element.support().subset_of(union):
                 raise ValueError("conjugators must be supported in the regions")
             for region in regions:
-                if not region_invariant(element, region):
+                if region.image(element) != region:
                     raise ValueError("conjugators must preserve each region")
     return (gamma * g_ell.inverse() * gamma.inverse()) * (
         delta * g_ell * delta.inverse()
@@ -581,7 +471,7 @@ def micro_support_element(gamma, delta, g_ell, regions=None, w=None):
 
 def verify_micro_support(a, gamma, delta, u_ell, w):
     """Exact verification of the three defining identities of the product."""
-    if not identity_on(a, w):
+    if not a.identity_on(w):
         raise ValueError("product moves points of W")
     if u_ell.image(a) != u_ell:
         raise ValueError("product does not preserve the region")

@@ -19,8 +19,9 @@ from .chabauty import (
     ball,
     chabauty_agree_radius,
     neumann_sweep,
+    spell,
 )
-from .fullgroups import Clopen, OdometerPoint, quasi_isometry_check, schreier_patch
+from .fullgroups import OdometerPoint, quasi_isometry_check, schreier_patch
 from .plcircle import ArcSet, compress, in_derived_F
 from .projline import interval_compression_witness
 from .scalars import Dyadic
@@ -33,7 +34,6 @@ from .suites import (
     make_level_check,
     replay,
     run_suite,
-    spell,
 )
 from .treesgff import PermGroupPair, alternating_perms, cyclic_perms
 
@@ -216,7 +216,7 @@ def _cmd_neumann(args):
 
 
 def _cmd_schreier(args):
-    u = Clopen.of(args.u) if args.u else Clopen.full()
+    u = Cylinders.of(args.u)
     x = OdometerPoint.parse(args.x)
     patch = schreier_patch(u, args.s_bound, x, args.radius)
     with open(args.out, "w", encoding="ascii") as fh:

@@ -6,31 +6,19 @@ exactly the rationals with odd denominator, and the odometer (add one with
 carry) becomes literal rational addition, so every orbit computation here
 is plain Fraction arithmetic.
 
-Clopen subsets are finite unions of cylinders C_w = {x : x starts with w},
-kept canonical as prefix-free antichains with no sibling pair.  Elements of
-the full group carry a finite table of (clopen piece, integer shift) pairs.
+Clopen subsets are cantorv.Cylinders: finite unions of cylinders
+C_w = {x : x starts with w}, whose translate(n) is the image under x -> x + n.
+Elements of the full group carry a finite table of (clopen piece, integer
+shift) pairs.
 """
 
 from fractions import Fraction
 
+from .cantorv import Cylinders, int_to_word, word_to_int
+from .kernel import GroupElement
 
-def word_to_int(word):
-    value = 0
-    for k, ch in enumerate(word):
-        if ch == "1":
-            value += 1 << k
-        elif ch != "0":
-            raise ValueError("digit words use characters 0 and 1 only")
-    return value
-
-
-def int_to_word(value, length):
-    return "".join("1" if value >> k & 1 else "0" for k in range(length))
-
-
-def word_add(word, n):
-    # low digits of x + n depend only on the low digits of x
-    return int_to_word((word_to_int(word) + n) % (1 << len(word)), len(word))
+# callers that import the clopen type from this module
+Clopen = Cylinders
 
 
 class OdometerPoint:
@@ -101,118 +89,7 @@ class OdometerPoint:
         return "OdometerPoint(%r, %r)" % (pre, per)
 
 
-def odometer_step(point, n):
-    return point + n
-
-
-class Clopen:
-    """A clopen subset: canonical antichain of cylinder words."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        cleaned = set(words)
-        for w in cleaned:
-            word_to_int(w)
-        # drop words lying under another, then merge full sibling pairs
-        changed = True
-        while changed:
-            changed = False
-            for w in sorted(cleaned, key=len):
-                if any(w != u and w.startswith(u) for u in cleaned):
-                    cleaned.discard(w)
-                    changed = True
-                    break
-            else:
-                for w in sorted(cleaned):
-                    if w.endswith("0") and w[:-1] + "1" in cleaned:
-                        cleaned.discard(w)
-                        cleaned.discard(w[:-1] + "1")
-                        cleaned.add(w[:-1])
-                        changed = True
-                        break
-        object.__setattr__(self, "words", tuple(sorted(cleaned, key=lambda w: (len(w), w))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Clopen is immutable")
-
-    @classmethod
-    def of(cls, *words):
-        return cls(words)
-
-    @classmethod
-    def full(cls):
-        return cls(("",))
-
-    @classmethod
-    def empty(cls):
-        return cls(())
-
-    def is_empty(self):
-        return not self.words
-
-    def is_full(self):
-        return self.words == ("",)
-
-    def max_length(self):
-        return max((len(w) for w in self.words), default=0)
-
-    def contains_word(self, word):
-        """Whole cylinder C_word inside this set."""
-        return any(word.startswith(u) for u in self.words)
-
-    def meets_word(self, word):
-        return any(word.startswith(u) or u.startswith(word) for u in self.words)
-
-    def contains_point(self, point):
-        return any(point.digits(len(u)) == u for u in self.words)
-
-    def union(self, other):
-        return Clopen(self.words + other.words)
-
-    def intersect(self, other):
-        out = []
-        for w in self.words:
-            for u in other.words:
-                if w.startswith(u):
-                    out.append(w)
-                elif u.startswith(w):
-                    out.append(u)
-        return Clopen(out)
-
-    def complement(self):
-        length = self.max_length()
-        keep = [
-            int_to_word(m, length)
-            for m in range(1 << length)
-            if not self.contains_word(int_to_word(m, length))
-        ]
-        return Clopen(keep)
-
-    def subset_of(self, other):
-        return all(other.contains_word(w) for w in self.words)
-
-    def disjoint_from(self, other):
-        return all(not other.meets_word(w) for w in self.words)
-
-    def translate(self, n):
-        """Exact image under the odometer power x -> x + n."""
-        return Clopen(tuple(word_add(w, n) for w in self.words))
-
-    def measure(self):
-        return sum((Fraction(1, 1 << len(w)) for w in self.words), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, Clopen) and self.words == other.words
-
-    def __hash__(self):
-        return hash(("Clopen", self.words))
-
-    def __repr__(self):
-        return "Clopen.of(%s)" % ", ".join(repr(w) for w in self.words)
-
-
-class FullGroupElement:
+class FullGroupElement(GroupElement):
     """A homeomorphism locally equal to odometer powers.
 
     The table lists (clopen piece, shift) pairs; the element sends x to
@@ -227,24 +104,19 @@ class FullGroupElement:
         for piece, shift in table:
             if not isinstance(shift, int):
                 raise ValueError("shifts must be integers")
-            if piece.is_empty():
-                continue
-            if shift in by_shift:
-                by_shift[shift] = by_shift[shift].union(piece)
-            else:
-                by_shift[shift] = piece
-        pieces = sorted(by_shift.items())
-        total = Fraction(0)
-        image_total = Fraction(0)
-        for i, (shift, piece) in enumerate(pieces):
-            total += piece.measure()
-            image_total += piece.translate(shift).measure()
-            for other_shift, other in pieces[i + 1 :]:
-                if not piece.disjoint_from(other):
+            by_shift.setdefault(shift, []).extend(piece.words)
+        pieces = sorted(
+            (shift, Cylinders(words)) for shift, words in by_shift.items() if words
+        )
+        images = [piece.translate(shift) for shift, piece in pieces]
+        for i, (_, piece) in enumerate(pieces):
+            for j in range(i + 1, len(pieces)):
+                if not piece.disjoint_from(pieces[j][1]):
                     raise ValueError("domain pieces overlap")
-                if not piece.translate(shift).disjoint_from(other.translate(other_shift)):
+                if not images[i].disjoint_from(images[j]):
                     raise ValueError("image pieces overlap")
-        if total != 1 or image_total != 1:
+        if (sum(piece.measure() for _, piece in pieces) != 1
+                or sum(image.measure() for image in images) != 1):
             raise ValueError("pieces must partition the space")
         object.__setattr__(self, "table", tuple((shift, piece) for shift, piece in pieces))
 
@@ -253,7 +125,7 @@ class FullGroupElement:
 
     @classmethod
     def identity(cls):
-        return cls(((Clopen.full(), 0),))
+        return cls(((Cylinders.full(), 0),))
 
     def shift_at(self, point):
         for shift, piece in self.table:
@@ -261,56 +133,33 @@ class FullGroupElement:
                 return shift
         raise AssertionError("pieces partition the space")
 
-    def shift_on_word(self, word):
-        """Shift on the whole cylinder C_word; word must refine the table."""
-        for shift, piece in self.table:
-            if piece.contains_word(word):
-                return shift
-        raise ValueError("cylinder %r crosses piece boundaries" % word)
-
     def __call__(self, point):
         return point + self.shift_at(point)
 
-    def refinement_length(self):
-        return max(piece.max_length() for _, piece in self.table)
-
     def __mul__(self, other):
+        """Composition self o other: refine other's images by self's pieces."""
         if not isinstance(other, FullGroupElement):
             return NotImplemented
-        length = max(self.refinement_length(), other.refinement_length())
-        table = {}
-        for m in range(1 << length):
-            w = int_to_word(m, length)
-            first = other.shift_on_word(w)
-            second = self.shift_on_word(word_add(w, first))
-            table.setdefault(first + second, []).append(w)
-        return FullGroupElement(
-            tuple((Clopen(words), shift) for shift, words in table.items())
-        )
+        table = []
+        for first, piece in other.table:
+            image = piece.translate(first)
+            for second, target in self.table:
+                meet = image.intersect(target)
+                if not meet.is_empty():
+                    table.append((meet.translate(-first), first + second))
+        return FullGroupElement(table)
 
     def inverse(self):
         return FullGroupElement(
             tuple((piece.translate(shift), -shift) for shift, piece in self.table)
         )
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = FullGroupElement.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def is_identity(self):
         return all(shift == 0 for shift, _ in self.table)
 
     def support(self):
         """Exact support: the action is free, so nonzero pieces never fix."""
-        out = Clopen.empty()
-        for shift, piece in self.table:
-            if shift != 0:
-                out = out.union(piece)
-        return out
+        return Cylinders(w for shift, piece in self.table if shift for w in piece.words)
 
     def __eq__(self, other):
         return isinstance(other, FullGroupElement) and self.table == other.table
@@ -335,7 +184,7 @@ class FullGroupElement:
     def from_json(cls, data):
         return cls(
             tuple(
-                (Clopen(entry["words"]), int(entry["shift"]))
+                (Cylinders(entry["words"]), int(entry["shift"]))
                 for entry in data["pieces"]
             )
         )

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .kernel import GroupElement
 from .scalars import Dyadic, ZERO, ONE
 
 Piece = tuple[Dyadic, int, Dyadic]
 
 
-class PLMap:
+class PLMap(GroupElement):
     __slots__ = ("pieces", "lefts", "_values")
 
     def __init__(self, pieces: Sequence[Piece]):
@@ -151,21 +152,6 @@ class PLMap:
             out = [(l, s, c - offset) for (l, s, c) in out]
         return PLMap(out)
 
-    def __invert__(self) -> "PLMap":
-        return self.inverse()
-
-    def __pow__(self, n: int) -> "PLMap":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PLMap):
             return NotImplemented
@@ -183,6 +169,36 @@ class PLMap:
     def __repr__(self):
         bits = ", ".join(f"[{l}: 2^{s} t + {c}]" for l, s, c in self.pieces)
         return f"PLMap({bits})"
+
+    # -- regions and germs ----------------------------------------------------
+
+    def support(self) -> "ArcSet":
+        """The closure of the moved set."""
+        return support_fix(self).support
+
+    def identity_on(self, region: "ArcSet") -> bool:
+        """Exact check that the map restricted to the closed region is the identity."""
+        for lo, hi in region.arcs:
+            if lo == hi:
+                if self(lo) != lo.frac():
+                    return False
+                continue
+            i = self.piece_index(lo)
+            while True:
+                left, s, c = self.pieces[i]
+                right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else ONE
+                seg_lo = max(left, lo)
+                seg_hi = min(right, hi)
+                if seg_lo < seg_hi and not (s == 0 and c.is_integer()):
+                    return False
+                if right >= hi or i + 1 >= len(self.pieces):
+                    break
+                i += 1
+        return True
+
+    def germ_trivial_at(self, x: Dyadic) -> bool:
+        data = germ_data(self, x)
+        return data.left_identity and data.right_identity
 
     def to_json(self) -> dict:
         return {
@@ -323,6 +339,32 @@ class ArcSet:
     def empty() -> "ArcSet":
         return ArcSet([])
 
+    @staticmethod
+    def cells(max_depth: int):
+        """Standard dyadic arcs of depth 2 up, coarsest first, then left to right."""
+        for depth in range(2, max_depth + 1):
+            for k in range(1 << depth):
+                yield ArcSet.of((Fraction(k, 1 << depth), Fraction(k + 1, 1 << depth)))
+
+    @staticmethod
+    def neighbourhoods(z, max_depth: int):
+        """Arcs around z, shrinking: at each depth from 2 the standard arc
+        holding z, or both standard arcs that meet at a dyadic z."""
+        zf = Dyadic.coerce(z).frac().as_fraction()
+        for depth in range(2, max_depth + 1):
+            step = Fraction(1, 1 << depth)
+            scaled = zf / step
+            if scaled.denominator == 1:
+                lo = (zf - step) % 1
+                hi = lo + 2 * step
+                if hi <= 1:
+                    yield ArcSet.of((lo, hi))
+                else:
+                    yield ArcSet.of((lo, Fraction(1)), (Fraction(0), hi - 1))
+            else:
+                k = scaled.numerator // scaled.denominator
+                yield ArcSet.of((k * step, (k + 1) * step))
+
     def is_empty(self) -> bool:
         return not self.arcs
 
@@ -451,33 +493,7 @@ class ArcSet:
         return result
 
 
-def is_identity_on(f: PLMap, region: ArcSet) -> bool:
-    """Exact check that f restricted to the closed region is the identity."""
-    for lo, hi in region.arcs:
-        if lo == hi:
-            if f(lo) != lo.frac():
-                return False
-            continue
-        i = f.piece_index(lo)
-        while True:
-            left, s, c = f.pieces[i]
-            right = f.pieces[i + 1][0] if i + 1 < len(f.pieces) else ONE
-            seg_lo = max(left, lo)
-            seg_hi = min(right, hi)
-            if seg_lo < seg_hi and not (s == 0 and c.is_integer()):
-                return False
-            if right >= hi or i + 1 >= len(f.pieces):
-                break
-            i += 1
-    return True
-
-
-def equal_on(f: PLMap, g: PLMap, region: ArcSet) -> bool:
-    return is_identity_on(g.inverse() * f, region)
-
-
-def maps_region_to_itself(f: PLMap, region: ArcSet) -> bool:
-    return region.image(f) == region
+PLMap.region_type = ArcSet
 
 
 # -- fixed sets and supports -------------------------------------------------
@@ -697,7 +713,8 @@ def compress(region: ArcSet, beta: Dyadic, alpha: Dyadic) -> PLMap:
     beta0 = beta if beta >= b else b
     alpha_p = alpha0.half()
     beta_p = (beta0 + 1).half()
-    assert ZERO < alpha_p < a < b < beta_p < ONE
+    if not ZERO < alpha_p < a < b < beta_p < ONE:
+        raise RuntimeError("the contraction windows must nest inside the circle")
 
     n = 1
     while True:
@@ -718,9 +735,10 @@ def compress(region: ArcSet, beta: Dyadic, alpha: Dyadic) -> PLMap:
     pieces.append((b, -n, c2))
     pieces.append((beta_p, 0, ZERO))
     g = PLMap(pieces)
-
-    assert in_derived_F(g)
-    assert _inside_target(region.image(g), beta, alpha)
+    if not in_derived_F(g):
+        raise RuntimeError("compressor must lie in the derived group")
+    if not _inside_target(region.image(g), beta, alpha):
+        raise RuntimeError("compressed region must land inside the target")
     return g
 
 

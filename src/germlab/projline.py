@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from .kernel import GroupElement
 from .scalars import QuadExt
 
 Scalar = Union[QuadExt, Fraction, int]
@@ -122,7 +123,7 @@ class Mobius:
         return f"Mobius({self.p}, {self.q}, {self.r}, {self.s})"
 
 
-class PPMap:
+class PPMap(GroupElement):
     """An increasing piecewise fractional-linear bijection of R u {inf}.
 
     breaks is a strictly increasing tuple of finite breakpoints and maps
@@ -228,21 +229,6 @@ class PPMap:
         return PPMap(
             [self(x) for x in self.breaks], [m.inverse() for m in self.maps]
         )
-
-    def __invert__(self) -> "PPMap":
-        return self.inverse()
-
-    def __pow__(self, n: int) -> "PPMap":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = PPMap.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PPMap):

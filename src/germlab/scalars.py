@@ -6,8 +6,13 @@ and equality with integer arithmetic only.  No floats anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
+
+# Python hashes a rational p/q as hash(p * q^-1) modulo the Mersenne prime
+# 2**N - 1, where 2**N == 1, so dividing by 2**exp is a shift by -exp mod N
+_HASH_BITS = sys.hash_info.modulus.bit_length()
 
 IntLike = Union[int, "Dyadic"]
 
@@ -135,7 +140,8 @@ class Dyadic:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash((self.num, self.exp))
+        """Equal to hash(int) and hash(Fraction) of the same value."""
+        return hash(self.num << (-self.exp % _HASH_BITS))
 
     # -- misc ------------------------------------------------------------
 
@@ -282,10 +288,10 @@ class QuadExt:
         return (self - other).sign() >= 0
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it must hash like one
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b))
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def key(self) -> tuple:
         return (self.a.numerator, self.a.denominator, self.b.numerator, self.b.denominator)

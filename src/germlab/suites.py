@@ -37,9 +37,10 @@ from .chabauty import (
     neumann_check,
     neumann_sweep,
     cyclic_group,
+    spell,
     verify_micro_support,
 )
-from .fullgroups import Clopen, OdometerPoint, quasi_isometry_check, return_set, schreier_patch
+from .fullgroups import OdometerPoint, quasi_isometry_check, return_set, schreier_patch
 from .plcircle import (
     ArcSet,
     GEN_A,
@@ -138,19 +139,6 @@ _LM_GENS = {
     "B": LM_B.inverse(),
     "C": LM_C.inverse(),
 }
-
-
-def spell(gens, word):
-    """Left-to-right product of generator letters; '' gives the identity."""
-    out = None
-    for letter in word:
-        if letter not in gens:
-            raise ValueError(f"unknown generator letter {letter!r}")
-        out = gens[letter] if out is None else out * gens[letter]
-    if out is not None:
-        return out
-    some = next(iter(gens.values()))
-    return some * some.inverse()
 
 
 def _rand_word(rng, letters, max_len):
@@ -568,7 +556,7 @@ def _suite_fullgroup_qi(config):
     radius_c0, radius_c01 = config["radius_c0"], config["radius_c01"]
 
     def _run_patch(word, s_bound, radius, min_interior):
-        u = Clopen.of(word)
+        u = Cylinders.of(word)
         x = OdometerPoint.parse(word + ",0")
         patch = schreier_patch(u, s_bound, x, radius)
         report = quasi_isometry_check(patch)
@@ -588,9 +576,9 @@ def _suite_fullgroup_qi(config):
 
     def returns(rng):
         got = {
-            "0": list(return_set(Clopen.of("0"))),
-            "01": list(return_set(Clopen.of("01"))),
-            "full": list(return_set(Clopen.full())),
+            "0": list(return_set(Cylinders.of("0"))),
+            "01": list(return_set(Cylinders.of("01"))),
+            "full": list(return_set(Cylinders.full())),
         }
         want = {"0": [0, 1], "01": [0, 1, 2, 3], "full": [0]}
         if got != want:
@@ -650,6 +638,8 @@ def resolve_config(name, config=None):
         raise ValueError(
             "unknown suite %r; available: %s" % (name, ", ".join(available_suites()))
         )
+    if config is not None and not isinstance(config, dict):
+        raise ValueError("config must be an object of integer overrides")
     defaults, _ = SUITES[name]
     merged = dict(defaults)
     for key, value in (config or {}).items():
@@ -694,6 +684,8 @@ def run_suite(name, config=None, seed=0):
 
 def replay(report, check_id):
     """Re-run one check from a previously produced report dict."""
+    if not isinstance(report, dict):
+        raise ValueError("a report must be a JSON object")
     name = report.get("suite")
     merged = resolve_config(name, report.get("config"))
     seed = report.get("seed", 0)

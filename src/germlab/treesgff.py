@@ -16,6 +16,8 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Optional
 
+from .kernel import GroupElement
+
 Perm = tuple[int, ...]
 Vertex = tuple[int, ...]
 
@@ -173,7 +175,7 @@ def parse_vertex(text: str) -> Vertex:
     return v
 
 
-class TreeAut:
+class TreeAut(GroupElement):
     """A tree automorphism with finitely many prescribed local permutations.
 
     portrait maps vertices to permutations; it contains the empty word and
@@ -308,21 +310,6 @@ class TreeAut:
             v: perm_inverse(self.local_perm(self.act_inv(v))) for v in closed
         }
         return TreeAut(self.pair, self.act_inv(()), portrait)
-
-    def __invert__(self) -> "TreeAut":
-        return self.inverse()
-
-    def __pow__(self, n: int) -> "TreeAut":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TreeAut.identity(self.pair)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def canonical_key(self) -> tuple:
         return (self.base_image, tuple(sorted(self.portrait.items())))
@@ -482,6 +469,7 @@ def level_transitivity_witness(
     perm = pair.find_large({gamma: gamma, c_cur: c_w, c_w: c_cur})
     if perm is None:
         perm = pair.find_large({gamma: gamma, c_cur: c_w})
-    assert perm is not None, "2-transitivity must provide a permuter"
+    if perm is None:
+        raise RuntimeError("2-transitivity must provide a permuter")
     word.append(halftree_permuter(pair, pw, gamma, perm))
     return word

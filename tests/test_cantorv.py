@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,6 @@ from germlab.cantorv import (
     ZERO_SEQ,
     compress_v,
     germ_class,
-    is_identity_on,
     prefix_translate,
     rigid_stabilizer_v,
     rule_fixed_point,
@@ -203,15 +203,69 @@ def test_cylinders_algebra():
     assert Cylinders.of("010").subset_of(Cylinders.of("01"))
     assert Cylinders.of("00").disjoint_from(Cylinders.of("01", "1"))
     assert not Cylinders.of("0").disjoint_from(Cylinders.of("01"))
-    with pytest.raises(ValueError):
-        Cylinders.of("0", "01")
+    assert Cylinders.of("0", "01") == Cylinders.of("0")
+
+
+CELL_DEPTH = 6
+CELLS = [format(k, "0%db" % CELL_DEPTH) for k in range(1 << CELL_DEPTH)]
+ALL_CELLS = (1 << len(CELLS)) - 1
+
+
+def cell_mask(region):
+    """Bitmask of the depth-6 words lying inside the region."""
+    return sum(1 << i for i, s in enumerate(CELLS) if any(s.startswith(w) for w in region.words))
+
+
+def shifted_mask(mask, n):
+    """Oracle for the odometer x -> x + n on depth-6 cells: a word is the
+    binary expansion of a residue mod 64, lowest digit first."""
+    out = 0
+    for i, s in enumerate(CELLS):
+        if mask >> i & 1:
+            value = (int(s[::-1], 2) + n) % len(CELLS)
+            out |= 1 << int(format(value, "0%db" % CELL_DEPTH)[::-1], 2)
+    return out
+
+
+def rand_bits(rng, lo, hi):
+    return "".join(rng.choice("01") for _ in range(rng.randrange(lo, hi + 1)))
+
+
+def rand_cylinders(rng):
+    return Cylinders(rand_bits(rng, 1, CELL_DEPTH) for _ in range(rng.randrange(5)))
+
+
+def test_cylinders_against_bitmask_oracle():
+    rng = random.Random(61)
+    for _ in range(300):
+        a, b = rand_cylinders(rng), rand_cylinders(rng)
+        ma, mb = cell_mask(a), cell_mask(b)
+        words = set(a.words)
+        assert not any(v != w and w.startswith(v) for v in words for w in words)
+        assert not any(w.endswith("0") and w[:-1] + "1" in words for w in words)
+        assert cell_mask(a.complement()) == ALL_CELLS ^ ma
+        assert cell_mask(a.union(b)) == ma | mb
+        assert cell_mask(a.intersect(b)) == ma & mb
+        n = rng.randrange(-70, 70)
+        assert cell_mask(a.translate(n)) == shifted_mask(ma, n)
+        assert a.measure() == Fraction(bin(ma).count("1"), len(CELLS))
+        assert a.subset_of(b) == (ma & ~mb == 0)
+        assert a.disjoint_from(b) == (ma & mb == 0)
+        assert (a.union(b) == b) == (ma | mb == mb)
+        x = EventuallyPeriodic(rand_bits(rng, 0, 4), rand_bits(rng, 1, 3))
+        assert a.contains_point(x) == bool(ma >> int(x.digits(CELL_DEPTH), 2) & 1)
+        # any word list spelling the same set gives the same canonical form
+        spelled = [w + tail for w in a.words for tail in ("0", "1")]
+        spelled += [w + rand_bits(rng, 0, 2) for w in a.words]
+        rng.shuffle(spelled)
+        assert Cylinders(spelled) == a
 
 
 def test_rigid_stabilizer_support():
     gens = rigid_stabilizer_v("10")
     outside = Cylinders.of("10").complement()
     for g in gens:
-        assert is_identity_on(g, outside)
+        assert g.identity_on(outside)
     assert any(not g.is_identity() for g in gens)
     a, b = gens[0], gens[1]
 

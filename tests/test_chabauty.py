@@ -24,7 +24,6 @@ from germlab.chabauty import (
     disjoint_open_search,
     equal_on,
     FiniteGroup,
-    identity_on,
     micro_support_element,
     neumann_check,
     neumann_sweep,
@@ -122,10 +121,8 @@ def test_trunc_over_prefix_kernel():
     spec = SubgroupSpec.support_inside(region)
     kept = chabauty_trunc(spec, group, 2)
     assert "" in kept.words
-    from germlab.cantorv import is_identity_on as v_identity_on
-
     for element in kept.elements:
-        assert v_identity_on(element, region.complement())
+        assert element.identity_on(region.complement())
     germ_spec = SubgroupSpec.identity_germ_at(ZERO_SEQ)
     for element in chabauty_trunc(germ_spec, group, 2).elements:
         assert element(ZERO_SEQ) == ZERO_SEQ
@@ -346,7 +343,7 @@ def test_micro_support_random_instances():
             delta = delta * rng.choice(gens) ** rng.choice([-1, 1])
         a = micro_support_element(gamma, delta, GEN_A, regions=regions, w=w)
         assert verify_micro_support(a, gamma, delta, regions[0], w)
-        assert identity_on(a, w)
+        assert a.identity_on(w)
 
 
 def test_micro_support_prefix_kernel():

@@ -198,3 +198,30 @@ def test_budget_env_is_honored(capsys, monkeypatch):
     code, _, err = run(capsys, "chabauty", "--group", "F",
                        "--h", "whole", "--k", "trivial", "--radius", "2")
     assert code == 2 and "budget" in err
+
+
+def test_negative_radius_is_rejected(capsys):
+    code, out, err = run(capsys, "chabauty", "--group", "F",
+                         "--h", "whole", "--k", "trivial", "--radius", "-3")
+    assert code == 2 and out == ""
+    assert "radius must be nonnegative" in err and "Traceback" not in err
+
+
+def test_replay_rejects_non_object_report(capsys, tmp_path):
+    saved = tmp_path / "list.json"
+    saved.write_text("[1, 2, 3]\n")
+    code, out, err = run(capsys, "replay", str(saved), "sweep")
+    assert code == 2 and out == ""
+    assert "must be a JSON object" in err
+    saved.write_text('{"suite": "neumann", "config": [1]}\n')
+    code, out, err = run(capsys, "replay", str(saved), "sweep")
+    assert code == 2 and out == ""
+    assert "config must be an object" in err
+
+
+def test_non_integer_budget_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "lots")
+    code, out, err = run(capsys, "chabauty", "--group", "F",
+                         "--h", "whole", "--k", "trivial", "--radius", "2")
+    assert code == 2 and out == ""
+    assert "GERMLAB_BUDGET" in err and "'lots'" in err

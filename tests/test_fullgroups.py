@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -9,11 +11,9 @@ from germlab.fullgroups import (
     OdometerPoint,
     gamma_tv,
     int_to_word,
-    odometer_step,
     quasi_isometry_check,
     return_set,
     schreier_patch,
-    word_add,
     word_to_int,
 )
 
@@ -36,8 +36,8 @@ def rand_gamma(rng):
 def test_words():
     assert word_to_int("011") == 6
     assert int_to_word(6, 3) == "011"
-    assert word_add("11", 1) == "00"
-    assert word_add("00", 1) == "10"
+    assert Clopen.of("11").translate(1) == Clopen.of("00")
+    assert Clopen.of("00").translate(1) == Clopen.of("10")
     with pytest.raises(ValueError):
         word_to_int("012")
 
@@ -45,8 +45,8 @@ def test_words():
 def test_carry_propagation():
     x = OdometerPoint.from_digits("11", "0")
     assert (x + 1).preperiod_period() == ("001", "0")
-    assert odometer_step(x, 0) == x
-    assert odometer_step(odometer_step(x, 1), -1) == x
+    assert x + 0 == x
+    assert (x + 1) + -1 == x
 
 
 def test_point_encoding():
@@ -185,6 +185,29 @@ def test_group_laws_pointwise():
     assert (FullGroupElement.identity() * f) == f
 
 
+def test_compose_matches_pointwise_oracle():
+    rng = random.Random(37)
+    for _ in range(30):
+        factors = [rand_gamma(rng) for _ in range(rng.randrange(2, 5))]
+        prod = reduce(lambda f, g: f * g, factors)
+        # one point per cell fine enough for every table decides all shifts
+        depth = max(piece.max_length() for h in factors + [prod] for _, piece in h.table)
+        for k in range(1 << depth):
+            x = OdometerPoint.from_digits(int_to_word(k, depth), rng.choice(["0", "1", "01"]))
+            y = x
+            for f in reversed(factors):
+                y = f(y)
+            assert prod(x) == y
+
+
+def test_deep_gamma_times_inverse_is_fast():
+    v = Clopen.of("0110100110010110" * 4)
+    start = time.perf_counter()
+    g = gamma_tv(1, v)
+    assert (g * g.inverse()).is_identity()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_powers_and_support():
     g = gamma_tv(1, Clopen.of("00"))
     assert g ** 2 == FullGroupElement.identity()
@@ -196,7 +219,12 @@ def test_element_json_roundtrip():
     rng = random.Random(36)
     for _ in range(20):
         g = rand_gamma(rng) * rand_gamma(rng)
-        assert FullGroupElement.from_json(g.to_json()) == g
+        data = g.to_json()
+        assert FullGroupElement.from_json(data) == g
+        # piece words listed in another order decode to the same element
+        for entry in data["pieces"]:
+            entry["words"].sort(key=lambda w: (len(w), w), reverse=True)
+        assert FullGroupElement.from_json(data) == g
 
 
 def test_patch_full_space():

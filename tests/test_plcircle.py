@@ -10,13 +10,11 @@ from germlab.plcircle import (
     PLMap,
     compress,
     conjugate_into_interval,
-    equal_on,
     expanding_conjugator,
     germ_data,
     identity,
     in_derived_F,
     interval_map_pieces,
-    is_identity_on,
     is_in_F,
     pl_map_through_points,
     rigid_stabilizer_gens,
@@ -24,6 +22,7 @@ from germlab.plcircle import (
     standard_subdivision,
     support_fix,
 )
+from germlab.chabauty import equal_on
 from germlab.scalars import Dyadic
 
 D = Dyadic
@@ -240,7 +239,7 @@ def test_rigid_stabilizer_supported_and_faithful():
     inside = ArcSet.of((a, b))
     for g in (g1, g2):
         assert is_in_F(g)
-        assert is_identity_on(g, outside)
+        assert g.identity_on(outside)
         assert support_fix(g).support.subset_of(inside)
         assert not g.is_identity()
     # conjugation preserves the defining relations
@@ -253,7 +252,7 @@ def test_rigid_stabilizer_supported_and_faithful():
 
 def test_rigid_stabilizer_general_interval():
     g1, g2 = rigid_stabilizer_gens(D(3, 3), D(5, 3))
-    assert is_identity_on(g1, ArcSet.of((D(0), D(3, 3)), (D(5, 3), D(1))))
+    assert g1.identity_on(ArcSet.of((D(0), D(3, 3)), (D(5, 3), D(1))))
     assert not g1.is_identity()
     assert (g1 * g1.inverse()).is_identity()
 
@@ -304,8 +303,8 @@ def test_expanding_conjugator():
 
 def test_is_identity_on_and_equal_on():
     outside = ArcSet.of((D(0), D(1, 1)))
-    assert is_identity_on(GEN_B, outside)
-    assert not is_identity_on(GEN_A, outside)
+    assert GEN_B.identity_on(outside)
+    assert not GEN_A.identity_on(outside)
     assert equal_on(GEN_B, identity(), outside)
     assert equal_on(GEN_A, GEN_A * GEN_B, outside)  # B trivial there
 

@@ -84,6 +84,21 @@ def test_dyadic_hash_consistent():
     assert len(s) == 1
 
 
+def test_hash_agrees_with_equal_numbers():
+    # equal values must hash equally, or sets and dicts keep duplicates
+    assert len({Dyadic(1), 1}) == 1
+    assert len({QuadExt(1), 1, Fraction(1)}) == 1
+    assert len({QuadExt(Fraction(-3, 4)), Fraction(-3, 4)}) == 1
+    rng = random.Random(101)
+    for _ in range(500):
+        num = rng.choice([rng.randrange(-40, 40), rng.randrange(-(10 ** 30), 10 ** 30)])
+        x = Dyadic(num, rng.randrange(0, 130))
+        assert hash(x) == hash(x.as_fraction())
+        if x.is_integer():
+            assert x == x.num and hash(x) == hash(x.num)
+    assert hash(Dyadic(-1)) == hash(-1)
+
+
 def test_quadext_ring_axioms():
     rng = random.Random(99)
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -126,6 +129,31 @@ def test_crashing_check_becomes_fail_record():
     assert "ValueError" in by_id["qi-c0"]["witness"]["error"]
     assert by_id["return-times"]["status"] == "pass"
     assert not report.all_pass()
+
+
+def test_checks_survive_python_O():
+    # a verification written as assert would vanish under -O; force the
+    # compressor's derived-group check to fail and expect a failing report
+    code = (
+        "import sys\n"
+        "import germlab.plcircle as pl\n"
+        "from germlab.suites import run_suite\n"
+        "pl.in_derived_F = lambda f: False\n"
+        "report = run_suite('compress', {'instances': 1})\n"
+        "sys.stdout.write(str(sys.flags.optimize) + report.to_bytes().decode())\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout[0] == "1"
+    by_id = {c["id"]: c for c in json.loads(done.stdout[1:])["checks"]}
+    for check in ("arc-instances", "pinned-example"):
+        assert by_id[check]["status"] == "fail"
+        assert "RuntimeError" in by_id[check]["witness"]["error"]
+    assert by_id["cylinder-instances"]["status"] == "pass"
 
 
 def test_spell_words():
