@@ -4,10 +4,11 @@ A MarkedGroup is any of the exact map kernels together with a labeled finite
 generating set; balls in its word metric are enumerated exactly and
 deduplicated, so a subgroup given by a decidable membership predicate can be
 truncated to a finite set and compared against other subgroups radius by
-radius.  On top of that sit the conjugate-net limit probe, the finite
-coset-cover oracle, the deterministic disjoint-open-set search, and the
-two-conjugate product a = (g f^-1 g^-1)(h f h^-1) whose defining identities
-are verified exactly elsewhere.
+radius; a conjugate spec is the spec pushed forward along the conjugator.
+On top of that sit the conjugate-net limit probe, the finite coset-cover
+oracle, the deterministic disjoint-open-set search, and the two-conjugate
+product a = (g f^-1 g^-1)(h f h^-1) whose defining identities are verified
+exactly elsewhere.
 """
 
 import os
@@ -183,7 +184,19 @@ class SubgroupSpec:
 
     @classmethod
     def conjugate(cls, spec, g):
-        return cls("conjugate", (spec, g))
+        """gHg^-1 as a spec of H's kind: its region, germ points or
+        generators pushed forward along g (word radii carry over)."""
+        if spec.kind in ("whole", "trivial"):
+            return spec
+        if spec.kind == "support":
+            return cls("support", spec.data.image(g))
+        if spec.kind == "germ":
+            return cls("germ", tuple(g(p) for p in spec.data))
+        if spec.kind == "generated":
+            elements, radius, budget = spec.data
+            inv = g.inverse()
+            return cls.generated([g * s * inv for s in elements], radius, budget)
+        raise ValueError("unknown spec kind %r" % spec.kind)
 
     def contains(self, element):
         if self.kind == "whole":
@@ -198,19 +211,7 @@ class SubgroupSpec:
             elements, radius, budget = self.data
             labels = {chr(ord("a") + i): g for i, g in enumerate(elements)}
             return element in ball(MarkedGroup(labels), radius, budget)
-        if self.kind == "conjugate":
-            spec, g = self.data
-            return spec.contains(g.inverse() * element * g)
         raise ValueError("unknown spec kind %r" % self.kind)
-
-    def describe(self):
-        if self.kind == "support":
-            return "support-inside(%r)" % (self.data,)
-        if self.kind == "germ":
-            return "identity-germ-at(%s)" % ", ".join(repr(p) for p in self.data)
-        if self.kind == "conjugate":
-            return "conjugate(%s)" % self.data[0].describe()
-        return self.kind
 
 
 def chabauty_trunc(spec, group, radius, budget=None):
@@ -223,14 +224,20 @@ def chabauty_trunc(spec, group, radius, budget=None):
     return BallTruncation(radius, [e for e, _ in kept], [w for _, w in kept])
 
 
-def chabauty_agree_radius(h_spec, k_spec, group, r_max, budget=None):
-    """Largest r <= r_max at which the two truncations coincide."""
-    full = ball(group, r_max, budget)
-    agree = r_max
+def disagreements(h_spec, k_spec, group, radius, budget=None):
+    """Words of the radius ball, in ball order, on which the two specs differ."""
+    full = ball(group, radius, budget)
     for element, word in zip(full.elements, full.words):
         if h_spec.contains(element) != k_spec.contains(element):
-            agree = min(agree, len(word) - 1)
-    return agree
+            yield word
+
+
+def chabauty_agree_radius(h_spec, k_spec, group, r_max, budget=None):
+    """Largest r <= r_max at which the two truncations coincide."""
+    return min(
+        (len(w) - 1 for w in disagreements(h_spec, k_spec, group, r_max, budget)),
+        default=r_max,
+    )
 
 
 def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius, budget=None):
@@ -239,12 +246,13 @@ def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius, bud
     Reports the least position after which every later conjugate matches the
     predicted limit on the radius ball, or None when the net never settles.
     """
-    target = chabauty_trunc(predicted_limit, group, radius, budget).key_set()
-    matches = []
-    for g in conjugators:
-        spec = SubgroupSpec.conjugate(h_spec, g)
-        got = chabauty_trunc(spec, group, radius, budget).key_set()
-        matches.append(got == target)
+    full = ball(group, radius, budget)
+
+    def kept(spec):
+        return frozenset(_key(el) for el in full.elements if spec.contains(el))
+
+    target = kept(predicted_limit)
+    matches = [kept(SubgroupSpec.conjugate(h_spec, g)) == target for g in conjugators]
     stabilizes_at = None
     for n in range(len(matches), 0, -1):
         if not matches[n - 1]:
@@ -271,10 +279,9 @@ def accumulation_probe(h_spec, group, forbidden, search_radius, budget=None):
         if p not in full:
             raise ValueError("forbidden elements must lie in the search ball")
     for element, word in zip(full.elements, full.words):
-        inv = element.inverse()
-        if all(
-            not h_spec.contains(element * p * inv) for p in forbidden
-        ):
+        # gpg^-1 lies in H exactly when p lies in g^-1 H g
+        pulled = SubgroupSpec.conjugate(h_spec, element.inverse())
+        if not any(pulled.contains(p) for p in forbidden):
             return {"witness": word, "exhausted": False}
     return {"witness": None, "exhausted": True}
 

@@ -11,24 +11,17 @@ import random
 import sys
 from fractions import Fraction
 
+from .cantorv import GEN_PI0, GEN_VA, GEN_VB, GEN_VC
 from .cantorv import Cylinders, EventuallyPeriodic, compress_v
-from .chabauty import (
-    BudgetError,
-    MarkedGroup,
-    SubgroupSpec,
-    ball,
-    chabauty_agree_radius,
-    neumann_sweep,
-    spell,
-)
+from .chabauty import BudgetError, MarkedGroup, SubgroupSpec
+from .chabauty import disagreements, neumann_sweep
 from .fullgroups import OdometerPoint, quasi_isometry_check, schreier_patch
-from .plcircle import ArcSet, compress, in_derived_F
+from .plcircle import GEN_A, GEN_B, GEN_C, ArcSet, compress, in_derived_F
 from .projline import interval_compression_witness
 from .scalars import Dyadic
 from .suites import (
-    _PL_GENS,
-    _V_GENS,
     available_suites,
+    check_outcome,
     make_cocycle_check,
     make_elliptic_check,
     make_level_check,
@@ -36,10 +29,6 @@ from .suites import (
     run_suite,
 )
 from .treesgff import PermGroupPair, alternating_perms, cyclic_perms
-
-_F_LETTERS = set("abAB")
-_T_LETTERS = set("abcABC")
-_V_LETTERS = set("abcpABCP")
 
 
 def _print_json(data, out=None):
@@ -68,24 +57,20 @@ def _parse_fraction_pair(text):
     return Fraction(lo), Fraction(hi)
 
 
-def _spell_word(group, word):
-    if group in ("F", "T"):
-        allowed = _F_LETTERS if group == "F" else _T_LETTERS
-        bad = set(word) - allowed
-        if bad:
-            raise ValueError(
-                "letters %s not in group %s" % ("".join(sorted(bad)), group)
-            )
-        return spell(_PL_GENS, word)
-    bad = set(word) - _V_LETTERS
+def _spell_word(group_name, word):
+    group = _marked_group(group_name)
+    bad = set(word) - set(group.gens)
     if bad:
-        raise ValueError("letters %s not in group V" % "".join(sorted(bad)))
-    return spell(_V_GENS, word)
+        raise ValueError(
+            "letters %s not in group %s" % ("".join(sorted(bad)), group_name)
+        )
+    return group.spell(word)
 
 
 def _parse_spec(text, group_name):
     """Subgroup spec grammar: whole | trivial | support:REGION |
-    germ:POINT[;POINT..] | conj:WORD:SPEC (conjugate the inner spec)."""
+    germ:POINT[;POINT..] | conj:WORD:SPEC (the inner spec pushed forward
+    along the word, i.e. its conjugate by the word)."""
     if text == "whole":
         return SubgroupSpec.whole_group()
     if text == "trivial":
@@ -116,15 +101,12 @@ def _parse_spec(text, group_name):
 
 
 def _marked_group(name):
-    if name in ("F", "T"):
-        gens = {"a": _PL_GENS["a"], "b": _PL_GENS["b"]}
-        if name == "T":
-            gens["c"] = _PL_GENS["c"]
-        return MarkedGroup(gens)
+    if name == "F":
+        return MarkedGroup({"a": GEN_A, "b": GEN_B})
+    if name == "T":
+        return MarkedGroup({"a": GEN_A, "b": GEN_B, "c": GEN_C})
     if name == "V":
-        return MarkedGroup(
-            {"a": _V_GENS["a"], "b": _V_GENS["b"], "c": _V_GENS["c"], "p": _V_GENS["p"]}
-        )
+        return MarkedGroup({"a": GEN_VA, "b": GEN_VB, "c": GEN_VC, "p": GEN_PI0})
     raise ValueError("unknown group %r" % name)
 
 
@@ -199,14 +181,10 @@ def _cmd_chabauty(args):
     group = _marked_group(args.group)
     h_spec = _parse_spec(args.h, args.group)
     k_spec = _parse_spec(args.k, args.group)
-    agree = chabauty_agree_radius(h_spec, k_spec, group, args.radius)
-    witnesses = []
-    if agree < args.radius:
-        full = ball(group, agree + 1)
-        for element, word in zip(full.elements, full.words):
-            if h_spec.contains(element) != k_spec.contains(element):
-                witnesses.append(word)
-    _print_json({"agree_radius": agree, "witness_elements": sorted(witnesses)})
+    words = list(disagreements(h_spec, k_spec, group, args.radius))
+    agree = min((len(w) - 1 for w in words), default=args.radius)
+    witnesses = sorted(w for w in words if len(w) == agree + 1)
+    _print_json({"agree_radius": agree, "witness_elements": witnesses})
     return 0
 
 
@@ -238,11 +216,7 @@ def _cmd_tree_verify(args):
         fn = make_elliptic_check(pair, ray, args.count)
     else:
         fn = make_level_check(pair, ray, args.depth, 4)
-    try:
-        witness = fn(random.Random(args.seed))
-        status = "pass"
-    except Exception as exc:  # noqa: BLE001 - report, don't crash
-        status, witness = "fail", {"error": f"{type(exc).__name__}: {exc}"}
+    status, witness = check_outcome(fn, random.Random(args.seed))
     _print_json({"suite": args.suite, "status": status, "witness": witness})
     return 0 if status == "pass" else 1
 
@@ -311,7 +285,8 @@ def build_parser():
     p.add_argument("--group", required=True, choices=["F", "T", "V"])
     p.add_argument("--h", required=True, help="subgroup spec (see below)")
     p.add_argument("--k", required=True, help="subgroup spec: whole | trivial | "
-                   "support:REGION | germ:POINT[;POINT] | conj:WORD:SPEC")
+                   "support:REGION | germ:POINT[;POINT] | conj:WORD:SPEC "
+                   "(SPEC pushed forward along WORD)")
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(fn=_cmd_chabauty)
 

@@ -15,6 +15,7 @@ shift) pairs.
 from fractions import Fraction
 
 from .cantorv import Cylinders, int_to_word, word_to_int
+from .chabauty import BudgetError, element_budget
 from .kernel import GroupElement
 
 # callers that import the clopen type from this module
@@ -208,17 +209,21 @@ def return_set(u, shift=0):
 
     Membership in u only depends on the first L digits, and those digits
     advance through all residues mod 2^L along the orbit, so the minimal
-    first-entry times per residue class give T with max(T) < 2^L.
+    first-entry times per residue class give T with max(T) < 2^L.  From
+    residue r the orbit enters C_w first after (w - r) mod 2^|w| steps,
+    reading w as its 2-adic integer.
     """
     if u.is_empty():
         raise ValueError("u must be nonempty")
     length = u.max_length()
-    times = set()
-    for r in range(1 << length):
-        t = 0
-        while not u.contains_word(int_to_word((r + t) % (1 << length), length)):
-            t += 1
-        times.add(t + shift)
+    limit = element_budget()
+    if 1 << length > limit:
+        raise BudgetError(
+            "2^%d residues exceed the %d-element budget" % (length, limit))
+    targets = [(word_to_int(w), 1 << len(w)) for w in u.words]
+    times = {
+        min((w - r) % m for w, m in targets) + shift for r in range(1 << length)
+    }
     return tuple(sorted(times))
 
 

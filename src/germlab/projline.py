@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from .chabauty import BudgetError, element_budget
 from .kernel import GroupElement
 from .scalars import QuadExt
 
@@ -349,13 +350,15 @@ def interval_compression_witness(
     Breadth-first over the canonical group elements, so words that merely
     respell an already-seen element are skipped.  Returns None when no
     word of length at most max_len works; the empty word is returned when
-    I1 already sits inside I2.
+    I1 already sits inside I2.  Raises BudgetError once the search has seen
+    more elements than GERMLAB_BUDGET allows.
     """
     i1 = tuple(QuadExt.coerce(v) for v in i1)
     i2 = tuple(QuadExt.coerce(v) for v in i2)
     ident = PPMap.identity()
     if interval_inside(image_interval(ident, i1), i2):
         return ""
+    limit = element_budget()
     seen = {ident.canonical_key()}
     frontier = [("", ident)]
     for _ in range(max_len):
@@ -366,6 +369,8 @@ def interval_compression_witness(
                 key = cand.canonical_key()
                 if key in seen:
                     continue
+                if len(seen) >= limit:
+                    raise BudgetError("search exceeds the %d-element budget" % limit)
                 seen.add(key)
                 if interval_inside(image_interval(cand, i1), i2):
                     return word + letter

@@ -656,16 +656,20 @@ def resolve_config(name, config=None):
     return merged
 
 
+def check_outcome(fn, rng):
+    """("pass", result) of one check body, or ("fail", witness or crash)."""
+    try:
+        return "pass", fn(rng)
+    except CheckFailure as exc:
+        return "fail", exc.witness
+    except Exception as exc:  # noqa: BLE001 - a crash is a failing check
+        return "fail", {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_check(name, seed, check_id, fn):
     rng = random.Random(f"{seed}:{name}:{check_id}")
     start = time.monotonic()
-    try:
-        witness = fn(rng)
-        status = "pass"
-    except CheckFailure as exc:
-        status, witness = "fail", exc.witness
-    except Exception as exc:  # noqa: BLE001 - a crash is a failing check
-        status, witness = "fail", {"error": f"{type(exc).__name__}: {exc}"}
+    status, witness = check_outcome(fn, rng)
     elapsed = (time.monotonic() - start) * 1000.0
     return {"id": check_id, "status": status, "witness": witness}, elapsed
 

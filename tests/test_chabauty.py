@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import germlab.chabauty as chabauty
 from germlab.cantorv import (
+    GEN_PI0,
     GEN_VA,
     GEN_VB,
+    GEN_VC,
     ONE_SEQ,
     ZERO_SEQ,
     Cylinders,
+    EventuallyPeriodic,
     rigid_stabilizer_v,
 )
 from germlab.chabauty import (
@@ -142,6 +146,78 @@ def test_conjugation_coherence():
         assert conj.contains(element) == direct
 
 
+def _assert_pushforward_matches(group, radius, specs, conjugators, nested=True):
+    """Conjugate specs against element conjugation, the reference.
+
+    SubgroupSpec.conjugate(H, g) must hold x exactly when H holds g^-1 x g.
+    With nested, each spec is pushed on along the previous conjugator too,
+    so a conjugate of a conjugate is checked against h g as well.
+    """
+    elements = ball(group, radius).elements
+
+    def pulled_back(g):
+        inv = g.inverse()
+        return [inv * x * g for x in elements]
+
+    for i, g in enumerate(conjugators):
+        h = conjugators[i - 1]
+        once = pulled_back(g)
+        twice = pulled_back(h * g) if nested else None
+        for spec in specs:
+            pushed = SubgroupSpec.conjugate(spec, g)
+            assert pushed.kind == spec.kind
+            got = [pushed.contains(x) for x in elements]
+            assert got == [spec.contains(y) for y in once]
+            if nested:
+                again = SubgroupSpec.conjugate(pushed, h)
+                got = [again.contains(x) for x in elements]
+                assert got == [spec.contains(y) for y in twice]
+
+
+F_CONJUGATORS = [
+    GEN_A, GEN_B, GEN_A.inverse(), GEN_B.inverse(), expanding_conjugator(1)
+]
+WRAP_ARC = ArcSet.of((Fraction(7, 8), 1), (0, Fraction(1, 8)))
+TWO_GERMS = SubgroupSpec.identity_germ_at(Dyadic(0), Dyadic(1, 2))
+
+
+def test_pushforward_matches_element_conjugation_on_F():
+    specs = [
+        SubgroupSpec.whole_group(),
+        SubgroupSpec.trivial(),
+        SUPP_H,
+        SubgroupSpec.support_inside(WRAP_ARC),
+        TWO_GERMS,
+        SubgroupSpec.generated([GEN_A], 1),
+    ]
+    _assert_pushforward_matches(F, 3, specs, F_CONJUGATORS)
+    _assert_pushforward_matches(
+        F, 4, [SUPP_H, TWO_GERMS], F_CONJUGATORS, nested=False
+    )
+
+
+def test_pushforward_matches_element_conjugation_on_V():
+    group = MarkedGroup({"a": GEN_VA, "b": GEN_VB, "c": GEN_VC, "p": GEN_PI0})
+    specs = [
+        SubgroupSpec.whole_group(),
+        SubgroupSpec.trivial(),
+        SubgroupSpec.support_inside(Cylinders.of("01", "110")),
+        SubgroupSpec.identity_germ_at(ZERO_SEQ, EventuallyPeriodic("1", "01")),
+        SubgroupSpec.generated([GEN_PI0], 1),
+    ]
+    conjugators = [group.gens[label] for label in group.labels()]
+    _assert_pushforward_matches(group, 3, specs, conjugators)
+
+
+def test_pushforward_keeps_the_spec_flat():
+    g = F.spell("ab")
+    assert SubgroupSpec.conjugate(SUPP_H, g).data == QUARTER_HALF.image(g)
+    pushed = SubgroupSpec.conjugate(TWO_GERMS, g)
+    assert pushed.data == (g(Dyadic(0)), g(Dyadic(1, 2)))
+    whole = SubgroupSpec.whole_group()
+    assert SubgroupSpec.conjugate(whole, g) is whole
+
+
 def test_agree_radius_basics():
     assert chabauty_agree_radius(SUPP_H, SUPP_H, F, 3) == 3
     assert (
@@ -196,6 +272,20 @@ def test_net_probe_radius_four_regression():
     assert report["matches"][0] is False
 
 
+def test_net_probe_builds_one_ball(monkeypatch):
+    calls = []
+
+    def counting_ball(*args, **kwargs):
+        calls.append(args)
+        return ball(*args, **kwargs)
+
+    monkeypatch.setattr(chabauty, "ball", counting_ball)
+    net = [expanding_conjugator(n) for n in range(1, 11)]
+    report = conjugate_net_probe(F, SUPP_H, net, GERM_LIMIT, 3)
+    assert report["stabilizes_at"] == 1
+    assert len(calls) == 1
+
+
 def test_net_probe_controls():
     identity = F.identity
     report = conjugate_net_probe(F, GERM_LIMIT, [identity] * 3, GERM_LIMIT, 3)
@@ -219,6 +309,28 @@ def test_accumulation_probe():
         assert not GERM_LIMIT.contains(g * GEN_A * g.inverse())
     with pytest.raises(ValueError):
         accumulation_probe(GERM_LIMIT, F, [F.identity], 1)
+
+
+def test_accumulation_probe_matches_element_conjugation():
+    specs = [
+        SUPP_H,
+        GERM_LIMIT,
+        SubgroupSpec.support_inside(WRAP_ARC),
+        SubgroupSpec.support_inside(ArcSet.of((Fraction(1, 2), 1))),
+        SubgroupSpec.identity_germ_at(Dyadic(3, 2)),
+    ]
+    forbidden_sets = [[GEN_A], [GEN_B], [GEN_B, GEN_A * GEN_B], [F.spell("aB")]]
+    full = ball(F, 2)
+    for spec in specs:
+        for forbidden in forbidden_sets:
+            want = None
+            for g, word in zip(full.elements, full.words):
+                inv = g.inverse()
+                if not any(spec.contains(g * p * inv) for p in forbidden):
+                    want = word
+                    break
+            report = accumulation_probe(spec, F, forbidden, 2)
+            assert report == {"witness": want, "exhausted": want is None}
 
 
 def test_finite_group_validation():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import germlab.chabauty as chabauty
 from germlab.cli import main
 from germlab.projline import image_interval, interval_inside
 from germlab.suites import _LM_GENS, spell
@@ -96,6 +97,22 @@ def test_chabauty_conjugate_and_v_specs(capsys):
     assert code == 0 and json.loads(out)["agree_radius"] == 2
 
 
+def test_chabauty_pinned_conjugate_germ_walks_one_ball(capsys, monkeypatch):
+    calls = []
+    ball = chabauty.ball
+
+    def counting_ball(*args, **kwargs):
+        calls.append(args)
+        return ball(*args, **kwargs)
+
+    monkeypatch.setattr(chabauty, "ball", counting_ball)
+    code, out, _ = run(capsys, "chabauty", "--group", "F", "--h", "germ:0",
+                       "--k", "conj:ab:germ:1/2", "--radius", "4")
+    assert code == 0
+    assert out.strip() == '{"agree_radius":0,"witness_elements":["B","b"]}'
+    assert len(calls) == 1
+
+
 def test_chabauty_rejects_bad_spec(capsys):
     code, _, err = run(capsys, "chabauty", "--group", "F",
                        "--h", "nonsense", "--k", "trivial", "--radius", "1")
@@ -129,6 +146,23 @@ def test_tree_verify_batteries(capsys):
     assert code == 0 and json.loads(out)["witness"]["pairs"] > 0
     code, _, err = run(capsys, "tree-verify", "--suite", "cocycle", "--f", "dihedral")
     assert code == 2 and "supported point groups" in err
+
+
+def test_tree_verify_keeps_the_counterexample(capsys):
+    # in A_3 only the identity fixes a point, so the germ battery must fail
+    code, out, _ = run(capsys, "tree-verify", "--omega", "3", "--suite", "germ")
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "fail"
+    assert data["witness"]["reason"] == "large group fixes no point"
+
+
+def test_compress_proj_obeys_budget(capsys, monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "5")
+    code, out, err = run(capsys, "compress-proj", "--i1", "0,1",
+                         "--i2", "1/3,1/2", "--max-len", "6")
+    assert code == 2 and out == ""
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_verify_writes_deterministic_report(capsys, tmp_path):

@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+from germlab.chabauty import BudgetError
 from germlab.fullgroups import (
     Clopen,
     FullGroupElement,
@@ -135,6 +136,41 @@ def test_return_set_exhaustive_reverification():
                 for t in times
             )
         assert max(times) < (1 << length)
+
+
+def _return_set_by_walk(u, shift=0):
+    """First-entry times found by stepping the odometer from each residue."""
+    length = u.max_length()
+    times = set()
+    for r in range(1 << length):
+        t = 0
+        while not u.contains_word(int_to_word((r + t) % (1 << length), length)):
+            t += 1
+        times.add(t + shift)
+    return tuple(sorted(times))
+
+
+def test_return_set_closed_form_matches_walk():
+    rng = random.Random(57)
+    words = [int_to_word(v, n) for n in range(6) for v in range(1 << n)]
+    for _ in range(200):
+        u = Clopen(rng.sample(words, rng.randrange(1, 5)))
+        shift = rng.randrange(-3, 4)
+        assert return_set(u, shift) == _return_set_by_walk(u, shift)
+
+
+def test_return_set_deep_cylinder_is_fast():
+    start = time.perf_counter()
+    times = return_set(Clopen.of("0" * 14))
+    assert time.perf_counter() - start < 1.0
+    assert times == tuple(range(1 << 14))
+
+
+def test_return_set_obeys_budget(monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "100")
+    with pytest.raises(BudgetError):
+        return_set(Clopen.of("0" * 7))
+    assert return_set(Clopen.of("0" * 6)) == tuple(range(64))
 
 
 def test_gamma_is_involution():
