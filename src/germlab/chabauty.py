@@ -151,13 +151,18 @@ def ball(group, radius, budget=None):
 
 
 class SubgroupSpec:
-    """A subgroup given by a decidable membership predicate."""
+    """A subgroup given by a decidable membership predicate.
 
-    __slots__ = ("kind", "data")
+    A generated spec enumerates its ball on the first contains call and
+    keeps it for every later call.
+    """
+
+    __slots__ = ("kind", "data", "_members")
 
     def __init__(self, kind, data):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_members", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupSpec is immutable")
@@ -208,9 +213,12 @@ class SubgroupSpec:
         if self.kind == "germ":
             return all(element.germ_trivial_at(p) for p in self.data)
         if self.kind == "generated":
-            elements, radius, budget = self.data
-            labels = {chr(ord("a") + i): g for i, g in enumerate(elements)}
-            return element in ball(MarkedGroup(labels), radius, budget)
+            if self._members is None:
+                elements, radius, budget = self.data
+                labels = {chr(ord("a") + i): g for i, g in enumerate(elements)}
+                members = ball(MarkedGroup(labels), radius, budget)
+                object.__setattr__(self, "_members", members)
+            return element in self._members
         raise ValueError("unknown spec kind %r" % self.kind)
 
 
@@ -289,8 +297,20 @@ def accumulation_probe(h_spec, group, forbidden, search_radius, budget=None):
 # -- finite coset covers -------------------------------------------------------
 
 
+def _within_budget(count, what):
+    limit = element_budget()
+    if count > limit:
+        raise BudgetError(
+            "%s takes %d steps, past the %d-element budget" % (what, count, limit)
+        )
+
+
 class FiniteGroup:
-    """A finite group as a multiplication table over 0..n-1."""
+    """A finite group as a multiplication table over 0..n-1.
+
+    The n**3 associativity check and the 2**(n-1) subgroup candidates obey
+    GERMLAB_BUDGET: past it they raise BudgetError before looping.
+    """
 
     __slots__ = ("table", "identity")
 
@@ -301,6 +321,7 @@ class FiniteGroup:
             raise ValueError("table must be square")
         if any(x < 0 or x >= n for row in rows for x in row):
             raise ValueError("entries must index elements")
+        _within_budget(n ** 3, "associativity check of a %d-element table" % n)
         identity = None
         for e in range(n):
             if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
@@ -335,6 +356,7 @@ class FiniteGroup:
     def subgroups(self):
         n = len(self.table)
         rest = [x for x in range(n) if x != self.identity]
+        _within_budget(1 << len(rest), "subgroup search of a %d-element group" % n)
         found = []
         for size in range(len(rest) + 1):
             for extra in combinations(rest, size):

@@ -5,11 +5,19 @@ determinant, glued continuously along exact breakpoints in Q(sqrt 2).
 Both unbounded pieces are required to be affine, so every map here fixes
 the point at infinity; that covers all words in the three standard
 generators a, b, c below.
+
+Each piece is a Mobius matrix held as eight integers in projective normal
+form over Z[sqrt 2], so compose and inverse never divide.  Words in a, b,
+c have no sqrt(2) part and take a rational path: one integer matrix
+product and one gcd per compose, one Fraction per evaluation.  The public
+view is that of the matrix divided by its first nonzero entry, as QuadExt
+values: .p/.q/.r/.s, repr, to_json and canonical_key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .chabauty import BudgetError, element_budget
@@ -37,58 +45,138 @@ class _Infinity:
 INF = _Infinity()
 
 _ZERO = QuadExt.coerce(0)
-_ONE = QuadExt.coerce(1)
+
+
+def _normal(v) -> "Mobius":
+    """The Mobius map of a nonzero 8-vector over Z, in normal form.
+
+    A pivot (the first nonzero entry) with a sqrt(2) part is made rational
+    by multiplying every entry by its conjugate; then the content is
+    divided out and the sign fixed so that the pivot is positive.
+    """
+    i = 0
+    while not (v[i] or v[i + 1]):
+        i += 2
+        if i == 8:
+            raise ValueError("zero matrix")
+    if v[i + 1]:
+        c0, c1 = v[i], -v[i + 1]
+        v = [
+            x
+            for j in (0, 2, 4, 6)
+            for x in (v[j] * c0 + 2 * v[j + 1] * c1, v[j] * c1 + v[j + 1] * c0)
+        ]
+    g = gcd(*v)
+    if v[i] < 0:
+        g = -g
+    v = tuple(x // g for x in v)
+    return _mobius(v, not (v[1] or v[3] or v[5] or v[7]))
+
+
+def _rational(p: int, q: int, r: int, s: int) -> "Mobius":
+    """_normal for an integer matrix: one gcd and a sign."""
+    g = gcd(p, q, r, s)
+    if (p or q or r or s) < 0:
+        g = -g
+    return _mobius((p // g, 0, q // g, 0, r // g, 0, s // g, 0), True)
+
+
+def _mobius(v: tuple, rational: bool) -> "Mobius":
+    m = object.__new__(Mobius)
+    object.__setattr__(m, "v", v)
+    object.__setattr__(m, "rational", rational)
+    object.__setattr__(m, "_entries", None)
+    return m
 
 
 class Mobius:
     """A fractional-linear map t -> (p t + q) / (r t + s) with ps - qr > 0.
 
-    Entries live in Q(sqrt 2) and are rescaled so the first nonzero entry
-    of (p, q, r, s) is 1, which makes equality structural.
+    The matrix is stored as the integer tuple
+    v = (p0, p1, q0, q1, r0, r1, s0, s1), entry e = e0 + e1*sqrt(2), in
+    projective normal form over Z[sqrt 2]: the pivot (the first nonzero
+    entry) is a positive integer and the eight integers are coprime.
+    Proportional matrices share one normal form, so equality and hashing
+    compare v.  rational is True when every sqrt(2) part is zero, as for
+    every word in a, b, c; compose and evaluation then stay in Z and Q.
+
+    The boundary is that of the pivot-normalized matrix: the constructor
+    takes QuadExt, Fraction or int entries, and .p/.q/.r/.s are the
+    entries divided by the pivot, as QuadExt, built on first use.
     """
 
-    __slots__ = ("p", "q", "r", "s")
+    __slots__ = ("v", "rational", "_entries")
 
     def __init__(self, p: Scalar, q: Scalar, r: Scalar, s: Scalar):
-        entries = [QuadExt.coerce(v) for v in (p, q, r, s)]
-        pivot = next((e for e in entries if e != _ZERO), None)
-        if pivot is None:
-            raise ValueError("zero matrix")
-        entries = [e / pivot for e in entries]
-        p, q, r, s = entries
-        if (p * s - q * r).sign() <= 0:
+        parts = []
+        for e in (p, q, r, s):
+            e = QuadExt.coerce(e)
+            parts += (e.a, e.b)
+        den = lcm(*(x.denominator for x in parts))
+        m = _normal([x.numerator * (den // x.denominator) for x in parts])
+        p0, p1, q0, q1, r0, r1, s0, s1 = m.v
+        det = (p0 * s0 + 2 * p1 * s1 - q0 * r0 - 2 * q1 * r1,
+               p0 * s1 + p1 * s0 - q0 * r1 - q1 * r0)
+        if QuadExt(*det).sign() <= 0:
             raise ValueError("determinant must be positive")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", m.v)
+        object.__setattr__(self, "rational", m.rational)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mobius is immutable")
 
+    def _quads(self) -> tuple[QuadExt, QuadExt, QuadExt, QuadExt]:
+        """(p, q, r, s) divided by the pivot, cached on first use."""
+        if self._entries is None:
+            v = self.v
+            # the pivot is the first nonzero even slot: its sqrt(2) part is 0
+            pivot = next(x for x in v[::2] if x)
+            object.__setattr__(self, "_entries", tuple(
+                QuadExt(Fraction(v[i], pivot), Fraction(v[i + 1], pivot))
+                for i in (0, 2, 4, 6)
+            ))
+        return self._entries
+
+    p = property(lambda self: self._quads()[0])
+    q = property(lambda self: self._quads()[1])
+    r = property(lambda self: self._quads()[2])
+    s = property(lambda self: self._quads()[3])
+
     @staticmethod
     def identity() -> "Mobius":
-        return Mobius(1, 0, 0, 1)
+        return _mobius((1, 0, 0, 0, 0, 0, 1, 0), True)
 
     @staticmethod
     def affine(slope: Scalar, shift: Scalar) -> "Mobius":
         return Mobius(slope, shift, 0, 1)
 
     def is_affine(self) -> bool:
-        return self.r == _ZERO
+        return not (self.v[4] or self.v[5])
 
     def pole(self) -> Optional[QuadExt]:
         """The finite point sent to infinity, if any."""
-        if self.r == _ZERO:
+        if self.is_affine():
             return None
+        if self.rational:
+            return QuadExt(Fraction(-self.v[6], self.v[4]))
         return -self.s / self.r
 
     def __call__(self, x):
+        v = self.v
         if isinstance(x, _Infinity):
-            if self.r == _ZERO:
+            if self.is_affine():
                 return INF
+            if self.rational:
+                return QuadExt(Fraction(v[0], v[4]))
             return self.p / self.r
         x = QuadExt.coerce(x)
+        if self.rational and not x.b:
+            n, d = x.a.numerator, x.a.denominator
+            den = v[4] * n + v[6] * d
+            if not den:
+                return INF
+            return QuadExt(Fraction(v[0] * n + v[2] * d, den))
         den = self.r * x + self.s
         if den == _ZERO:
             return INF
@@ -97,31 +185,40 @@ class Mobius:
     def __mul__(self, other: "Mobius") -> "Mobius":
         if not isinstance(other, Mobius):
             return NotImplemented
-        return Mobius(
-            self.p * other.p + self.q * other.r,
-            self.p * other.q + self.q * other.s,
-            self.r * other.p + self.s * other.r,
-            self.r * other.q + self.s * other.s,
-        )
+        x, y = self.v, other.v
+        if self.rational and other.rational:
+            p, q, r, s = x[0], x[2], x[4], x[6]
+            P, Q, R, S = y[0], y[2], y[4], y[6]
+            return _rational(p * P + q * R, p * Q + q * S, r * P + s * R, r * Q + s * S)
+        out = []
+        for row in (0, 4):  # (p, q), then (r, s)
+            a0, a1, b0, b1 = x[row:row + 4]
+            for col in (0, 2):  # (p, r), then (q, s)
+                c0, c1, d0, d1 = y[col], y[col + 1], y[col + 4], y[col + 5]
+                out += (a0 * c0 + 2 * a1 * c1 + b0 * d0 + 2 * b1 * d1,
+                        a0 * c1 + a1 * c0 + b0 * d1 + b1 * d0)
+        return _normal(out)
 
     def inverse(self) -> "Mobius":
-        return Mobius(self.s, -self.q, -self.r, self.p)
+        """The adjugate (s, -q, -r, p); it has the same determinant."""
+        p0, p1, q0, q1, r0, r1, s0, s1 = self.v
+        if self.rational:
+            return _rational(s0, -q0, -r0, p0)
+        return _normal((s0, s1, -q0, -q1, -r0, -r1, p0, p1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mobius):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.q == other.q
-            and self.r == other.r
-            and self.s == other.s
-        )
+        return self.v == other.v
 
     def __hash__(self):
-        return hash((self.p.key(), self.q.key(), self.r.key(), self.s.key()))
+        return hash(self.v)
 
     def __repr__(self):
         return f"Mobius({self.p}, {self.q}, {self.r}, {self.s})"
+
+
+_IDENTITY = Mobius.identity()
 
 
 class PPMap(GroupElement):
@@ -202,33 +299,44 @@ class PPMap(GroupElement):
                 return x
         raise AssertionError("increasing bijection must attain every value")
 
-    def _sample(self, i: int, cuts: list[QuadExt]) -> QuadExt:
-        """An interior point of the i-th cell of the given cut list."""
-        if not cuts:
-            return _ZERO
-        if i == 0:
-            return cuts[0] - _ONE
-        if i == len(cuts):
-            return cuts[-1] + _ONE
-        return (cuts[i - 1] + cuts[i]) / 2
-
     def __mul__(self, other: "PPMap") -> "PPMap":
-        """Composition self o other (apply other first)."""
+        """Composition self o other (apply other first).
+
+        The cuts are other's breaks and the preimages of self's breaks.
+        Both lists are increasing, and so are the images of other's
+        breaks, so one merge in image order yields the cuts in order and,
+        for every cell, the piece of each factor that acts on it.
+        """
         if not isinstance(other, PPMap):
             return NotImplemented
-        cut_set = set(other.breaks)
-        for y in self.breaks:
-            cut_set.add(other.preimage_point(y))
-        cuts = sorted(cut_set)
-        maps = []
-        for i in range(len(cuts) + 1):
-            x = self._sample(i, cuts)
-            maps.append(self.piece_at(other(x)) * other.piece_at(x))
+        obreaks, omaps = other.breaks, other.maps
+        sbreaks, smaps = self.breaks, self.maps
+        images = [m(x) for m, x in zip(omaps, obreaks)]
+        cuts, maps = [], []
+        j = k = 0
+        while j < len(obreaks) or k < len(sbreaks):
+            maps.append(smaps[k] * omaps[j])
+            if k == len(sbreaks):
+                order = -1
+            elif j == len(obreaks):
+                order = 1
+            else:
+                order = images[j]._cmp(sbreaks[k])
+            if order <= 0:
+                cuts.append(obreaks[j])
+                j += 1
+            else:
+                # sbreaks[k] lies inside the image of other's j-th cell
+                cuts.append(omaps[j].inverse()(sbreaks[k]))
+            if order >= 0:
+                k += 1
+        maps.append(smaps[k] * omaps[j])
         return PPMap(cuts, maps)
 
     def inverse(self) -> "PPMap":
         return PPMap(
-            [self(x) for x in self.breaks], [m.inverse() for m in self.maps]
+            [m(x) for m, x in zip(self.maps, self.breaks)],
+            [m.inverse() for m in self.maps],
         )
 
     def __eq__(self, other) -> bool:
@@ -246,7 +354,7 @@ class PPMap(GroupElement):
         )
 
     def is_identity(self) -> bool:
-        return not self.breaks and self.maps[0] == Mobius.identity()
+        return not self.breaks and self.maps[0] == _IDENTITY
 
     def __repr__(self):
         bits = []

@@ -23,6 +23,7 @@ class Dyadic:
     Canonical means exp == 0, or num is odd.  Dyadics are closed under
     addition, subtraction, multiplication and multiplication by 2**k; they
     are *not* closed under general division, which is deliberately absent.
+    Equality, order and hash agree with int and Fraction by value.
     """
 
     __slots__ = ("num", "exp")
@@ -116,14 +117,19 @@ class Dyadic:
 
     # -- order ---------------------------------------------------------
 
-    def _cmp(self, other: IntLike) -> int:
-        o = Dyadic.coerce(other)
-        lhs = self.num << o.exp
-        rhs = o.num << self.exp
+    def _cmp(self, other: Union[IntLike, Fraction]) -> int:
+        if isinstance(other, Fraction):
+            # any rational, dyadic or not: cross-multiply
+            lhs = self.num * other.denominator
+            rhs = other.numerator << self.exp
+        else:
+            o = Dyadic.coerce(other)
+            lhs = self.num << o.exp
+            rhs = o.num << self.exp
         return (lhs > rhs) - (lhs < rhs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Dyadic, int)):
+        if not isinstance(other, (Dyadic, int, Fraction)):
             return NotImplemented
         return self._cmp(other) == 0
 
@@ -198,8 +204,9 @@ class QuadExt:
             if b != 0:
                 raise TypeError("cannot add a rational b to a QuadExt seed")
             a, b = a.a, a.b
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # Fractions are immutable, so an exact Fraction is kept, not copied
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -275,17 +282,24 @@ class QuadExt:
         o = QuadExt.coerce(other)
         return self.a == o.a and self.b == o.b
 
+    def _cmp(self, other: QuadLike) -> int:
+        o = QuadExt.coerce(other)
+        if self.b or o.b:
+            return (self - o).sign()
+        a, c = self.a, o.a
+        return (a > c) - (a < c)
+
     def __lt__(self, other: QuadLike) -> bool:
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other: QuadLike) -> bool:
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: QuadLike) -> bool:
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other: QuadLike) -> bool:
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __hash__(self):
         # a rational value equals its Fraction, so it must hash like one

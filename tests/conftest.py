@@ -1,3 +1,16 @@
+import tempfile
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# property tests replay the same examples on every run and keep no example
+# database; the constants Hypothesis mines from the source are cached in a
+# temporary directory removed at exit, so no .hypothesis/ appears
+settings.register_profile("germlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("germlab")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="germlab-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
 CRITERIA = {
     "test_criterion_01_group_laws": (
         "C1", "exact group laws for 500 random words in six element families"),

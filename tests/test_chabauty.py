@@ -333,6 +333,45 @@ def test_accumulation_probe_matches_element_conjugation():
             assert report == {"witness": want, "exhausted": want is None}
 
 
+def test_generated_spec_builds_its_ball_once(monkeypatch):
+    calls = []
+
+    def counting_ball(*args, **kwargs):
+        calls.append(args)
+        return ball(*args, **kwargs)
+
+    elements = ball(F, 3).elements
+    assert len(elements) == 53
+    generators = [GEN_A * GEN_A, GEN_B]
+    # one fresh spec per element builds a ball per verdict
+    uncached = [SubgroupSpec.generated(generators, 2).contains(e) for e in elements]
+    assert 0 < sum(uncached) < len(elements)
+    monkeypatch.setattr(chabauty, "ball", counting_ball)
+    spec = SubgroupSpec.generated(generators, 2)
+    assert [spec.contains(e) for e in elements] == uncached
+    assert len(calls) == 1
+
+
+def test_generated_spec_budget_fails_on_first_contains():
+    spec = SubgroupSpec.generated([GEN_A, GEN_B], 3, budget=5)
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            spec.contains(GEN_A)
+
+
+def test_finite_group_obeys_budget(monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "100")
+    assert len(cyclic_group(4)) == 4  # 64 associativity triples
+    with pytest.raises(BudgetError, match="associativity"):
+        cyclic_group(5)  # 125 triples
+    monkeypatch.delenv("GERMLAB_BUDGET")
+    group = cyclic_group(7)
+    monkeypatch.setenv("GERMLAB_BUDGET", "64")
+    assert len(cyclic_group(4).subgroups()) == 3
+    monkeypatch.setenv("GERMLAB_BUDGET", "63")
+    with pytest.raises(BudgetError, match="subgroup search"):
+        group.subgroups()  # 2**6 candidates
+
 def test_finite_group_validation():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])

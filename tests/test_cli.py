@@ -165,6 +165,13 @@ def test_compress_proj_obeys_budget(capsys, monkeypatch):
     assert "budget" in err and "Traceback" not in err
 
 
+def test_neumann_obeys_budget(capsys, monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "20")
+    # Z/3 already has 27 associativity triples
+    code, out, err = run(capsys, "neumann", "--n", "6", "--r", "3")
+    assert code == 2 and out == ""
+    assert "budget" in err and "Traceback" not in err
+
 def test_verify_writes_deterministic_report(capsys, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

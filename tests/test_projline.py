@@ -1,7 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from germlab.projline import (
     INF,
@@ -170,3 +174,181 @@ def test_json_roundtrip():
     for _ in range(15):
         g = rand_word(rng, 6)
         assert PPMap.from_json(g.to_json()) == g
+
+
+# -- the integer Mobius kernel against the Fraction-normalized one ------------
+
+
+class _OracleMobius:
+    """The Mobius map as germlab stored it before the integer normal form:
+    QuadExt entries divided by the first nonzero one."""
+
+    def __init__(self, p, q, r, s):
+        entries = [QuadExt.coerce(v) for v in (p, q, r, s)]
+        pivot = next((e for e in entries if e != QuadExt(0)), None)
+        if pivot is None:
+            raise ValueError("zero matrix")
+        self.p, self.q, self.r, self.s = (e / pivot for e in entries)
+        if (self.p * self.s - self.q * self.r).sign() <= 0:
+            raise ValueError("determinant must be positive")
+
+    def pole(self):
+        if self.r == QuadExt(0):
+            return None
+        return -self.s / self.r
+
+    def __call__(self, x):
+        if x == INF:
+            if self.r == QuadExt(0):
+                return INF
+            return self.p / self.r
+        x = QuadExt.coerce(x)
+        den = self.r * x + self.s
+        if den == QuadExt(0):
+            return INF
+        return (self.p * x + self.q) / den
+
+    def __mul__(self, other):
+        return _OracleMobius(
+            self.p * other.p + self.q * other.r,
+            self.p * other.q + self.q * other.s,
+            self.r * other.p + self.s * other.r,
+            self.r * other.q + self.s * other.s,
+        )
+
+    def inverse(self):
+        return _OracleMobius(self.s, -self.q, -self.r, self.p)
+
+    def __eq__(self, other):
+        return (self.p, self.q, self.r, self.s) == (other.p, other.q, other.r, other.s)
+
+
+def _entries(m):
+    return (m.p, m.q, m.r, m.s)
+
+
+_RATIONAL = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_QUAD = st.one_of(
+    st.just(QuadExt(0)),
+    st.integers(-6, 6).map(QuadExt),
+    _RATIONAL.map(QuadExt),
+    st.builds(QuadExt, _RATIONAL, _RATIONAL),
+)
+# rescalings of a whole matrix: negative, irrational, and sqrt2 itself
+_SCALES = st.sampled_from(
+    [QuadExt(1), QuadExt(-1), QuadExt(Fraction(3, 2)), SQRT2, -SQRT2,
+     QuadExt(1, 1), QuadExt(Fraction(-2, 3), 5)]
+)
+
+
+def _det(entries):
+    p, q, r, s = entries
+    return p * s - q * r
+
+
+@st.composite
+def _matrices(draw):
+    """Four entries over Q(sqrt 2) with nonzero determinant, made positive."""
+    entries = draw(st.one_of(
+        st.tuples(_QUAD, _QUAD, _QUAD, _QUAD),
+        # leading zeros, so the pivot is q, r or s
+        st.tuples(st.just(QuadExt(0)), _QUAD, _QUAD, _QUAD),
+        st.tuples(st.just(QuadExt(0)), st.just(QuadExt(0)), _QUAD, _QUAD),
+        # rational matrices, as every word in a, b, c is
+        st.tuples(*[_RATIONAL.map(QuadExt)] * 4),
+    ))
+    sign = _det(entries).sign()
+    assume(sign != 0)
+    p, q, r, s = entries
+    if sign < 0:
+        p, r = -p, -r
+    scale = draw(_SCALES)
+    return tuple(e * scale for e in (p, q, r, s))
+
+
+_POINTS = st.one_of(_QUAD, st.just(INF))
+
+
+@given(_matrices(), _SCALES)
+def test_mobius_normal_form_matches_oracle(entries, scale):
+    m, o = Mobius(*entries), _OracleMobius(*entries)
+    assert _entries(m) == _entries(o)
+    assert m.rational == all(e.b == 0 for e in _entries(o))
+    # a rescaled matrix is the same map, with the same hash
+    again = Mobius(*(e * scale for e in entries))
+    assert again == m and hash(again) == hash(m)
+    assert repr(m) == "Mobius(%s, %s, %s, %s)" % _entries(o)
+
+
+@given(_matrices(), _matrices())
+def test_mobius_equality_classes_match_oracle(left, right):
+    m, n = Mobius(*left), Mobius(*right)
+    assert (m == n) == (_OracleMobius(*left) == _OracleMobius(*right))
+    if m == n:
+        assert hash(m) == hash(n)
+
+
+@given(_matrices(), _matrices())
+def test_mobius_compose_and_inverse_match_oracle(left, right):
+    m, n = Mobius(*left), Mobius(*right)
+    o, u = _OracleMobius(*left), _OracleMobius(*right)
+    assert _entries(m * n) == _entries(o * u)
+    assert _entries(m.inverse()) == _entries(o.inverse())
+    assert m * m.inverse() == Mobius.identity()
+    assert (m * n).rational == all(e.b == 0 for e in _entries(o * u))
+
+
+@given(_matrices(), st.lists(_POINTS, max_size=4))
+def test_mobius_evaluation_matches_oracle(entries, points):
+    m, o = Mobius(*entries), _OracleMobius(*entries)
+    assert m.is_affine() == (o.pole() is None)
+    assert m.pole() == o.pole()
+    if m.pole() is not None:
+        points.append(m.pole())  # sent to infinity by both
+    for x in points:
+        assert m(x) == o(x)
+
+
+@given(_QUAD, _QUAD, _QUAD, _QUAD)
+def test_mobius_nonpositive_determinant_raises_in_both(p, q, r, s):
+    if _det((p, q, r, s)).sign() > 0:
+        p, r = -p, -r
+    for cls in (Mobius, _OracleMobius):
+        with pytest.raises(ValueError):
+            cls(p, q, r, s)
+
+
+def test_lodha_moore_boundary_bytes_are_pinned():
+    # digests of 200 seeded words taken with the Fraction-normalized kernel
+    rng = random.Random(2016)
+    elements = [
+        word_to_element("".join(rng.choice("abcABC") for _ in range(rng.randrange(0, 9))))
+        for _ in range(200)
+    ]
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(repr([g.canonical_key() for g in elements])) == (
+        "f8b19f469939ee2f60e98bf12749d42f14097ed7b51ea5c40a087bf923a4d42f")
+    assert digest(json.dumps([g.to_json() for g in elements], sort_keys=True)) == (
+        "fff3a8560f7c68784e7811267703da24bdd8e41ba913ee0052888b3300d7d8b6")
+    assert digest(repr(elements)) == (
+        "3bf253e1b2fe885d6a29b65d3432122a28a76825cd694a0de0952b642d09ec4d")
+
+
+def test_irrational_conjugates_compose_pointwise():
+    # conjugating by t -> sqrt2 t moves every break off Q and makes every
+    # piece irrational, so compose merges breaks through the sqrt2 order
+    s = PPMap([], [Mobius.affine(SQRT2, 0)])
+    rng = random.Random(1605)
+    for _ in range(20):
+        f = s * rand_word(rng, rng.randrange(1, 6)) * s.inverse()
+        g = s * rand_word(rng, rng.randrange(1, 6)) * s.inverse()
+        assert all(b.b != 0 for b in f.breaks if b != 0)
+        h = f * g
+        assert (h * h.inverse()).is_identity()
+        for _ in range(4):
+            x = rand_scalar(rng)
+            assert h(x) == f(g(x))
+            assert h.preimage_point(h(x)) == x

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from germlab.scalars import Dyadic, QuadExt, SQRT2
 
@@ -157,3 +159,43 @@ def test_quadext_json_roundtrip():
     x = QuadExt(Fraction(-3, 7), Fraction(22, 5))
     assert QuadExt.from_json(x.to_json()) == x
     assert x.to_json()["a"] == ["-3", "7"]
+
+
+def test_dyadic_compares_with_fraction_by_value():
+    half, third = Dyadic(1, 1), Fraction(1, 3)
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != third and third != half
+    assert half < Fraction(2, 3) and Fraction(2, 3) > half
+    assert third < half and half > third
+    assert Dyadic(-3, 2) <= Fraction(-3, 4) and Fraction(-3, 4) >= Dyadic(-3, 2)
+    assert len({half, Fraction(1, 2)}) == 1
+    assert len({Dyadic(5), Fraction(5), 5}) == 1
+
+
+_FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=24)
+_DYADICS = st.builds(Dyadic, st.integers(-200, 200), st.integers(0, 6))
+
+
+@given(_DYADICS, _FRACTIONS)
+def test_dyadic_fraction_order_in_both_operand_orders(d, f):
+    value = d.as_fraction()
+    assert (d == f) == (value == f) == (f == d)
+    assert (d < f) == (value < f) == (f > d)
+    assert (d <= f) == (value <= f) == (f >= d)
+    assert (d > f) == (value > f) == (f < d)
+    if d == f:
+        assert hash(d) == hash(f)
+
+
+_QUADS = st.builds(
+    QuadExt, _FRACTIONS, st.one_of(st.just(Fraction(0)), _FRACTIONS)
+)
+
+
+@given(_QUADS, _QUADS)
+def test_quadext_order_against_interval_oracle(x, y):
+    # rational pairs take the direct path, the rest the sign of the difference
+    sign = oracle_sign(x - y)
+    assert (x < y) == (sign < 0) and (x > y) == (sign > 0)
+    assert (x <= y) == (sign <= 0) and (x >= y) == (sign >= 0)
+    assert (x == y) == (sign == 0)
