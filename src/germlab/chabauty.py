@@ -18,7 +18,11 @@ DEFAULT_BUDGET = 200_000
 
 
 class BudgetError(RuntimeError):
-    """Raised when a ball enumeration exceeds its element budget."""
+    """Raised when a computation would pass the element budget.
+
+    The budget bounds the elements a ball or search enumerates and the
+    steps a loop over a finite group takes.
+    """
 
 
 def element_budget(budget=None):
@@ -297,14 +301,6 @@ def accumulation_probe(h_spec, group, forbidden, search_radius, budget=None):
 # -- finite coset covers -------------------------------------------------------
 
 
-def _within_budget(count, what):
-    limit = element_budget()
-    if count > limit:
-        raise BudgetError(
-            "%s takes %d steps, past the %d-element budget" % (what, count, limit)
-        )
-
-
 class FiniteGroup:
     """A finite group as a multiplication table over 0..n-1.
 
@@ -321,7 +317,11 @@ class FiniteGroup:
             raise ValueError("table must be square")
         if any(x < 0 or x >= n for row in rows for x in row):
             raise ValueError("entries must index elements")
-        _within_budget(n ** 3, "associativity check of a %d-element table" % n)
+        limit = element_budget()
+        if n ** 3 > limit:
+            raise BudgetError(
+                "associativity check of a %d-element table exceeds the %d-step budget"
+                % (n, limit))
         identity = None
         for e in range(n):
             if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
@@ -356,7 +356,11 @@ class FiniteGroup:
     def subgroups(self):
         n = len(self.table)
         rest = [x for x in range(n) if x != self.identity]
-        _within_budget(1 << len(rest), "subgroup search of a %d-element group" % n)
+        limit = element_budget()
+        if 1 << len(rest) > limit:
+            raise BudgetError(
+                "subgroup search of a %d-element group exceeds the %d-step budget"
+                % (n, limit))
         found = []
         for size in range(len(rest) + 1):
             for extra in combinations(rest, size):

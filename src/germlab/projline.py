@@ -7,11 +7,10 @@ the point at infinity; that covers all words in the three standard
 generators a, b, c below.
 
 Each piece is a Mobius matrix held as eight integers in projective normal
-form over Z[sqrt 2], so compose and inverse never divide.  Words in a, b,
-c have no sqrt(2) part and take a rational path: one integer matrix
-product and one gcd per compose, one Fraction per evaluation.  The public
-view is that of the matrix divided by its first nonzero entry, as QuadExt
-values: .p/.q/.r/.s, repr, to_json and canonical_key.
+form over Z[sqrt 2], so compose and inverse never divide, and evaluation
+divides once, by the norm of the denominator.  The public view is that of
+the matrix divided by its first nonzero entry, as QuadExt values:
+.p/.q/.r/.s, repr, to_json and canonical_key.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-_ZERO = QuadExt.coerce(0)
-
 
 def _normal(v) -> "Mobius":
     """The Mobius map of a nonzero 8-vector over Z, in normal form.
@@ -69,24 +66,28 @@ def _normal(v) -> "Mobius":
     g = gcd(*v)
     if v[i] < 0:
         g = -g
-    v = tuple(x // g for x in v)
-    return _mobius(v, not (v[1] or v[3] or v[5] or v[7]))
+    return _mobius(tuple(x // g for x in v))
 
 
-def _rational(p: int, q: int, r: int, s: int) -> "Mobius":
-    """_normal for an integer matrix: one gcd and a sign."""
-    g = gcd(p, q, r, s)
-    if (p or q or r or s) < 0:
-        g = -g
-    return _mobius((p // g, 0, q // g, 0, r // g, 0, s // g, 0), True)
-
-
-def _mobius(v: tuple, rational: bool) -> "Mobius":
+def _mobius(v: tuple) -> "Mobius":
     m = object.__new__(Mobius)
     object.__setattr__(m, "v", v)
-    object.__setattr__(m, "rational", rational)
     object.__setattr__(m, "_entries", None)
     return m
+
+
+def _quotient(n0: int, n1: int, d0: int, d1: int):
+    """(n0 + n1 sqrt2) / (d0 + d1 sqrt2) as a QuadExt, or INF if d is 0.
+
+    The norm d0^2 - 2 d1^2 vanishes only at d = 0, as sqrt(2) is
+    irrational.
+    """
+    norm = d0 * d0 - 2 * d1 * d1
+    if not norm:
+        return INF
+    return QuadExt(
+        Fraction(n0 * d0 - 2 * n1 * d1, norm), Fraction(n1 * d0 - n0 * d1, norm)
+    )
 
 
 class Mobius:
@@ -97,15 +98,14 @@ class Mobius:
     projective normal form over Z[sqrt 2]: the pivot (the first nonzero
     entry) is a positive integer and the eight integers are coprime.
     Proportional matrices share one normal form, so equality and hashing
-    compare v.  rational is True when every sqrt(2) part is zero, as for
-    every word in a, b, c; compose and evaluation then stay in Z and Q.
+    compare v.
 
     The boundary is that of the pivot-normalized matrix: the constructor
     takes QuadExt, Fraction or int entries, and .p/.q/.r/.s are the
     entries divided by the pivot, as QuadExt, built on first use.
     """
 
-    __slots__ = ("v", "rational", "_entries")
+    __slots__ = ("v", "_entries")
 
     def __init__(self, p: Scalar, q: Scalar, r: Scalar, s: Scalar):
         parts = []
@@ -120,7 +120,6 @@ class Mobius:
         if QuadExt(*det).sign() <= 0:
             raise ValueError("determinant must be positive")
         object.__setattr__(self, "v", m.v)
-        object.__setattr__(self, "rational", m.rational)
         object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
@@ -145,7 +144,7 @@ class Mobius:
 
     @staticmethod
     def identity() -> "Mobius":
-        return _mobius((1, 0, 0, 0, 0, 0, 1, 0), True)
+        return _mobius((1, 0, 0, 0, 0, 0, 1, 0))
 
     @staticmethod
     def affine(slope: Scalar, shift: Scalar) -> "Mobius":
@@ -158,38 +157,28 @@ class Mobius:
         """The finite point sent to infinity, if any."""
         if self.is_affine():
             return None
-        if self.rational:
-            return QuadExt(Fraction(-self.v[6], self.v[4]))
-        return -self.s / self.r
+        v = self.v
+        return _quotient(-v[6], -v[7], v[4], v[5])
 
     def __call__(self, x):
-        v = self.v
+        """(p x + q) / (r x + s) with x = (x0 + x1 sqrt2) / d over Z."""
+        p0, p1, q0, q1, r0, r1, s0, s1 = self.v
         if isinstance(x, _Infinity):
-            if self.is_affine():
-                return INF
-            if self.rational:
-                return QuadExt(Fraction(v[0], v[4]))
-            return self.p / self.r
+            return _quotient(p0, p1, r0, r1)
         x = QuadExt.coerce(x)
-        if self.rational and not x.b:
-            n, d = x.a.numerator, x.a.denominator
-            den = v[4] * n + v[6] * d
-            if not den:
-                return INF
-            return QuadExt(Fraction(v[0] * n + v[2] * d, den))
-        den = self.r * x + self.s
-        if den == _ZERO:
-            return INF
-        return (self.p * x + self.q) / den
+        a, b = x.a, x.b
+        d = lcm(a.denominator, b.denominator)
+        x0 = a.numerator * (d // a.denominator)
+        x1 = b.numerator * (d // b.denominator)
+        return _quotient(
+            p0 * x0 + 2 * p1 * x1 + q0 * d, p0 * x1 + p1 * x0 + q1 * d,
+            r0 * x0 + 2 * r1 * x1 + s0 * d, r0 * x1 + r1 * x0 + s1 * d,
+        )
 
     def __mul__(self, other: "Mobius") -> "Mobius":
         if not isinstance(other, Mobius):
             return NotImplemented
         x, y = self.v, other.v
-        if self.rational and other.rational:
-            p, q, r, s = x[0], x[2], x[4], x[6]
-            P, Q, R, S = y[0], y[2], y[4], y[6]
-            return _rational(p * P + q * R, p * Q + q * S, r * P + s * R, r * Q + s * S)
         out = []
         for row in (0, 4):  # (p, q), then (r, s)
             a0, a1, b0, b1 = x[row:row + 4]
@@ -202,8 +191,6 @@ class Mobius:
     def inverse(self) -> "Mobius":
         """The adjugate (s, -q, -r, p); it has the same determinant."""
         p0, p1, q0, q1, r0, r1, s0, s1 = self.v
-        if self.rational:
-            return _rational(s0, -q0, -r0, p0)
         return _normal((s0, s1, -q0, -q1, -r0, -r1, p0, p1))
 
     def __eq__(self, other) -> bool:

@@ -1,15 +1,20 @@
 import tempfile
 
-from hypothesis import settings
-from hypothesis.configuration import set_hypothesis_home_dir
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # only the property-test modules need Hypothesis
+    settings = None
 
-# property tests replay the same examples on every run and keep no example
-# database; the constants Hypothesis mines from the source are cached in a
-# temporary directory removed at exit, so no .hypothesis/ appears
-settings.register_profile("germlab", derandomize=True, deadline=None, database=None)
-settings.load_profile("germlab")
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="germlab-hypothesis-")
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+if settings is not None:
+    # property tests replay the same examples on every run and keep no
+    # example database; the constants Hypothesis mines from the source are
+    # cached in a temporary directory removed at exit, so no .hypothesis/
+    # appears
+    settings.register_profile("germlab", derandomize=True, deadline=None, database=None)
+    settings.load_profile("germlab")
+    _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="germlab-hypothesis-")
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 CRITERIA = {
     "test_criterion_01_group_laws": (

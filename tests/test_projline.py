@@ -273,7 +273,6 @@ _POINTS = st.one_of(_QUAD, st.just(INF))
 def test_mobius_normal_form_matches_oracle(entries, scale):
     m, o = Mobius(*entries), _OracleMobius(*entries)
     assert _entries(m) == _entries(o)
-    assert m.rational == all(e.b == 0 for e in _entries(o))
     # a rescaled matrix is the same map, with the same hash
     again = Mobius(*(e * scale for e in entries))
     assert again == m and hash(again) == hash(m)
@@ -295,7 +294,6 @@ def test_mobius_compose_and_inverse_match_oracle(left, right):
     assert _entries(m * n) == _entries(o * u)
     assert _entries(m.inverse()) == _entries(o.inverse())
     assert m * m.inverse() == Mobius.identity()
-    assert (m * n).rational == all(e.b == 0 for e in _entries(o * u))
 
 
 @given(_matrices(), st.lists(_POINTS, max_size=4))
