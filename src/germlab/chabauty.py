@@ -39,6 +39,16 @@ def _key(element):
     return element.canonical_key()
 
 
+def _protocol(element, name):
+    """The region-protocol member ``name`` of element (``support``,
+    ``identity_on``, ``germ_trivial_at`` or ``region_type``)."""
+    member = getattr(element, name, None)
+    if member is None:
+        raise TypeError("%s does not implement the region protocol: it has no %s"
+                        % (type(element).__name__, name))
+    return member
+
+
 def spell(gens, word):
     """Product of generator letters, rightmost applied first; '' is the identity."""
     out = None
@@ -213,9 +223,10 @@ class SubgroupSpec:
         if self.kind == "trivial":
             return element.is_identity()
         if self.kind == "support":
-            return element.support().subset_of(self.data)
+            return _protocol(element, "support")().subset_of(self.data)
         if self.kind == "germ":
-            return all(element.germ_trivial_at(p) for p in self.data)
+            germ_trivial_at = _protocol(element, "germ_trivial_at")
+            return all(germ_trivial_at(p) for p in self.data)
         if self.kind == "generated":
             if self._members is None:
                 elements, radius, budget = self.data
@@ -459,7 +470,7 @@ def disjoint_open_search(elements, z, max_depth=8):
         raise ValueError("need at least one element")
     if any(g.is_identity() for g in elements):
         raise ValueError("elements must be nontrivial")
-    region_type = elements[0].region_type
+    region_type = _protocol(elements[0], "region_type")
     orbit = [g(z) for g in elements] + [z]
     chosen = []
     acc = region_type.empty()

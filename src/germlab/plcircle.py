@@ -2,9 +2,19 @@
 
 The circle is R/Z with fundamental domain [0, 1).  A map is stored through its
 canonical lift F : [0, 1] -> [F(0), F(0) + 1], an increasing piecewise-affine
-bijection with F(0) in [0, 1).  Pieces are (left, slope_exp, intercept) with
-F(t) = 2**slope_exp * t + intercept on [left, next_left].  All breakpoints and
-intercepts are dyadic, so composition, inversion and equality are exact.
+bijection with F(0) in [0, 1).  The lift is kept as integers over one power
+of two: the break points 0 = x_0 < x_1 < ... < x_{m-1} < 1, their images
+y_i = F(x_i) and the slope exponents s_i, with F(t) = y_i + 2**s_i (t - x_i)
+on [x_i, x_{i+1}].  Every x_i and y_i is written n / 2**e for the least e
+that makes all of them integers, and neighbouring pieces have different
+slopes, so equal maps have equal integers.  Continuity holds by
+construction.  Composition is one linear merge of two break lists and
+inversion swaps the two coordinates, both in integers.
+
+At the boundary a map still reads and writes pieces (left, slope_exp,
+intercept) of Dyadics, F(t) = 2**slope_exp * t + intercept: the constructor,
+``pieces``, ``repr``, ``to_json``/``from_json`` and ``canonical_key`` are
+those of that form.
 
 Maps fixing the point 0 with this slope/breakpoint discipline form the group
 usually written F; arbitrary such circle maps form T.
@@ -13,158 +23,244 @@ usually written F; arbitrary such circle maps form T.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from .kernel import GroupElement
-from .scalars import Dyadic, ZERO, ONE
+from .scalars import Dyadic, ZERO, ONE, reduced
 
 Piece = tuple[Dyadic, int, Dyadic]
 
 
+def _shift(n: int, k: int) -> int:
+    """n * 2**k for an n that 2**-k divides when k < 0."""
+    return n << k if k >= 0 else n >> -k
+
+
 class PLMap(GroupElement):
-    __slots__ = ("pieces", "lefts", "_values")
+    """A circle map as integers over 2**_e: break points _x, their images _y
+    under the lift, and the slope exponent _s of the piece each one starts.
+
+    ``PLMap(pieces)`` takes (left, slope_exp, intercept) triples, merges
+    equal neighbours and raises ``ValueError`` unless they form the lift of
+    a circle homeomorphism.
+    """
+
+    __slots__ = ("_e", "_x", "_y", "_s")
 
     def __init__(self, pieces: Sequence[Piece]):
-        merged = _merge_pieces(pieces)
-        object.__setattr__(self, "pieces", merged)
-        object.__setattr__(self, "lefts", [p[0] for p in merged])
-        vals = []
-        for left, s, c in merged:
-            vals.append(left.ldexp(s) + c)
-        object.__setattr__(self, "_values", vals)
-        self._validate()
+        rows: list[Piece] = []
+        for left, s, c in pieces:
+            left, c = Dyadic.coerce(left), Dyadic.coerce(c)
+            if rows and rows[-1][1] == s and rows[-1][2] == c:
+                continue
+            rows.append((left, s, c))
+        if not rows:
+            raise ValueError("a map needs at least one piece")
+        # one exponent that makes every left, intercept and piece end an integer
+        w = max(max(left.exp, c.exp) for left, _, c in rows) + max(0, -min(s for _, s, _ in rows))
+        one = 1 << w
+        xs = [left.num << (w - left.exp) for left, _, _ in rows]
+        cs = [c.num << (w - c.exp) for _, _, c in rows]
+        ss = [s for _, s, _ in rows]
+        if xs[0] != 0:
+            raise ValueError("first piece must start at 0")
+        if not 0 <= cs[0] < one:
+            raise ValueError("lift offset must lie in [0, 1)")
+        ys: list[int] = []
+        for i, x in enumerate(xs):
+            right = xs[i + 1] if i + 1 < len(xs) else one
+            if not x < right:
+                raise ValueError("breakpoints must increase")
+            if not 0 <= x < one:
+                raise ValueError("breakpoints must lie in [0, 1)")
+            y = _shift(x, ss[i]) + cs[i]
+            if ys and y != end:
+                raise ValueError(f"discontinuity at {rows[i][0]}")
+            ys.append(y)
+            end = _shift(right, ss[i]) + cs[i]
+        if end != cs[0] + one:
+            raise ValueError("lift must satisfy F(1) = F(0) + 1")
+        self._set(w, xs, ys, ss)
+
+    def _set(self, w: int, xs: list[int], ys: list[int], ss: list[int]):
+        """Store breaks xs and images ys over 2**w: the lift moves down by 1
+        if F(0) >= 1, and the factors of two they all share are divided out."""
+        one = 1 << w
+        if ys[0] >= one:
+            ys = [y - one for y in ys]
+        acc = one
+        for v in xs:
+            acc |= v
+        for v in ys:
+            acc |= v
+        k = (acc & -acc).bit_length() - 1
+        if k:
+            xs = [v >> k for v in xs]
+            ys = [v >> k for v in ys]
+        object.__setattr__(self, "_e", w - k)
+        object.__setattr__(self, "_x", tuple(xs))
+        object.__setattr__(self, "_y", tuple(ys))
+        object.__setattr__(self, "_s", tuple(ss))
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
 
-    def _validate(self):
-        ps = self.pieces
-        if not ps:
-            raise ValueError("a map needs at least one piece")
-        if ps[0][0] != ZERO:
-            raise ValueError("first piece must start at 0")
-        c0 = self.lift_at_zero()
-        if not (ZERO <= c0 < ONE):
-            raise ValueError("lift offset must lie in [0, 1)")
-        prev_right_val: Optional[Dyadic] = None
-        for i, (left, s, c) in enumerate(ps):
-            right = ps[i + 1][0] if i + 1 < len(ps) else ONE
-            if not (left < right):
-                raise ValueError("breakpoints must increase")
-            if not (ZERO <= left < ONE):
-                raise ValueError("breakpoints must lie in [0, 1)")
-            if prev_right_val is not None and left.ldexp(s) + c != prev_right_val:
-                raise ValueError(f"discontinuity at {left}")
-            prev_right_val = right.ldexp(s) + c
-        if prev_right_val != c0 + 1:
-            raise ValueError("lift must satisfy F(1) = F(0) + 1")
+    @property
+    def pieces(self) -> "_Pieces":
+        """The (left, slope_exp, intercept) pieces; ``len`` builds no Dyadic."""
+        return _Pieces(self)
+
+    def _piece_key(self, i: int) -> tuple:
+        """((left.num, left.exp), slope_exp, (intercept.num, intercept.exp)) of
+        piece i; the intercept y - 2**s x needs 2**-s more when s < 0."""
+        x, y, s = self._x[i], self._y[i], self._s[i]
+        a = max(0, -s)
+        return reduced(x, self._e), s, reduced((y << a) - (x << (s + a)), self._e + a)
+
+    def _fixes(self, i: int) -> bool:
+        """Is piece i the identity of the circle (slope 1, integer intercept)?"""
+        return self._s[i] == 0 and not (self._y[i] - self._x[i]) & ((1 << self._e) - 1)
 
     # -- basic queries ---------------------------------------------------
 
     def lift_at_zero(self) -> Dyadic:
-        left, s, c = self.pieces[0]
-        return c
+        return Dyadic(self._y[0], self._e)
 
     def piece_index(self, x: Dyadic) -> int:
         """Rightmost piece whose left endpoint is <= x, for x in [0, 1)."""
-        return bisect.bisect_right(self.lefts, x) - 1
+        x = Dyadic.coerce(x)
+        # x over 2**_e, floored: breaks are integers, so <= is unchanged
+        return bisect.bisect_right(self._x, _shift(x.num, self._e - x.exp)) - 1
+
+    def _lift(self, n: int, e: int) -> tuple[int, int]:
+        """F(n / 2**e) under the Z-periodic lift, as a numerator over 2**exp."""
+        k = n >> e
+        n -= k << e
+        d = max(self._e, e)
+        t, pe = n << (d - e), d - self._e
+        i = bisect.bisect_right(self._x, t >> pe) - 1
+        s = self._s[i]
+        a = max(0, -s)
+        y = self._y[i] + (k << self._e)
+        return (y << (pe + a)) + ((t - (self._x[i] << pe)) << (s + a)), d + a
 
     def eval_lift(self, t: Dyadic) -> Dyadic:
         """The Z-periodic extension of the lift, F(t + k) = F(t) + k."""
-        k = t.floor()
-        x = t - k
-        left, s, c = self.pieces[self.piece_index(x)]
-        return x.ldexp(s) + c + k
+        t = Dyadic.coerce(t)
+        return Dyadic(*self._lift(t.num, t.exp))
 
     def __call__(self, x: Dyadic) -> Dyadic:
         """Image of the circle point x, reduced into [0, 1)."""
-        return self.eval_lift(Dyadic.coerce(x).frac()).frac()
+        x = Dyadic.coerce(x)
+        v, d = self._lift(x.num, x.exp)
+        return Dyadic(v & ((1 << d) - 1), d)
 
     def eval_lift_inverse(self, y: Dyadic) -> Dyadic:
-        """Preimage of y under the periodic lift."""
-        c0 = self.lift_at_zero()
-        shift = 0
-        while not (c0 <= y - shift):
-            shift -= 1
-        while not (y - shift < c0 + 1):
-            shift += 1
-        y0 = y - shift
-        i = bisect.bisect_right(self._values, y0) - 1
-        i = min(max(i, 0), len(self.pieces) - 1)
-        left, s, c = self.pieces[i]
-        return (y0 - c).ldexp(-s) + shift
+        """Preimage of y under the periodic lift.  The inverse's canonical
+        lift exceeds this one by 1 when F(0) > 0."""
+        value = self.inverse().eval_lift(y)
+        return value - 1 if self._y[0] else value
 
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "PLMap") -> "PLMap":
-        """Composition self o other (apply other first)."""
+        """Composition self o other (apply other first).
+
+        The cells of the product are cut where other breaks and where other
+        reaches a break of self.  Both kinds of cut are walked in the order
+        of their images under other: other's images y_i, and self's breaks
+        rotated into [y_0, y_0 + 1).  Every cut and its value are exact over
+        2**w, because w covers other's steepest slope and self's shallowest.
+        """
         if not isinstance(other, PLMap):
             return NotImplemented
-        g, f = other, self
-        bps = set(g.lefts)
-        g0 = g.lift_at_zero()
-        for ell in f.lefts:
-            for k in (0, 1):
-                y = ell + k
-                if g0 < y < g0 + 1:
-                    bps.add(g.eval_lift_inverse(y))
-        cuts = sorted(bps)
-        pieces: list[Piece] = []
-        for idx, x in enumerate(cuts):
-            x_next = cuts[idx + 1] if idx + 1 < len(cuts) else ONE
-            mid = (x + x_next).half()
-            gy = g.eval_lift(mid)
-            ky = gy.floor()
-            j = f.piece_index(gy - ky)
-            s_f = f.pieces[j][1]
-            s_g = g.pieces[g.piece_index(x)][1]
-            s = s_f + s_g
-            value_at_x = f.eval_lift(g.eval_lift(x))
-            pieces.append((x, s, value_at_x - x.ldexp(s)))
-        offset = pieces[0][2].floor()
-        if offset:
-            pieces = [(l, s, c - offset) for (l, s, c) in pieces]
-        return PLMap(pieces)
+        f, g = self, other
+        w = max(f._e, g._e) + max(0, max(g._s)) + max(0, -min(f._s))
+        one = 1 << w
+        kf, kg = w - f._e, w - g._e
+        u = g._y[0] << kg
+        end = u + one
+        fx = [x << kf for x in f._x]
+        j = 0
+        while j + 1 < len(fx) and fx[j + 1] <= u:
+            j += 1
+        # self's breaks after u, each with the slope of the piece it starts
+        f_cuts = fx[j + 1:] + [x + one for x in fx[: j + 1]]
+        f_slopes = f._s[j + 1:] + f._s[: j + 1]
+        gy, gs = g._y, g._s
+        sg, sf = gs[0], f._s[j]
+        x, h = 0, (f._y[j] << kf) + _shift(u - fx[j], sf)
+        xs, ys, ss = [x], [h], [sg + sf]
+        gi, fi = 1, 0
+        next_g = gy[1] << kg if len(gy) > 1 else end
+        next_f = f_cuts[0]
+        while True:
+            v = next_g if next_g < next_f else next_f
+            step = v - u
+            x += _shift(step, -sg)
+            h += _shift(step, sf)
+            if v == end:
+                break
+            if v == next_g:
+                sg = gs[gi]
+                gi += 1
+                next_g = gy[gi] << kg if gi < len(gy) else end
+            if v == next_f:
+                sf = f_slopes[fi]
+                fi += 1
+                next_f = f_cuts[fi] if fi < len(f_cuts) else end
+            u = v
+            if sg + sf != ss[-1]:
+                xs.append(x)
+                ys.append(h)
+                ss.append(sg + sf)
+        return _plmap(w, xs, ys, ss)
 
     def inverse(self) -> "PLMap":
-        c0 = self.lift_at_zero()
-        out: list[Piece] = []
-        # lift of the inverse: G^{-1}(t + 1) on [0, c0], G^{-1}(t) + 1 on [c0, 1]
-        for i, (left, s, c) in enumerate(self.pieces):
-            v_lo = self._values[i]
-            v_hi = self._values[i + 1] if i + 1 < len(self.pieces) else c0 + 1
-            lo = max(v_lo, ONE) - 1
-            hi = min(v_hi, c0 + 1) - 1
-            if lo < hi:
-                out.append((lo, -s, (ONE - c).ldexp(-s)))
-        for i, (left, s, c) in enumerate(self.pieces):
-            v_lo = self._values[i]
-            v_hi = self._values[i + 1] if i + 1 < len(self.pieces) else c0 + 1
-            lo = max(v_lo, c0)
-            hi = min(v_hi, ONE)
-            if lo < hi:
-                out.append((lo, -s, (-c).ldexp(-s) + 1))
-        out.sort(key=lambda p: p[0])
-        offset = out[0][2].floor() if out[0][0] == ZERO else 0
-        if offset:
-            out = [(l, s, c - offset) for (l, s, c) in out]
-        return PLMap(out)
+        """Swap breaks and images.  The inverse lift is G^{-1}(t + 1) on
+        [0, y_0] and G^{-1}(t) + 1 on [y_0, 1], so the breaks whose images
+        pass 1 come first, moved down by 1."""
+        e, xs, ys, ss = self._e, self._x, self._y, self._s
+        one = 1 << e
+        p = 0
+        while p < len(ys) and ys[p] < one:
+            p += 1
+        ts = [y - one for y in ys[p:]] + list(ys[:p])
+        vs = list(xs[p:]) + [x + one for x in xs[:p]]
+        slopes = [-s for s in ss[p:] + ss[:p]]
+        if ts[0]:
+            # 1 falls inside piece p - 1: cut the inverse at 0 there
+            s = ss[p - 1]
+            b = max(0, s)
+            cut = (xs[p - 1] << b) + _shift((one - ys[p - 1]) << b, -s)
+            ts = [0] + [t << b for t in ts]
+            vs = [cut] + [v << b for v in vs]
+            slopes = [-s] + slopes
+            e += b
+        out_t, out_v, out_s = [0], [vs[0]], [slopes[0]]
+        for t, v, s in zip(ts[1:], vs[1:], slopes[1:]):
+            if s != out_s[-1]:
+                out_t.append(t)
+                out_v.append(v)
+                out_s.append(s)
+        return _plmap(e, out_t, out_v, out_s)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PLMap):
             return NotImplemented
-        return self.pieces == other.pieces
+        return (self._e == other._e and self._x == other._x and self._y == other._y
+                and self._s == other._s)
 
     def __hash__(self):
-        return hash(tuple((l.key(), s, c.key()) for l, s, c in self.pieces))
+        return hash((self._e, self._x, self._y, self._s))
 
     def canonical_key(self) -> tuple:
-        return tuple((l.key(), s, c.key()) for l, s, c in self.pieces)
+        return tuple(self._piece_key(i) for i in range(len(self._s)))
 
     def is_identity(self) -> bool:
-        return self.pieces == ((ZERO, 0, ZERO),)
+        return self._s == (0,) and self._y == (0,)
 
     def __repr__(self):
         bits = ", ".join(f"[{l}: 2^{s} t + {c}]" for l, s, c in self.pieces)
@@ -173,27 +269,37 @@ class PLMap(GroupElement):
     # -- regions and germs ----------------------------------------------------
 
     def support(self) -> "ArcSet":
-        """The closure of the moved set."""
-        return support_fix(self).support
+        """The closure of the moved set: the union of the closed pieces that
+        are not the identity."""
+        e = self._e
+        arcs, start = [], None  # runs of moving pieces
+        for i, x in enumerate(self._x):
+            if self._fixes(i):
+                if start is not None:
+                    arcs.append((Dyadic(start, e), Dyadic(x, e)))
+                    start = None
+            elif start is None:
+                start = x
+        if start is not None:
+            arcs.append((Dyadic(start, e), ONE))
+        return ArcSet(arcs)
 
     def identity_on(self, region: "ArcSet") -> bool:
         """Exact check that the map restricted to the closed region is the identity."""
+        xs = self._x
         for lo, hi in region.arcs:
             if lo == hi:
                 if self(lo) != lo.frac():
                     return False
                 continue
-            i = self.piece_index(lo)
-            while True:
-                left, s, c = self.pieces[i]
-                right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else ONE
-                seg_lo = max(left, lo)
-                seg_hi = min(right, hi)
-                if seg_lo < seg_hi and not (s == 0 and c.is_integer()):
-                    return False
-                if right >= hi or i + 1 >= len(self.pieces):
+            d = max(self._e, lo.exp, hi.exp)
+            lo_n, hi_n, pe = lo.num << (d - lo.exp), hi.num << (d - hi.exp), d - self._e
+            for i, x in enumerate(xs):
+                if x << pe >= hi_n:
                     break
-                i += 1
+                right = xs[i + 1] if i + 1 < len(xs) else 1 << self._e
+                if right << pe > lo_n and not self._fixes(i):
+                    return False
         return True
 
     def germ_trivial_at(self, x: Dyadic) -> bool:
@@ -218,15 +324,27 @@ class PLMap(GroupElement):
         )
 
 
-def _merge_pieces(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
-    out: list[Piece] = []
-    for left, s, c in pieces:
-        left = Dyadic.coerce(left)
-        c = Dyadic.coerce(c)
-        if out and out[-1][1] == s and out[-1][2] == c:
-            continue
-        out.append((left, s, c))
-    return tuple(out)
+def _plmap(w: int, xs: list[int], ys: list[int], ss: list[int]) -> PLMap:
+    """A map from breaks and images over 2**w that already form a lift."""
+    f = object.__new__(PLMap)
+    f._set(w, xs, ys, ss)
+    return f
+
+
+class _Pieces(Sequence):
+    """A map's pieces as (left, slope_exp, intercept) Dyadics, built per index."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: PLMap):
+        self._f = f
+
+    def __len__(self) -> int:
+        return len(self._f._s)
+
+    def __getitem__(self, i: int) -> Piece:
+        left, s, c = self._f._piece_key(i)
+        return Dyadic(*left), s, Dyadic(*c)
 
 
 def identity() -> PLMap:
@@ -258,7 +376,7 @@ GEN_C = PLMap([(ZERO, -1, _d(3, 2)), (_d(1, 1), 1, ZERO), (_d(3, 2), 0, _d(3, 2)
 
 def is_in_F(f: PLMap) -> bool:
     """Point-0 stabilizer: the canonical lift fixes 0."""
-    return f.lift_at_zero() == ZERO
+    return f._y[0] == 0
 
 
 @dataclass(frozen=True)
@@ -272,18 +390,11 @@ class GermData:
 def germ_data(f: PLMap, x: Dyadic) -> GermData:
     """One-sided germs of f at the circle point x."""
     x = Dyadic.coerce(x).frac()
-    ri = f.piece_index(x)
-    r_left, r_s, r_c = f.pieces[ri]
-    right_identity = r_s == 0 and r_c.is_integer()
-    if x == ZERO:
-        l_left, l_s, l_c = f.pieces[-1]
-    else:
-        li = bisect.bisect_left(f.lefts, x) - 1
-        if li < 0:
-            li = 0
-        l_left, l_s, l_c = f.pieces[li]
-    left_identity = l_s == 0 and l_c.is_integer()
-    return GermData(l_s, left_identity, r_s, right_identity)
+    i = f.piece_index(x)
+    # at a break the left germ is the previous piece's (the last one's at 0)
+    at_break = x.exp <= f._e and x.num << (f._e - x.exp) == f._x[i]
+    li = i - 1 if at_break else i
+    return GermData(f._s[li], f._fixes(li), f._s[i], f._fixes(i))
 
 
 def in_derived_F(f: PLMap) -> bool:
@@ -509,36 +620,26 @@ class SupportData:
 def support_fix(f: PLMap) -> SupportData:
     """Exact fixed-point data: maximal fixed arcs, isolated fixed points
     (rational, possibly non-dyadic), and the closure of the moved set."""
+    e, xs = f._e, f._x
+    one = 1 << e
     fixed: list[tuple[Dyadic, Dyadic]] = []
     points: set[Fraction] = set()
-    for i, (left, s, c) in enumerate(f.pieces):
-        right = f.pieces[i + 1][0] if i + 1 < len(f.pieces) else ONE
+    for i, (x, right, y, s) in enumerate(zip(xs, xs[1:] + (one,), f._y, f._s)):
         if s == 0:
-            if c.is_integer():
-                fixed.append((left, right))
+            if f._fixes(i):
+                fixed.append((Dyadic(x, e), Dyadic(right, e)))
             continue
-        slope = Fraction(2) ** s
-        for k in (0, 1):
-            t = (Fraction(k) - c.as_fraction()) / (slope - 1)
-            if left.as_fraction() <= t <= right.as_fraction():
-                points.add(t % 1)
+        # F(t) = t + k at t = n / 2**e: y + 2**s (n - x) = n + k 2**e, times 2**a
+        a, b = max(0, -s), max(0, s)
+        sign = 1 if s > 0 else -1
+        den = sign * ((1 << b) - (1 << a))
+        for k in (0, one):
+            num = sign * (((k - y) << a) + (x << b))
+            if x * den <= num <= right * den:
+                points.add(Fraction(num, den << e) % 1)
     arcs = ArcSet(fixed)
     isolated = tuple(sorted(p for p in points if not arcs.contains_fraction(p)))
-    if arcs.is_empty():
-        support = ArcSet.full()
-    elif arcs.is_full():
-        support = ArcSet.empty()
-    else:
-        gaps = arcs.complement_components()
-        support_arcs = []
-        for s_, e_ in gaps:
-            if e_ <= ONE:
-                support_arcs.append((s_, e_))
-            else:
-                support_arcs.append((s_, ONE))
-                support_arcs.append((ZERO, e_ - 1))
-        support = ArcSet(support_arcs)
-    return SupportData(arcs, isolated, support)
+    return SupportData(arcs, isolated, f.support())
 
 
 # -- interval machinery ------------------------------------------------------
@@ -664,7 +765,7 @@ def conjugate_into_interval(f: PLMap, a: Dyadic, b: Dyadic) -> PLMap:
     for left in phi.lefts:
         cuts.add(phi(left))
         cuts.add(phi(f_inv_seg(left)))
-    for left in f.lefts:
+    for left, _, _ in f.pieces:
         cuts.add(phi(left))
     ordered = sorted(x for x in cuts if a <= x <= b)
     pieces: list[Piece] = []

@@ -17,6 +17,17 @@ _HASH_BITS = sys.hash_info.modulus.bit_length()
 IntLike = Union[int, "Dyadic"]
 
 
+def reduced(num: int, exp: int) -> tuple[int, int]:
+    """num / 2**exp for exp >= 0 in lowest terms: (0, 0), exp == 0 or num odd."""
+    if not num:
+        return 0, 0
+    # the trailing zero bits of num, at most exp of them, go in one shift
+    k = (num & -num).bit_length() - 1
+    if k > exp:
+        k = exp
+    return num >> k, exp - k
+
+
 class Dyadic:
     """A dyadic rational num / 2**exp in canonical form.
 
@@ -33,11 +44,8 @@ class Dyadic:
             # n / 2**(-k) is the integer n * 2**k
             num <<= -exp
             exp = 0
-        while num != 0 and exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
-            exp = 0
+        elif exp and not num & 1:
+            num, exp = reduced(num, exp)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -118,7 +126,10 @@ class Dyadic:
     # -- order ---------------------------------------------------------
 
     def _cmp(self, other: Union[IntLike, Fraction]) -> int:
-        if isinstance(other, Fraction):
+        if type(other) is Dyadic:
+            lhs = self.num << other.exp
+            rhs = other.num << self.exp
+        elif isinstance(other, Fraction):
             # any rational, dyadic or not: cross-multiply
             lhs = self.num * other.denominator
             rhs = other.numerator << self.exp
@@ -129,7 +140,10 @@ class Dyadic:
         return (lhs > rhs) - (lhs < rhs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Dyadic, int, Fraction)):
+        if type(other) is Dyadic:
+            # both are in canonical form
+            return self.num == other.num and self.exp == other.exp
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self._cmp(other) == 0
 

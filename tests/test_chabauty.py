@@ -505,3 +505,20 @@ def test_micro_support_prefix_kernel():
     delta = gens[1]
     a = micro_support_element(gamma, delta, GEN_VA, regions=regions, w=w)
     assert verify_micro_support(a, gamma, delta, regions[0], w)
+
+
+def test_specs_on_kernels_without_the_region_protocol_raise_type_error():
+    from germlab.projline import LM_A
+    from germlab.treesgff import PermGroupPair, TreeAut, alternating_perms, cyclic_perms
+
+    pair = PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
+    tree = TreeAut.constant(pair, sorted(pair.small)[1])
+    for element in (tree, LM_A):
+        kernel = type(element).__name__
+        with pytest.raises(TypeError, match=kernel + ".*germ_trivial_at"):
+            GERM_LIMIT.contains(element)
+        with pytest.raises(TypeError, match=kernel + ".*support"):
+            SUPP_H.contains(element)
+        with pytest.raises(TypeError, match=kernel + ".*region_type"):
+            disjoint_open_search([element], Dyadic(0))
+        assert SubgroupSpec.whole_group().contains(element)

@@ -1,6 +1,15 @@
+import bisect
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from germlab.plcircle import (
     ArcSet,
@@ -331,3 +340,348 @@ def test_json_roundtrip():
     for _ in range(20):
         f = rand_word(rng, 5)
         assert PLMap.from_json(f.to_json()) == f
+
+
+# -- the integer kernel against the Dyadic one ----------------------------------
+
+
+class _OraclePLMap:
+    """The circle map as germlab stored it before the integer form: pieces
+    (left, slope_exp, intercept) of Dyadics, composed by sampling a midpoint
+    per cell and inverted piece by piece."""
+
+    def __init__(self, pieces):
+        merged = []
+        for left, s, c in pieces:
+            left, c = D.coerce(left), D.coerce(c)
+            if merged and merged[-1][1] == s and merged[-1][2] == c:
+                continue
+            merged.append((left, s, c))
+        self.pieces = tuple(merged)
+        self.lefts = [p[0] for p in merged]
+        self.values = [left.ldexp(s) + c for left, s, c in merged]
+        ps = self.pieces
+        if not ps:
+            raise ValueError("a map needs at least one piece")
+        if ps[0][0] != D(0):
+            raise ValueError("first piece must start at 0")
+        c0 = ps[0][2]
+        if not (D(0) <= c0 < D(1)):
+            raise ValueError("lift offset must lie in [0, 1)")
+        prev = None
+        for i, (left, s, c) in enumerate(ps):
+            right = ps[i + 1][0] if i + 1 < len(ps) else D(1)
+            if not (left < right):
+                raise ValueError("breakpoints must increase")
+            if prev is not None and left.ldexp(s) + c != prev:
+                raise ValueError(f"discontinuity at {left}")
+            prev = right.ldexp(s) + c
+        if prev != c0 + 1:
+            raise ValueError("lift must satisfy F(1) = F(0) + 1")
+
+    def piece_index(self, x):
+        return bisect.bisect_right(self.lefts, x) - 1
+
+    def eval_lift(self, t):
+        k = t.floor()
+        x = t - k
+        left, s, c = self.pieces[self.piece_index(x)]
+        return x.ldexp(s) + c + k
+
+    def eval_lift_inverse(self, y):
+        c0 = self.pieces[0][2]
+        shift = 0
+        while not (c0 <= y - shift):
+            shift -= 1
+        while not (y - shift < c0 + 1):
+            shift += 1
+        y0 = y - shift
+        i = min(max(bisect.bisect_right(self.values, y0) - 1, 0), len(self.pieces) - 1)
+        left, s, c = self.pieces[i]
+        return (y0 - c).ldexp(-s) + shift
+
+    def __mul__(self, g):
+        f = self
+        bps = set(g.lefts)
+        g0 = g.pieces[0][2]
+        for ell in f.lefts:
+            for k in (0, 1):
+                if g0 < ell + k < g0 + 1:
+                    bps.add(g.eval_lift_inverse(ell + k))
+        cuts = sorted(bps)
+        pieces = []
+        for idx, x in enumerate(cuts):
+            x_next = cuts[idx + 1] if idx + 1 < len(cuts) else D(1)
+            gy = g.eval_lift((x + x_next).half())
+            s = f.pieces[f.piece_index(gy - gy.floor())][1] + g.pieces[g.piece_index(x)][1]
+            pieces.append((x, s, f.eval_lift(g.eval_lift(x)) - x.ldexp(s)))
+        offset = pieces[0][2].floor()
+        return _OraclePLMap([(l, s, c - offset) for l, s, c in pieces])
+
+    def inverse(self):
+        c0 = self.pieces[0][2]
+        out = []
+        ends = self.values[1:] + [c0 + 1]
+        for (left, s, c), v_lo, v_hi in zip(self.pieces, self.values, ends):
+            lo, hi = max(v_lo, D(1)) - 1, min(v_hi, c0 + 1) - 1
+            if lo < hi:
+                out.append((lo, -s, (D(1) - c).ldexp(-s)))
+        for (left, s, c), v_lo, v_hi in zip(self.pieces, self.values, ends):
+            lo, hi = max(v_lo, c0), min(v_hi, D(1))
+            if lo < hi:
+                out.append((lo, -s, (-c).ldexp(-s) + 1))
+        out.sort(key=lambda p: p[0])
+        offset = out[0][2].floor() if out[0][0] == D(0) else 0
+        return _OraclePLMap([(l, s, c - offset) for l, s, c in out])
+
+    def __eq__(self, other):
+        return self.pieces == other.pieces
+
+    def canonical_key(self):
+        return tuple((l.key(), s, c.key()) for l, s, c in self.pieces)
+
+    def germ_data(self, x):
+        x = x.frac()
+        _, r_s, r_c = self.pieces[self.piece_index(x)]
+        if x == D(0):
+            _, l_s, l_c = self.pieces[-1]
+        else:
+            _, l_s, l_c = self.pieces[max(bisect.bisect_left(self.lefts, x) - 1, 0)]
+        return l_s, l_s == 0 and l_c.is_integer(), r_s, r_s == 0 and r_c.is_integer()
+
+    def identity_on(self, region):
+        for lo, hi in region.arcs:
+            for i, (left, s, c) in enumerate(self.pieces):
+                right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else D(1)
+                if max(left, lo) < min(right, hi) and not (s == 0 and c.is_integer()):
+                    return False
+            if lo == hi and self.eval_lift(lo).frac() != lo.frac():
+                return False
+        return True
+
+    def support_fix(self):
+        fixed, points = [], set()
+        for i, (left, s, c) in enumerate(self.pieces):
+            right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else D(1)
+            if s == 0:
+                if c.is_integer():
+                    fixed.append((left, right))
+                continue
+            for k in (0, 1):
+                t = (Fraction(k) - c.as_fraction()) / (Fraction(2) ** s - 1)
+                if left.as_fraction() <= t <= right.as_fraction():
+                    points.add(t % 1)
+        arcs = ArcSet(fixed)
+        isolated = tuple(sorted(p for p in points if not arcs.contains_fraction(p)))
+        if arcs.is_empty():
+            return arcs, isolated, ArcSet.full()
+        if arcs.is_full():
+            return arcs, isolated, ArcSet.empty()
+        support = []
+        for s, e in arcs.complement_components():
+            if e <= D(1):
+                support.append((s, e))
+            else:
+                support.extend([(s, D(1)), (D(0), e - 1)])
+        return arcs, isolated, ArcSet(support)
+
+
+def _pair(g):
+    """A map with its oracle twin, built from the same pieces."""
+    return g, _OraclePLMap(g.pieces)
+
+
+_LETTERS = {
+    "a": _pair(GEN_A), "b": _pair(GEN_B), "c": _pair(GEN_C),
+    "A": _pair(GEN_A.inverse()), "B": _pair(GEN_B.inverse()), "C": _pair(GEN_C.inverse()),
+}
+_DYADIC01 = st.builds(lambda e, k: D(k % (1 << e), e), st.integers(0, 14), st.integers(0, 1 << 14))
+
+
+@st.composite
+def _deep_factors(draw):
+    """Factors with deep breaks: expanding conjugators, and A or B carried
+    into a random dyadic interval."""
+    if draw(st.booleans()):
+        g = expanding_conjugator(draw(st.integers(1, 12)))
+    else:
+        a, b = sorted(draw(st.lists(_DYADIC01, min_size=2, max_size=2, unique=True)))
+        g = conjugate_into_interval(draw(st.sampled_from([GEN_A, GEN_B])), a, b)
+    return _pair(g.inverse() if draw(st.booleans()) else g)
+
+
+def _words(letters):
+    factor = st.one_of(st.sampled_from(letters).map(_LETTERS.get), _deep_factors())
+
+    def product(factors):
+        g, o = identity(), _OraclePLMap(identity().pieces)
+        for h, p in factors:
+            g, o = g * h, o * p
+        return g, o
+
+    return st.lists(factor, max_size=7).map(product)
+
+
+_F_WORDS = _words("abAB")
+_T_WORDS = _words("abcABC")
+_ANY_WORDS = st.one_of(_F_WORDS, _T_WORDS)
+_POINTS = st.builds(lambda e, k: D(k, e), st.integers(0, 40), st.integers(-(1 << 42), 1 << 42))
+
+
+@given(_ANY_WORDS, _ANY_WORDS)
+def test_compose_and_inverse_match_oracle(left, right):
+    (f, o), (g, p) = left, right
+    assert f.canonical_key() == o.canonical_key()
+    assert (f * g).canonical_key() == (o * p).canonical_key()
+    assert f.inverse().canonical_key() == o.inverse().canonical_key()
+    assert (f * g).inverse() == g.inverse() * f.inverse()
+    assert (f * f.inverse()).is_identity()
+
+
+@given(_ANY_WORDS, _ANY_WORDS)
+def test_equality_classes_match_oracle(left, right):
+    (f, o), (g, p) = left, right
+    for x, y, ox, oy in ((f, g, o, p), (f * g, g * f, o * p, p * o), (f * g * f.inverse(), g, o * p * o.inverse(), p)):
+        assert (x == y) == (ox == oy)
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+@given(_ANY_WORDS, st.lists(_POINTS, max_size=5), st.lists(_DYADIC01, max_size=4))
+def test_germs_and_fixed_sets_match_oracle(word, points, arc_ends):
+    f, o = word
+    breaks = [left for left, _, _ in f.pieces]
+    for x in points + breaks:
+        g = germ_data(f, x)
+        assert (g.left_slope_exp, g.left_identity, g.right_slope_exp, g.right_identity) == (
+            o.germ_data(x))
+    arc_ends = sorted(arc_ends + breaks[:2])
+    region = ArcSet(list(zip(arc_ends[::2], arc_ends[1::2])))
+    assert f.identity_on(region) == o.identity_on(region)
+    fixed_arcs, fixed_points, support = o.support_fix()
+    data = support_fix(f)
+    assert data.fixed_arcs.arcs == fixed_arcs.arcs
+    assert data.fixed_points == fixed_points
+    assert data.support.arcs == support.arcs == f.support().arcs
+
+
+def _fraction_lift(pieces, t):
+    """F(t) from the pieces, in plain Fraction arithmetic."""
+    k = t.numerator // t.denominator
+    x = t - k
+    left, s, c = [p for p in pieces if p[0].as_fraction() <= x][-1]
+    return Fraction(2) ** s * x + c.as_fraction() + k
+
+
+def _fraction_lift_inverse(pieces, y):
+    """The t with F(t) = y, by searching the pieces, in Fraction arithmetic."""
+    c0 = pieces[0][2].as_fraction()
+    k = (y - c0).numerator // (y - c0).denominator
+    y0 = y - k
+    ends = [p[0].as_fraction() for p in pieces[1:]] + [Fraction(1)]
+    for (left, s, c), right in zip(pieces, ends):
+        lo = Fraction(2) ** s * left.as_fraction() + c.as_fraction()
+        hi = Fraction(2) ** s * right + c.as_fraction()
+        if lo <= y0 < hi:
+            return (y0 - c.as_fraction()) / Fraction(2) ** s + k
+    raise AssertionError("no piece takes the value")
+
+
+@given(_ANY_WORDS, st.lists(_POINTS, min_size=1, max_size=6))
+def test_evaluation_matches_fraction_arithmetic(word, points):
+    f, _ = word
+    pieces = list(f.pieces)
+    # the breaks, their images, and the integers, where pieces and periods meet
+    ends = [left for left, _, _ in pieces] + [f.eval_lift(left) for left, _, _ in pieces]
+    for t in points + ends + [D(0), D(1), D(-1)]:
+        value = f.eval_lift(t)
+        assert value.as_fraction() == _fraction_lift(pieces, t.as_fraction())
+        assert f(t).as_fraction() == _fraction_lift(pieces, t.as_fraction()) % 1
+        assert f.eval_lift_inverse(t).as_fraction() == _fraction_lift_inverse(pieces, t.as_fraction())
+        assert f.eval_lift_inverse(value) == t
+
+
+def test_random_t_word_prefixes_match_oracle():
+    rng = random.Random(400)
+    for _ in range(60):
+        g, o = identity(), _OraclePLMap(identity().pieces)
+        for _ in range(rng.randrange(1, 16)):
+            h, p = _LETTERS[rng.choice("abcABC")]
+            g, o = g * h, o * p
+            assert g.canonical_key() == o.canonical_key()
+            assert g.inverse().canonical_key() == o.inverse().canonical_key()
+            assert len(g.pieces) == len(o.pieces)
+
+
+def test_t_boundary_bytes_are_pinned():
+    # digests of 200 seeded words taken with the Dyadic kernel
+    rng = random.Random(1605)
+    elements = [
+        _word("".join(rng.choice("abcABC") for _ in range(rng.randrange(0, 13))))
+        for _ in range(200)
+    ]
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(repr([g.canonical_key() for g in elements])) == (
+        "93ac6fd17ed174caed2fa05c8eb9841ec8089e152e142de42a964ca534a1b87d")
+    assert digest(json.dumps([g.to_json() for g in elements], sort_keys=True)) == (
+        "e62ed0dc3a579e03385f7021d59c7bbf18ee23de66122d5bf4d5b503e0ccd88d")
+    assert digest(repr(elements)) == (
+        "6bf06401aef995239947f237dc13628ff83e05d39284f93a63577c5f70deb78c")
+
+
+def _word(letters):
+    g = identity()
+    for ch in letters:
+        g = g * _LETTERS[ch][0]
+    return g
+
+
+def test_invalid_maps_raise_under_optimize():
+    # each check is a ValueError, not an assert, so python -O keeps it
+    code = (
+        "import sys\n"
+        "from germlab.plcircle import PLMap\n"
+        "from germlab.scalars import Dyadic as D\n"
+        "bad = {\n"
+        "    'discontinuity': [(D(0), 0, D(0)), (D(1, 1), 0, D(1, 2))],\n"
+        "    'breakpoints must increase': [(D(0), 0, D(0)), (D(1, 1), 1, D(-1, 1)), (D(1, 2), 0, D(0))],\n"
+        "    'lift offset': [(D(0), 0, D(1))],\n"
+        "    'F(1) = F(0) + 1': [(D(0), 1, D(0))],\n"
+        "}\n"
+        "for want, pieces in bad.items():\n"
+        "    for build in (lambda: PLMap(pieces), lambda: PLMap.from_json({'pieces': [\n"
+        "            {'left': l.to_json(), 'slope_exp': s, 'intercept': c.to_json()}\n"
+        "            for l, s, c in pieces]})):\n"
+        "        try:\n"
+        "            build()\n"
+        "        except ValueError as exc:\n"
+        "            if want not in str(exc):\n"
+        "                sys.exit('wrong message: %s' % exc)\n"
+        "        else:\n"
+        "            sys.exit('accepted: ' + want)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "1"
+
+
+def test_compose_inverse_and_piece_count_build_no_dyadic(monkeypatch):
+    g = expanding_conjugator(6) * GEN_C
+    built = []
+    original = D.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(D, "__init__", counting)
+    h = (g * g.inverse() * GEN_A * g).inverse()
+    count = len(h.pieces)
+    assert built == []
+    assert count == len(list(h.pieces)) > 1

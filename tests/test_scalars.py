@@ -199,3 +199,23 @@ def test_quadext_order_against_interval_oracle(x, y):
     assert (x < y) == (sign < 0) and (x > y) == (sign > 0)
     assert (x <= y) == (sign <= 0) and (x >= y) == (sign >= 0)
     assert (x == y) == (sign == 0)
+
+
+@pytest.mark.parametrize("exp", [400, 401, 1000, 20000])
+def test_dyadic_deep_normal_form_matches_fraction(exp):
+    # trailing zeros go in one shift, capped at exp
+    for num, want in (
+        (3 << 300, (3, exp - 300)),
+        (-5 << (exp + 7), (-5 << 7, 0)),
+        (7 << exp, (7, 0)),
+        ((1 << exp) + 1, ((1 << exp) + 1, exp)),
+        (0, (0, 0)),
+    ):
+        d = Dyadic(num, exp)
+        assert d.key() == want
+        value = Fraction(num, 1 << exp)
+        assert d == value and value == d and d.as_fraction() == value
+        assert hash(d) == hash(value)
+        assert Dyadic.from_fraction(value) == d and Dyadic(*want) == d
+    assert Dyadic(3 << 300, exp) == Dyadic(3 << 301, exp + 1)
+    assert hash(Dyadic(3 << 300, exp)) == hash(Dyadic(3 << 301, exp + 1))
