@@ -11,6 +11,7 @@ kept off to the side and never enter the canonical bytes.
 import json
 import random
 import time
+from functools import lru_cache
 
 from .cantorv import (
     GERM_FIXES,
@@ -60,12 +61,12 @@ from .treesgff import (
     alternating_perms,
     ball as tree_ball,
     busemann_level,
+    cocycle_failure,
     cyclic_perms,
     elliptic_germ_check,
     format_vertex,
     halftree_permuter,
     level_transitivity_witness,
-    perm_compose,
     perm_identity,
 )
 
@@ -149,8 +150,20 @@ def _rand_dyadic(rng, depth):
     return Dyadic(rng.randrange(0, 1 << depth), depth)
 
 
-_TREE_PAIR = PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
 _TREE_RAY = (0, 1, 0, 1, 0, 1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _tree_pair():
+    return PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
+
+
+def __getattr__(name):
+    # the pair's tables obey GERMLAB_BUDGET, so they are built on first use
+    # and a small or malformed budget cannot stop the import
+    if name == "_TREE_PAIR":
+        return _tree_pair()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _rand_tree_vertex(rng, max_len, degree):
@@ -169,14 +182,11 @@ def _rand_tree_element(rng, pair):
         v = _rand_tree_vertex(rng, 3, pair.degree)
         return TreeAut(pair, v, {(): perm_identity(pair.degree)})
     m = _rand_tree_vertex(rng, 3, pair.degree)
-    ident = perm_identity(pair.degree)
     colors = list(range(pair.degree))
     rng.shuffle(colors)
-    for c in colors:
-        perms = [p for p in sorted(pair.large) if p[c] == c and p != ident]
-        if perms:
-            return halftree_permuter(pair, m, c, rng.choice(perms))
-    raise AssertionError("large group fixes no color")
+    # the large group is transitive, so every color has a stabilizer
+    c = colors[0]
+    return halftree_permuter(pair, m, c, rng.choice(pair.stabilizers[c]))
 
 
 def _rand_tree_word(rng, pair, n):
@@ -467,36 +477,36 @@ def _suite_v_germs(config):
     return [("fixed-point-dichotomy", dichotomy), ("moved-points", moved)]
 
 
+def _require_nonnegative(**values):
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError("%s must be nonnegative, got %d" % (name, value))
+
+
 def make_cocycle_check(pair, count, depth):
+    _require_nonnegative(count=count, depth=depth)
+
     def cocycle(rng):
-        vertices = tree_ball(pair.degree, depth)
         for _ in range(count):
             g = _rand_tree_word(rng, pair, 2)
             h = _rand_tree_word(rng, pair, 2)
-            gh = g * h
-            for v in vertices:
-                expected = perm_compose(g.local_perm(h.act_on(v)), h.local_perm(v))
-                if gh.local_perm(v) != expected:
-                    _fail(vertex=format_vertex(v))
-        return {"pairs": count, "vertices": len(vertices)}
+            bad = cocycle_failure(g, h, g * h, depth)
+            if bad is not None:
+                _fail(vertex=format_vertex(bad))
+        return {"pairs": count, "vertices": len(tree_ball(pair.degree, depth))}
 
     return cocycle
 
 
 def make_elliptic_check(pair, ray, count):
+    _require_nonnegative(count=count)
+
     def elliptic_check(rng):
-        ident = perm_identity(pair.degree)
         for _ in range(count):
             cut = rng.randrange(1, len(ray) - 1)
             m = ray[:cut]
             protected = ray[cut]
-            perms = [
-                p for p in sorted(pair.large)
-                if p[protected] == protected and p != ident
-            ]
-            if not perms:
-                _fail(reason="large group fixes no point", color=protected)
-            g = halftree_permuter(pair, m, protected, rng.choice(perms))
+            g = halftree_permuter(pair, m, protected, rng.choice(pair.stabilizers[protected]))
             verdict = elliptic_germ_check(g, ray, len(ray))
             if verdict[0] != "fixes_half_tree":
                 _fail(at=format_vertex(m), verdict=list(verdict))
@@ -510,6 +520,8 @@ def make_elliptic_check(pair, ray, count):
 
 
 def make_level_check(pair, ray, depth, max_dist):
+    _require_nonnegative(depth=depth, max_dist=max_dist)
+
     def witnesses(rng):
         vertices = tree_ball(pair.degree, depth)
         levels = {}
@@ -539,16 +551,16 @@ def make_level_check(pair, ray, depth, max_dist):
 def _suite_gff_cocycle(config):
     return [
         ("cocycle-identity",
-         make_cocycle_check(_TREE_PAIR, config["pairs"], config["depth"])),
+         make_cocycle_check(_tree_pair(), config["pairs"], config["depth"])),
         ("elliptic-classification",
-         make_elliptic_check(_TREE_PAIR, _TREE_RAY, config["elliptic"])),
+         make_elliptic_check(_tree_pair(), _TREE_RAY, config["elliptic"])),
     ]
 
 
 def _suite_gff_levels(config):
     return [
         ("level-witnesses",
-         make_level_check(_TREE_PAIR, _TREE_RAY, config["depth"], config["max_dist"])),
+         make_level_check(_tree_pair(), _TREE_RAY, config["depth"], config["max_dist"])),
     ]
 
 

@@ -9,13 +9,24 @@ group acting freely on the colors has exactly one element with a given
 value at a given point.  Portrait entries come from the large group, the
 forced values always lie in the small free one, so every stored element
 has all but finitely many local permutations in the small group.
+
+Every operation is one walk.  Below the portrait the local permutation is
+constant on each hanging subtree: at a child a+(c,) of a portrait vertex a
+the forced value s = taking(c, portrait[a][c]) lies in the free group, and
+taking(c', s[c']) == s for every color c'.  So a walk state (vertex,
+permutation, inside the portrait) moves one edge, up or down, with at most
+one dictionary lookup.  Inside a walk a permutation is its number in the
+pair's sorted large group, composed and inverted by table lookup.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations
+from math import factorial
 from typing import Iterable, Optional
 
+from .chabauty import BudgetError, element_budget
 from .kernel import GroupElement
 
 Perm = tuple[int, ...]
@@ -31,50 +42,37 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     """Apply q first, then p."""
     return tuple(p[q[i]] for i in range(len(p)))
 
-def perm_inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-def perm_closure(gens: Iterable[Perm]) -> frozenset[Perm]:
-    gens = [tuple(g) for g in gens]
-    d = len(gens[0])
-    seen = {perm_identity(d)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = perm_compose(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
-
 def cyclic_perms(d: int) -> frozenset[Perm]:
     return frozenset(tuple((i + k) % d for i in range(d)) for k in range(d))
 
 def alternating_perms(d: int) -> frozenset[Perm]:
-    if d < 3:
-        return frozenset({perm_identity(d)})
-    three = []
-    for c in permutations(range(d), 3):
-        p = list(range(d))
-        p[c[0]], p[c[1]], p[c[2]] = c[1], c[2], c[0]
-        three.append(tuple(p))
-    return perm_closure(three)
+    """The even permutations of 0..d-1, filtered from all d! of them; raises
+    BudgetError first when d! passes GERMLAB_BUDGET."""
+    if factorial(max(d, 0)) > (limit := element_budget()):
+        raise BudgetError(f"{d}! permutations exceed the {limit}-element budget")
+    return frozenset(p for p in permutations(range(d))
+                     if sum(p[j] > p[i] for i in range(d) for j in range(i)) % 2 == 0)
 
 
 class PermGroupPair:
-    """A free transitive group inside a bigger one on the colors 0..d-1."""
+    """A free transitive group inside a bigger one on the colors 0..d-1.
 
-    __slots__ = ("degree", "small", "large", "_by_value")
+    The large group is numbered once, in sorted order: perms[i] is the i-th
+    permutation and index[p] its number, mul[i][j] numbers perms[i] o perms[j],
+    inv[i] the inverse, take[c][x] the free-group element sending c to x,
+    bit i of masks[c][x] is set when perms[i] sends c to x, and stabilizers[c]
+    lists the non-identity perms fixing c (half-tree permuters need one).
+    The compose table takes |large|^2 steps, so it obeys GERMLAB_BUDGET.
+    """
+
+    __slots__ = ("degree", "small", "large", "perms", "index", "mul", "inv", "take",
+                 "masks", "stabilizers", "_two_transitive")
 
     def __init__(self, degree: int, small: Iterable[Perm], large: Iterable[Perm]):
         small = frozenset(tuple(p) for p in small)
         large = frozenset(tuple(p) for p in large)
+        if len(large) ** 2 > (limit := element_budget()):
+            raise BudgetError(f"{len(large)}^2 compositions exceed the {limit}-element budget")
         ident = perm_identity(degree)
         for grp in (small, large):
             if ident not in grp:
@@ -82,58 +80,56 @@ class PermGroupPair:
             for p in grp:
                 if sorted(p) != list(range(degree)):
                     raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
-                if perm_inverse(p) not in grp:
-                    raise ValueError("group not closed under inversion")
-            for p in grp:
-                for q in grp:
-                    if perm_compose(p, q) not in grp:
-                        raise ValueError("group not closed under composition")
         if not small <= large:
             raise ValueError("free group must sit inside the large one")
-        by_value = {}
-        for p in small:
-            for i in range(degree):
-                key = (i, p[i])
-                if key in by_value:
-                    raise ValueError("action is not free")
-                by_value[key] = p
+        perms = tuple(sorted(large))
+        index = {p: i for i, p in enumerate(perms)}
+        mul = tuple(tuple(index.get(perm_compose(p, q)) for q in perms) for p in perms)
+        if any(None in row for row in mul) or any(
+                perm_compose(p, q) not in small for p in small for q in small):
+            raise ValueError("group not closed under composition")
+        by_value = {(c, p[c]): index[p] for p in small for c in range(degree)}
+        if len(by_value) != len(small) * degree:
+            raise ValueError("action is not free")
         if len(by_value) != degree * degree:
             raise ValueError("action is not transitive")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "small", small)
-        object.__setattr__(self, "large", large)
-        object.__setattr__(self, "_by_value", by_value)
+        stabilizers = tuple(
+            tuple(p for p in perms if p[c] == c and p != ident) for c in range(degree))
+        if not any(stabilizers):
+            raise ValueError("no non-identity large-group permutation fixes a color")
+        for name, value in {
+            "degree": degree, "small": small, "large": large, "perms": perms, "index": index,
+            "mul": mul, "inv": tuple(row.index(index[ident]) for row in mul),
+            "take": tuple(tuple(by_value[c, x] for x in range(degree)) for c in range(degree)),
+            "masks": tuple(tuple(sum(1 << i for i, p in enumerate(perms) if p[c] == x)
+                                 for x in range(degree)) for c in range(degree)),
+            "stabilizers": stabilizers,
+            "_two_transitive": len({p[:2] for p in perms}) == degree * (degree - 1),
+        }.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PermGroupPair is immutable")
 
     def taking(self, color: int, image: int) -> Perm:
         """The unique free-group element sending color to image."""
-        return self._by_value[(color, image)]
+        return self.perms[self.take[color][image]]
 
     def two_transitive(self) -> bool:
-        d = self.degree
-        if d < 2:
-            return False
-        base = (0, 1)
-        hit = {(p[base[0]], p[base[1]]) for p in self.large}
-        return len(hit) == d * (d - 1)
+        return self._two_transitive
 
     def find_large(self, constraints: dict[int, int]) -> Optional[Perm]:
         """The first large-group permutation honoring color -> image pairs."""
-        for p in sorted(self.large):
-            if all(p[c] == v for c, v in constraints.items()):
-                return p
-        return None
+        hits = (1 << len(self.perms)) - 1
+        for c, v in constraints.items():
+            hits &= self.masks[c][v]
+        return self.perms[(hits & -hits).bit_length() - 1] if hits else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermGroupPair):
             return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.small == other.small
-            and self.large == other.large
-        )
+        return self is other or (self.degree, self.small, self.large) == (
+            other.degree, other.small, other.large)
 
     def __hash__(self):
         return hash((self.degree, self.small, self.large))
@@ -142,24 +138,16 @@ class PermGroupPair:
 # -- the tree ---------------------------------------------------------------
 
 def neighbour(v: Vertex, color: int) -> Vertex:
-    if v and v[-1] == color:
-        return v[:-1]
-    return v + (color,)
+    return v[:-1] if v and v[-1] == color else v + (color,)
 
 def is_reduced(v: Vertex) -> bool:
     return all(v[i] != v[i + 1] for i in range(len(v) - 1))
 
 def ball(degree: int, radius: int) -> list[Vertex]:
-    out = [()]
-    frontier = [()]
+    out, frontier = [()], [()]
     for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for c in range(degree):
-                if not v or v[-1] != c:
-                    nxt.append(v + (c,))
-        out.extend(nxt)
-        frontier = nxt
+        frontier = [v + (c,) for v in frontier for c in range(degree) if not v or v[-1] != c]
+        out.extend(frontier)
     return out
 
 def format_vertex(v: Vertex) -> str:
@@ -184,9 +172,13 @@ class TreeAut(GroupElement):
     v's last color, so a finite dictionary pins down the map everywhere.
     Stored canonically: removable leaves (entries equal to their forced
     value) are pruned, making equality structural.
+
+    Every query walks with _step, which moves a state (vertex, permutation
+    number, inside the portrait) one edge; below the portrait the number
+    stays put.  Products and inverses walk the prefix tree they need.
     """
 
-    __slots__ = ("pair", "base_image", "portrait", "_cache")
+    __slots__ = ("pair", "base_image", "portrait", "_at")
 
     def __init__(self, pair: PermGroupPair, base_image: Vertex, portrait: dict):
         base_image = tuple(base_image)
@@ -198,37 +190,30 @@ class TreeAut(GroupElement):
         for v, p in entries.items():
             if not is_reduced(v):
                 raise ValueError(f"portrait key is not reduced: {v}")
-            if p not in pair.large:
+            if p not in pair.index:
                 raise ValueError(f"portrait value at {v} outside the large group")
             if v and v[:-1] not in entries:
                 raise ValueError(f"portrait not prefix-closed at {v}")
         for v, p in entries.items():
-            if v:
-                parent = entries[v[:-1]]
-                if p[v[-1]] != parent[v[-1]]:
-                    raise ValueError(
-                        f"portrait at {v} disagrees with its parent on color {v[-1]}"
-                    )
-        # prune leaves that carry no information beyond the forced value
-        changed = True
-        while changed:
-            changed = False
-            leaves = set(entries)
-            for v in entries:
-                if v:
-                    leaves.discard(v[:-1])
-            for v in leaves:
-                if not v:
-                    continue
-                parent = entries[v[:-1]]
-                forced = pair.taking(v[-1], parent[v[-1]])
-                if entries[v] == forced:
-                    del entries[v]
-                    changed = True
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "base_image", base_image)
-        object.__setattr__(self, "portrait", entries)
-        object.__setattr__(self, "_cache", {})
+            if v and p[v[-1]] != entries[v[:-1]][v[-1]]:
+                raise ValueError(f"portrait at {v} disagrees with its parent on color {v[-1]}")
+        self._settle(pair, base_image, {v: pair.index[p] for v, p in entries.items()})
+
+    def _settle(self, pair, base_image, at) -> "TreeAut":
+        """Fill the fields from a valid numbered portrait, pruning forced leaves
+        deepest first; object.__new__(TreeAut)._settle(...) skips __init__'s checks."""
+        perms, take = pair.perms, pair.take
+        kept_child = set()
+        for v in sorted(at, key=len, reverse=True)[:-1]:  # the root sorts last
+            c = v[-1]
+            if v not in kept_child and at[v] == take[c][perms[at[v[:-1]]][c]]:
+                del at[v]
+            else:
+                kept_child.add(v[:-1])
+        portrait = {v: perms[i] for v, i in at.items()}
+        for name, value in zip(self.__slots__, (pair, base_image, portrait, at)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeAut is immutable")
@@ -244,43 +229,52 @@ class TreeAut(GroupElement):
             raise ValueError("constant portraits need a free-group value")
         return TreeAut(pair, base_image, {(): tuple(perm)})
 
-    def local_perm(self, v: Vertex) -> Perm:
+    def _root(self) -> tuple:
+        return ((), self._at[()], True)
+
+    def _step(self, state: tuple, color: int) -> tuple:
+        """The walk state one edge along color from state's vertex."""
+        v, i, inside = state
+        if v and v[-1] == color:
+            v = v[:-1]
+            j = self._at.get(v)
+            return (v, i, False) if j is None else (v, j, True)
+        v += (color,)
+        if not inside:
+            return (v, i, False)
+        j = self._at.get(v)
+        if j is None:
+            return (v, self.pair.take[color][self.pair.perms[i][color]], False)
+        return (v, j, True)
+
+    def _carry(self, walked: tuple, color: int) -> tuple:
+        """_step on (state, image of its vertex), moving the image too."""
+        state, img = walked
+        return self._step(state, color), neighbour(img, self.pair.perms[state[1]][color])
+
+    def _walk(self, v: Vertex) -> tuple:
+        """(walk state at v, image of v)."""
+        return reduce(self._carry, v, (self._root(), self.base_image))
+
+    def _back(self, state: tuple, color: int) -> tuple:
+        """The walk state at the neighbour whose image lies along color."""
+        return self._step(state, self.pair.perms[self.pair.inv[state[1]]][color])
+
+    def _pull(self, v: Vertex) -> tuple:
+        """The walk state at act_inv(v), along the image geodesic to v."""
         v = tuple(v)
-        hit = self.portrait.get(v)
-        if hit is not None:
-            return hit
-        cached = self._cache.get(v)
-        if cached is not None:
-            return cached
-        parent = self.local_perm(v[:-1])
-        forced = self.pair.taking(v[-1], parent[v[-1]])
-        self._cache[v] = forced
-        return forced
+        common = _common_prefix_len(self.base_image, v)
+        return reduce(self._back, self.base_image[common:][::-1] + v[common:], self._root())
+
+    def local_perm(self, v: Vertex) -> Perm:
+        return self.pair.perms[self._walk(tuple(v))[0][1]]
 
     def act_on(self, v: Vertex) -> Vertex:
-        v = tuple(v)
-        img = self.base_image
-        for k in range(len(v)):
-            img = neighbour(img, self.local_perm(v[:k])[v[k]])
-        return img
+        return self._walk(tuple(v))[1]
 
     def act_inv(self, v: Vertex) -> Vertex:
         """The unique u with act_on(u) = v, by walking the image geodesic."""
-        v = tuple(v)
-        u: Vertex = ()
-        cur = self.base_image
-        # geodesic from base_image to v: climb to the common prefix, descend
-        common = 0
-        while common < min(len(cur), len(v)) and cur[common] == v[common]:
-            common += 1
-        colors = [cur[i] for i in range(len(cur) - 1, common - 1, -1)]
-        colors.extend(v[common:])
-        for c in colors:
-            u = neighbour(u, perm_inverse(self.local_perm(u))[c])
-            cur = neighbour(cur, c)
-        return u
-
-    # -- group structure ----------------------------------------------------
+        return self._pull(v)[0]
 
     def __mul__(self, other: "TreeAut") -> "TreeAut":
         """Composition self o other (apply other first)."""
@@ -288,28 +282,21 @@ class TreeAut(GroupElement):
             return NotImplemented
         if self.pair != other.pair:
             raise ValueError("elements live over different color groups")
-        keys = set(other.portrait)
-        keys.update(other.act_inv(v) for v in self.portrait)
-        closed = set()
-        for v in keys:
-            for k in range(len(v) + 1):
-                closed.add(v[:k])
-        portrait = {
-            v: perm_compose(self.local_perm(other.act_on(v)), other.local_perm(v))
-            for v in closed
-        }
-        return TreeAut(self.pair, self.act_on(other.base_image), portrait)
+        perms, mul = self.pair.perms, self.pair.mul
+        keys = [*other._at, *(other._pull(v)[0] for v in self._at)]
+        start, base_image = self._walk(other.base_image)
+        # other at v and self at other's image of v, in lockstep
+        states = _grow({(): (other._root(), start)}, keys, lambda s, c: (
+            other._step(s[0], c), self._step(s[1], perms[s[0][1]][c])))
+        at = {v: mul[s[1]][o[1]] for v, (o, s) in states.items()}
+        return object.__new__(TreeAut)._settle(self.pair, base_image, at)
 
     def inverse(self) -> "TreeAut":
-        keys = {self.act_on(v) for v in self.portrait}
-        closed = set()
-        for v in keys:
-            for k in range(len(v) + 1):
-                closed.add(v[:k])
-        portrait = {
-            v: perm_inverse(self.local_perm(self.act_inv(v))) for v in closed
-        }
-        return TreeAut(self.pair, self.act_inv(()), portrait)
+        images = _grow({(): (self._root(), self.base_image)}, self._at, self._carry)
+        # self at the preimage of each vertex of the inverse's portrait
+        states = _grow({(): self._pull(())}, [img for _, img in images.values()], self._back)
+        at = {v: self.pair.inv[s[1]] for v, s in states.items()}
+        return object.__new__(TreeAut)._settle(self.pair, states[()][0], at)
 
     def canonical_key(self) -> tuple:
         return (self.base_image, tuple(sorted(self.portrait.items())))
@@ -317,21 +304,18 @@ class TreeAut(GroupElement):
     def __eq__(self, other) -> bool:
         if not isinstance(other, TreeAut):
             return NotImplemented
-        return self.pair == other.pair and self.canonical_key() == other.canonical_key()
+        return (self.pair == other.pair and self.base_image == other.base_image
+                and self._at == other._at)
 
     def __hash__(self):
         return hash(self.canonical_key())
 
     def is_identity(self) -> bool:
-        return (
-            self.base_image == ()
-            and self.portrait == {(): perm_identity(self.pair.degree)}
-        )
+        return not self.base_image and self.portrait == {(): perm_identity(self.pair.degree)}
 
     def __repr__(self):
         bits = ", ".join(
-            f"{format_vertex(v) or 'o'}:{p}" for v, p in sorted(self.portrait.items())
-        )
+            f"{format_vertex(v) or 'o'}:{p}" for v, p in sorted(self.portrait.items()))
         return f"TreeAut(base->{format_vertex(self.base_image) or 'o'}, {bits})"
 
     def to_json(self) -> dict:
@@ -339,25 +323,29 @@ class TreeAut(GroupElement):
             "base_image": format_vertex(self.base_image),
             "default": list(self.portrait[()]),
             "exceptions": {
-                format_vertex(v): list(p)
-                for v, p in sorted(self.portrait.items())
-                if v
-            },
+                format_vertex(v): list(p) for v, p in sorted(self.portrait.items()) if v},
         }
 
     @staticmethod
     def from_json(pair: PermGroupPair, data: dict) -> "TreeAut":
         portrait = {(): tuple(data["default"])}
-        for key, p in data.get("exceptions", {}).items():
-            portrait[parse_vertex(key)] = tuple(p)
+        portrait.update((parse_vertex(k), tuple(p)) for k, p in data.get("exceptions", {}).items())
         return TreeAut(pair, parse_vertex(data["base_image"]), portrait)
+
+
+def _grow(states: dict, keys: Iterable[Vertex], step) -> dict:
+    """Extend states, keyed by vertex, to every prefix of every key; a
+    vertex's state is step(its parent's state, its last color)."""
+    for v in keys:
+        for k in range(1, len(v) + 1):
+            if v[:k] not in states:
+                states[v[:k]] = step(states[v[:k - 1]], v[k - 1])
+    return states
 
 
 # -- building blocks --------------------------------------------------------
 
-def halftree_permuter(
-    pair: PermGroupPair, m: Vertex, fixed_color: int, perm: Perm
-) -> TreeAut:
+def halftree_permuter(pair: PermGroupPair, m: Vertex, fixed_color: int, perm: Perm) -> TreeAut:
     """The automorphism with local permutation perm at m that fixes, pointwise,
     the half-tree through the edge of color fixed_color at m.
 
@@ -367,20 +355,16 @@ def halftree_permuter(
     element matching the child's value on the connecting color, with the
     base image recovered by walking the whole chain backwards.
     """
-    m = tuple(m)
-    perm = tuple(perm)
+    m, perm = tuple(m), tuple(perm)
     if perm not in pair.large:
         raise ValueError("permutation outside the large group")
     if perm[fixed_color] != fixed_color:
         raise ValueError("permutation must fix the protected color")
     portrait: dict[Vertex, Perm] = {m: perm}
-    for j in range(len(m) - 1, -1, -1):
-        child = m[:j + 1]
-        portrait[m[:j]] = pair.taking(child[-1], portrait[child][child[-1]])
     img: Vertex = m
     for j in range(len(m), 0, -1):
-        child = m[:j]
-        img = neighbour(img, portrait[child][child[-1]])
+        portrait[m[:j - 1]] = pair.taking(m[j - 1], portrait[m[:j]][m[j - 1]])
+        img = neighbour(img, portrait[m[:j]][m[j - 1]])
     return TreeAut(pair, img, portrait)
 
 
@@ -422,24 +406,43 @@ def elliptic_germ_check(g: TreeAut, ray_prefix: Vertex, depth: int) -> tuple:
     the identity.  Returns ("pending",) when the prefix is too short and
     raises if g fixes no tail of the prefix at all.
     """
-    ray = tuple(ray_prefix)
-    limit = min(len(ray), depth)
     fixed_somewhere = False
-    for i in range(limit):
-        u, w = ray[:i], ray[:i + 1]
-        if g.act_on(u) != u or g.act_on(w) != w:
-            continue
-        fixed_somewhere = True
-        if not any(k[:len(w)] == w for k in g.portrait):
-            return ("fixes_half_tree", (u, w))
+    walked = (g._root(), g.base_image)
+    for c in tuple(ray_prefix)[:max(depth, 0)]:
+        (u, _, _), u_img = walked
+        (w, _, inside), w_img = walked = g._carry(walked, c)
+        if u_img == u and w_img == w:
+            fixed_somewhere = True
+            if not inside:  # outside the portrait, so no entry lies beyond w
+                return ("fixes_half_tree", (u, w))
     if not fixed_somewhere:
         raise ValueError("element does not fix the explored ray prefix")
     return ("pending",)
 
 
-def level_transitivity_witness(
-    pair: PermGroupPair, xi_prefix: Vertex, v: Vertex, w: Vertex
-) -> list[TreeAut]:
+def cocycle_failure(g: TreeAut, h: TreeAut, gh: TreeAut, radius: int) -> Optional[Vertex]:
+    """The first v of ball(degree, radius), ordered by length and then word,
+    where gh's local permutation is not g's at h(v) after h's at v, or None;
+    h, gh and g at h(v) walk together depth first, skipping later-only subtrees."""
+    perms, mul, degree = g.pair.perms, g.pair.mul, g.pair.degree
+    first = (radius + 1, None)
+
+    def visit(hs, ghs, gs):
+        nonlocal first
+        v = hs[0]
+        if ghs[1] != mul[gs[1]][hs[1]]:
+            first = min(first, (len(v), v))
+        elif len(v) < min(radius, first[0]):
+            for c in range(degree):
+                if not v or v[-1] != c:
+                    visit(h._step(hs, c), gh._step(ghs, c), g._step(gs, perms[hs[1]][c]))
+
+    visit(h._root(), gh._root(), g._walk(h.base_image)[0])
+    return first[1]
+
+
+def level_transitivity_witness(pair: PermGroupPair, xi_prefix: Vertex, v: Vertex,
+                               w: Vertex) -> list[TreeAut]:
     """Elements whose product carries v to w while fixing half-trees at the end.
 
     Follows the even-distance induction: push each endpoint to its unique
@@ -457,18 +460,15 @@ def level_transitivity_witness(
     pv = neighbour(v, direction_toward(v, xi))
     pw = neighbour(w, direction_toward(w, xi))
     word = level_transitivity_witness(pair, xi, pv, pw)
-    cur = v
-    for step in word:
-        cur = step.act_on(cur)
+    cur = reduce(lambda x, step: step.act_on(x), word, v)
     if cur == w:
         return word
     # cur and w are distinct neighbours of pw one level below it
     c_cur = cur[-1] if len(cur) > len(pw) else pw[-1]
     c_w = w[-1] if len(w) > len(pw) else pw[-1]
     gamma = direction_toward(pw, xi)
-    perm = pair.find_large({gamma: gamma, c_cur: c_w, c_w: c_cur})
-    if perm is None:
-        perm = pair.find_large({gamma: gamma, c_cur: c_w})
+    perm = (pair.find_large({gamma: gamma, c_cur: c_w, c_w: c_cur})
+            or pair.find_large({gamma: gamma, c_cur: c_w}))
     if perm is None:
         raise RuntimeError("2-transitivity must provide a permuter")
     word.append(halftree_permuter(pair, pw, gamma, perm))

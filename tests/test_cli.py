@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,13 +151,47 @@ def test_tree_verify_batteries(capsys):
     assert code == 2 and "supported point groups" in err
 
 
-def test_tree_verify_keeps_the_counterexample(capsys):
-    # in A_3 only the identity fixes a point, so the germ battery must fail
-    code, out, _ = run(capsys, "tree-verify", "--omega", "3", "--suite", "germ")
-    assert code == 1
-    data = json.loads(out)
-    assert data["status"] == "fail"
-    assert data["witness"]["reason"] == "large group fixes no point"
+def test_tree_verify_rejects_omega_3(capsys):
+    # in A_3 only the identity fixes a color, so there are no half-tree permuters
+    code, out, err = run(capsys, "tree-verify", "--omega", "3", "--suite", "germ")
+    assert code == 2 and out == ""
+    assert "fixes a color" in err and "Traceback" not in err
+
+
+def test_tree_verify_rejects_omega_1(capsys):
+    code, out, err = run(capsys, "tree-verify", "--omega", "1", "--suite", "cocycle")
+    assert code == 2 and out == ""
+    assert "fixes a color" in err
+
+
+def test_tree_verify_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "tree-verify", "--suite", "cocycle", "--count", "-3")
+    assert code == 2 and out == ""
+    assert "count must be nonnegative" in err
+
+
+def test_tree_verify_rejects_negative_depth(capsys):
+    code, out, err = run(capsys, "tree-verify", "--suite", "cocycle", "--depth", "-1")
+    assert code == 2 and out == ""
+    assert "depth must be nonnegative" in err
+
+
+def test_tree_verify_obeys_budget(capsys, monkeypatch):
+    # the compose table of A_5 has 60^2 entries
+    monkeypatch.setenv("GERMLAB_BUDGET", "1000")
+    code, out, err = run(capsys, "tree-verify", "--suite", "cocycle", "--count", "1")
+    assert code == 2 and out == ""
+    assert "budget" in err and "Traceback" not in err
+
+
+def test_small_budget_does_not_stop_the_import(tmp_path):
+    # the suites build their tree pair on first use, not at import
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, GERMLAB_BUDGET="20")
+    done = subprocess.run(
+        [sys.executable, "-m", "germlab.cli", "eval", "--group", "F", "--word", "ab",
+         "--at", "3/8"], env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == 0 and done.stdout.strip() == "3/16", done.stderr
 
 
 def test_compress_proj_obeys_budget(capsys, monkeypatch):

@@ -1,13 +1,23 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from germlab.chabauty import BudgetError
 from germlab.treesgff import (
     PermGroupPair,
     TreeAut,
     alternating_perms,
     ball,
     busemann_level,
+    cocycle_failure,
     cyclic_perms,
     direction_toward,
     elliptic_germ_check,
@@ -18,11 +28,13 @@ from germlab.treesgff import (
     parse_vertex,
     perm_compose,
     perm_identity,
-    perm_inverse,
 )
 
 PAIR = PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
 XI = (0, 1, 0, 1, 0, 1, 0, 1)
+# the Klein four-group acts freely and transitively on four colors
+KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+PAIRS = (PAIR, PermGroupPair(4, KLEIN, alternating_perms(4)))
 
 
 def rand_element(rng, pair=PAIR):
@@ -67,6 +79,51 @@ def test_perm_pair_validation():
         PermGroupPair(5, alternating_perms(5), alternating_perms(5))  # not free
     with pytest.raises(ValueError):
         PermGroupPair(3, [(0, 1, 2), (1, 2, 0)], [(0, 1, 2)])  # not closed / not inside
+    # in A_3 = C_3 only the identity fixes a color: no half-tree permuters
+    with pytest.raises(ValueError, match="fixes a color"):
+        PermGroupPair(3, cyclic_perms(3), alternating_perms(3))
+
+
+def test_alternating_perms_are_the_even_half():
+    for d in range(7):
+        evens = alternating_perms(d)
+        assert len(evens) == max(1, factorial(d) // 2)
+        assert all(perm_compose(p, q) in evens for p in evens for q in evens)
+
+
+def test_indexed_pair_matches_the_permutations():
+    for pair in PAIRS:
+        ident = perm_identity(pair.degree)
+        assert list(pair.perms) == sorted(pair.large)
+        for i, p in enumerate(pair.perms):
+            assert pair.index[p] == i
+            assert perm_compose(p, pair.perms[pair.inv[i]]) == ident
+            for j, q in enumerate(pair.perms):
+                assert pair.perms[pair.mul[i][j]] == perm_compose(p, q)
+        for c in range(pair.degree):
+            for x in range(pair.degree):
+                s = pair.taking(c, x)
+                assert s in pair.small and s[c] == x
+            assert list(pair.stabilizers[c]) == [
+                p for p in sorted(pair.large) if p[c] == c and p != ident]
+        rng = random.Random(pair.degree)
+        for _ in range(200):
+            colors = rng.sample(range(pair.degree), rng.randrange(4))
+            wanted = {c: rng.randrange(pair.degree) for c in colors}
+            first = [p for p in sorted(pair.large) if all(p[c] == v for c, v in wanted.items())]
+            assert pair.find_large(wanted) == (first[0] if first else None)
+
+
+def test_pair_compose_table_obeys_budget(monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "119")
+    with pytest.raises(BudgetError, match="5! permutations"):
+        alternating_perms(5)
+    # |A_5|^2 = 3600 table entries
+    monkeypatch.setenv("GERMLAB_BUDGET", "3599")
+    with pytest.raises(BudgetError, match="budget"):
+        PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
+    monkeypatch.setenv("GERMLAB_BUDGET", "3600")
+    assert PermGroupPair(5, cyclic_perms(5), alternating_perms(5)) == PAIR
 
 
 def test_neighbour_involution():
@@ -291,3 +348,232 @@ def test_json_roundtrip():
     for _ in range(15):
         g = rand_word(rng, 3)
         assert TreeAut.from_json(PAIR, g.to_json()) == g
+
+
+# -- the recursive kernel, kept as an oracle ------------------------------------
+
+def _perm_inverse(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+class _OracleTreeAut:
+    """The tree kernel before the walk: a recursive, memoized local_perm and
+    per-vertex act_on from the root, pruning leaves round after round."""
+
+    def __init__(self, pair, base_image, portrait):
+        entries = {tuple(v): tuple(p) for v, p in portrait.items()}
+        assert () in entries
+        for v, p in entries.items():
+            assert p in pair.large and (not v or v[:-1] in entries)
+            assert not v or p[v[-1]] == entries[v[:-1]][v[-1]]
+        changed = True
+        while changed:
+            changed = False
+            leaves = set(entries)
+            for v in entries:
+                if v:
+                    leaves.discard(v[:-1])
+            for v in leaves:
+                if not v:
+                    continue
+                parent = entries[v[:-1]]
+                forced = pair.taking(v[-1], parent[v[-1]])
+                if entries[v] == forced:
+                    del entries[v]
+                    changed = True
+        self.pair = pair
+        self.base_image = tuple(base_image)
+        self.portrait = entries
+        self._cache = {}
+
+    def local_perm(self, v):
+        v = tuple(v)
+        hit = self.portrait.get(v)
+        if hit is not None:
+            return hit
+        cached = self._cache.get(v)
+        if cached is not None:
+            return cached
+        parent = self.local_perm(v[:-1])
+        forced = self.pair.taking(v[-1], parent[v[-1]])
+        self._cache[v] = forced
+        return forced
+
+    def act_on(self, v):
+        v = tuple(v)
+        img = self.base_image
+        for k in range(len(v)):
+            img = neighbour(img, self.local_perm(v[:k])[v[k]])
+        return img
+
+    def act_inv(self, v):
+        v = tuple(v)
+        u = ()
+        cur = self.base_image
+        common = 0
+        while common < min(len(cur), len(v)) and cur[common] == v[common]:
+            common += 1
+        colors = [cur[i] for i in range(len(cur) - 1, common - 1, -1)]
+        colors.extend(v[common:])
+        for c in colors:
+            u = neighbour(u, _perm_inverse(self.local_perm(u))[c])
+            cur = neighbour(cur, c)
+        return u
+
+    def __mul__(self, other):
+        keys = set(other.portrait)
+        keys.update(other.act_inv(v) for v in self.portrait)
+        closed = {v[:k] for v in keys for k in range(len(v) + 1)}
+        portrait = {
+            v: perm_compose(self.local_perm(other.act_on(v)), other.local_perm(v))
+            for v in closed
+        }
+        return _OracleTreeAut(self.pair, self.act_on(other.base_image), portrait)
+
+    def inverse(self):
+        keys = {self.act_on(v) for v in self.portrait}
+        closed = {v[:k] for v in keys for k in range(len(v) + 1)}
+        portrait = {v: _perm_inverse(self.local_perm(self.act_inv(v))) for v in closed}
+        return _OracleTreeAut(self.pair, self.act_inv(()), portrait)
+
+    def canonical_key(self):
+        return (self.base_image, tuple(sorted(self.portrait.items())))
+
+    def __eq__(self, other):
+        return self.canonical_key() == other.canonical_key()
+
+
+def _twins(pair, base_image, portrait):
+    return TreeAut(pair, base_image, portrait), _OracleTreeAut(pair, base_image, portrait)
+
+
+@st.composite
+def _vertices(draw, degree, max_len=5):
+    v = ()
+    for _ in range(draw(st.integers(0, max_len))):
+        v += (draw(st.sampled_from([c for c in range(degree) if not v or v[-1] != c])),)
+    return v
+
+
+@st.composite
+def _portraits(draw, pair):
+    """A random valid portrait: each new child agrees with its parent on the
+    connecting color, and some entries equal their forced value."""
+    large = sorted(pair.large)
+    portrait = {(): draw(st.sampled_from(large))}
+    for _ in range(draw(st.integers(0, 8))):
+        v = draw(st.sampled_from(sorted(portrait)))
+        c = draw(st.sampled_from([c for c in range(pair.degree) if not v or v[-1] != c]))
+        if v + (c,) in portrait:
+            continue
+        agree = [p for p in large if p[c] == portrait[v][c]]
+        forced = pair.taking(c, portrait[v][c])
+        portrait[v + (c,)] = forced if draw(st.booleans()) else draw(st.sampled_from(agree))
+    return draw(_vertices(pair.degree)), portrait
+
+
+@st.composite
+def _words(draw, pair):
+    """A product of random portraits, with its oracle twin."""
+    g, o = _twins(pair, (), {(): perm_identity(pair.degree)})
+    for _ in range(draw(st.integers(1, 3))):
+        h, p = _twins(pair, *draw(_portraits(pair)))
+        if draw(st.booleans()):
+            h, p = h.inverse(), p.inverse()
+        g, o = g * h, o * p
+    return g, o
+
+
+@given(st.data())
+def test_portraits_prune_like_the_oracle(data):
+    pair = data.draw(st.sampled_from(PAIRS))
+    g, o = _twins(pair, *data.draw(_portraits(pair)))
+    assert g.canonical_key() == o.canonical_key()
+    for v in data.draw(st.lists(_vertices(pair.degree), max_size=6)):
+        assert g.local_perm(v) == o.local_perm(v)
+        assert g.act_on(v) == o.act_on(v)
+        assert g.act_inv(v) == o.act_inv(v)
+
+
+@given(st.data())
+def test_walk_matches_the_oracle(data):
+    pair = data.draw(st.sampled_from(PAIRS))
+    g, o = data.draw(_words(pair))
+    assert g.canonical_key() == o.canonical_key()
+    assert g.inverse().canonical_key() == o.inverse().canonical_key()
+    for v in data.draw(st.lists(_vertices(pair.degree, 7), max_size=8)):
+        assert g.local_perm(v) == o.local_perm(v)
+        assert g.act_on(v) == o.act_on(v)
+        assert g.act_inv(v) == o.act_inv(v)
+
+
+@given(st.data())
+def test_products_and_equality_classes_match_the_oracle(data):
+    pair = data.draw(st.sampled_from(PAIRS))
+    (f, o), (g, p) = data.draw(_words(pair)), data.draw(_words(pair))
+    assert (f * g).canonical_key() == (o * p).canonical_key()
+    assert (g * f).inverse().canonical_key() == (p * o).inverse().canonical_key()
+    for x, y, ox, oy in ((f, g, o, p), (f * g, g * f, o * p, p * o),
+                         (f * g * f.inverse(), g, o * p * o.inverse(), p)):
+        assert (x == y) == (ox == oy)
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+@given(st.data())
+def test_cocycle_failure_names_the_first_bad_ball_vertex(data):
+    pair = data.draw(st.sampled_from(PAIRS))
+    (g, o), (h, p) = data.draw(_words(pair)), data.draw(_words(pair))
+    # h * g stands in for g * h: wrong unless the two commute near the ball
+    for gh, ogh in ((g * h, o * p), (h * g, p * o)):
+        bad = [v for v in ball(pair.degree, 3)
+               if ogh.local_perm(v) != perm_compose(o.local_perm(p.act_on(v)), p.local_perm(v))]
+        assert cocycle_failure(g, h, gh, 3) == (bad[0] if bad else None)
+
+
+def test_boundary_bytes_are_pinned():
+    # digests of 200 seeded words taken with the recursive kernel
+    rng = random.Random(1651)
+    elements = [rand_word(rng, rng.randrange(0, 8)) for _ in range(200)]
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(repr([g.canonical_key() for g in elements])) == (
+        "fc1899f42980103fe033c1917348bfdda9414ab767a08763c60fa424e1087cd0")
+    assert digest(json.dumps([g.to_json() for g in elements], sort_keys=True)) == (
+        "fbe451c898fe641886a54481f006066614b6320d1e1cc68cfb4409e1286372af")
+    assert digest(repr(elements)) == (
+        "a6b9c5fca222a4c603b3c20ea4a0ab55be8c4648cd99586cd3d3f618749f1f0f")
+
+
+def test_invalid_portraits_raise_under_optimize():
+    # each check is a ValueError, not an assert, so python -O keeps it
+    code = (
+        "import sys\n"
+        "from germlab.treesgff import PermGroupPair, TreeAut, alternating_perms, cyclic_perms\n"
+        "pair = PermGroupPair(5, cyclic_perms(5), alternating_perms(5))\n"
+        "e, moved = (0, 1, 2, 3, 4), (1, 2, 3, 4, 0)\n"
+        "bad = {\n"
+        "    'not prefix-closed': {(): e, (0, 1): e},\n"
+        "    'disagrees with its parent': {(): e, (0,): moved},\n"
+        "    'outside the large group': {(): e, (2,): (1, 0, 2, 3, 4)},\n"
+        "}\n"
+        "for want, portrait in bad.items():\n"
+        "    try:\n"
+        "        TreeAut(pair, (), portrait)\n"
+        "    except ValueError as exc:\n"
+        "        if want not in str(exc):\n"
+        "            sys.exit('wrong message: %s' % exc)\n"
+        "    else:\n"
+        "        sys.exit('accepted: ' + want)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "1"
