@@ -1,20 +1,25 @@
 """Piecewise-linear circle homeomorphisms with dyadic breakpoints and 2-power slopes.
 
-The circle is R/Z with fundamental domain [0, 1).  A map is stored through its
-canonical lift F : [0, 1] -> [F(0), F(0) + 1], an increasing piecewise-affine
-bijection with F(0) in [0, 1).  The lift is kept as integers over one power
-of two: the break points 0 = x_0 < x_1 < ... < x_{m-1} < 1, their images
-y_i = F(x_i) and the slope exponents s_i, with F(t) = y_i + 2**s_i (t - x_i)
-on [x_i, x_{i+1}].  Every x_i and y_i is written n / 2**e for the least e
-that makes all of them integers, and neighbouring pieces have different
-slopes, so equal maps have equal integers.  Continuity holds by
-construction.  Composition is one linear merge of two break lists and
-inversion swaps the two coordinates, both in integers.
+The circle is R/Z with fundamental domain [0, 1).  Every object here is
+integers over one power of two, the least that makes them all integers, so
+equal objects have equal integers.  A map is stored through its canonical
+lift F : [0, 1] -> [F(0), F(0) + 1], an increasing piecewise-affine
+bijection with F(0) in [0, 1): the break points 0 = x_0 < ... < x_{m-1} < 1,
+their images y_i = F(x_i) and the slope exponents s_i, with
+F(t) = y_i + 2**s_i (t - x_i) on [x_i, x_{i+1}] and neighbouring pieces of
+different slopes.  A closed arc set is its maximal arcs (``ArcSet``).
 
-At the boundary a map still reads and writes pieces (left, slope_exp,
-intercept) of Dyadics, F(t) = 2**slope_exp * t + intercept: the constructor,
-``pieces``, ``repr``, ``to_json``/``from_json`` and ``canonical_key`` are
-those of that form.
+Every product and conjugate is one merge of two increasing piece lists
+over one exponent (``_merge``), and inversion swaps the two coordinates.
+The constructions (expanding conjugators, maps through points, rigid
+stabilizers and the compressor) build their break lists from greedy
+standard subdivisions in integers (``_chain``).
+
+Dyadics stay at the boundary.  A map reads and writes pieces (left,
+slope_exp, intercept), F(t) = 2**slope_exp * t + intercept: the
+constructor, ``pieces``, ``repr``, ``to_json``/``from_json`` and
+``canonical_key`` are those of that form.  An arc set reads and prints
+(lo, hi) pairs.
 
 Maps fixing the point 0 with this slope/breakpoint discipline form the group
 usually written F; arbitrary such circle maps form T.
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import GroupElement
-from .scalars import Dyadic, ZERO, ONE, reduced
+from .scalars import Dyadic, ZERO, reduced
 
 Piece = tuple[Dyadic, int, Dyadic]
 
@@ -36,6 +41,21 @@ Piece = tuple[Dyadic, int, Dyadic]
 def _shift(n: int, k: int) -> int:
     """n * 2**k for an n that 2**-k divides when k < 0."""
     return n << k if k >= 0 else n >> -k
+
+
+def _piece_key(x: int, y: int, s: int, e: int) -> tuple:
+    """((left.num, left.exp), s, (intercept.num, intercept.exp)) of the piece
+    of slope 2**s through (x, y) over 2**e; the intercept y - 2**s x needs
+    2**-s more when s < 0."""
+    a = max(0, -s)
+    return reduced(x, e), s, reduced((y << a) - (x << (s + a)), e + a)
+
+
+def _ints(*values: Dyadic) -> tuple[int, list[int]]:
+    """The least exponent e that makes every value an integer over 2**e,
+    and those integers."""
+    e = max((v.exp for v in values), default=0)
+    return e, [v.num << (e - v.exp) for v in values]
 
 
 class PLMap(GroupElement):
@@ -112,27 +132,11 @@ class PLMap(GroupElement):
         """The (left, slope_exp, intercept) pieces; ``len`` builds no Dyadic."""
         return _Pieces(self)
 
-    def _piece_key(self, i: int) -> tuple:
-        """((left.num, left.exp), slope_exp, (intercept.num, intercept.exp)) of
-        piece i; the intercept y - 2**s x needs 2**-s more when s < 0."""
-        x, y, s = self._x[i], self._y[i], self._s[i]
-        a = max(0, -s)
-        return reduced(x, self._e), s, reduced((y << a) - (x << (s + a)), self._e + a)
-
     def _fixes(self, i: int) -> bool:
         """Is piece i the identity of the circle (slope 1, integer intercept)?"""
         return self._s[i] == 0 and not (self._y[i] - self._x[i]) & ((1 << self._e) - 1)
 
-    # -- basic queries ---------------------------------------------------
-
-    def lift_at_zero(self) -> Dyadic:
-        return Dyadic(self._y[0], self._e)
-
-    def piece_index(self, x: Dyadic) -> int:
-        """Rightmost piece whose left endpoint is <= x, for x in [0, 1)."""
-        x = Dyadic.coerce(x)
-        # x over 2**_e, floored: breaks are integers, so <= is unchanged
-        return bisect.bisect_right(self._x, _shift(x.num, self._e - x.exp)) - 1
+    # -- evaluation --------------------------------------------------------
 
     def _lift(self, n: int, e: int) -> tuple[int, int]:
         """F(n / 2**e) under the Z-periodic lift, as a numerator over 2**exp."""
@@ -168,11 +172,9 @@ class PLMap(GroupElement):
     def __mul__(self, other: "PLMap") -> "PLMap":
         """Composition self o other (apply other first).
 
-        The cells of the product are cut where other breaks and where other
-        reaches a break of self.  Both kinds of cut are walked in the order
-        of their images under other: other's images y_i, and self's breaks
-        rotated into [y_0, y_0 + 1).  Every cut and its value are exact over
-        2**w, because w covers other's steepest slope and self's shallowest.
+        The merge walks other's images y_i and self's breaks rotated into
+        [y_0, y_0 + 1), over a 2**w that covers other's steepest slope and
+        self's shallowest.
         """
         if not isinstance(other, PLMap):
             return NotImplemented
@@ -181,41 +183,15 @@ class PLMap(GroupElement):
         one = 1 << w
         kf, kg = w - f._e, w - g._e
         u = g._y[0] << kg
-        end = u + one
-        fx = [x << kf for x in f._x]
-        j = 0
-        while j + 1 < len(fx) and fx[j + 1] <= u:
-            j += 1
+        fx = [x << kf for x in f._x] if kf else f._x
+        j = bisect.bisect_right(fx, u) - 1
         # self's breaks after u, each with the slope of the piece it starts
-        f_cuts = fx[j + 1:] + [x + one for x in fx[: j + 1]]
-        f_slopes = f._s[j + 1:] + f._s[: j + 1]
-        gy, gs = g._y, g._s
-        sg, sf = gs[0], f._s[j]
-        x, h = 0, (f._y[j] << kf) + _shift(u - fx[j], sf)
-        xs, ys, ss = [x], [h], [sg + sf]
-        gi, fi = 1, 0
-        next_g = gy[1] << kg if len(gy) > 1 else end
-        next_f = f_cuts[0]
-        while True:
-            v = next_g if next_g < next_f else next_f
-            step = v - u
-            x += _shift(step, -sg)
-            h += _shift(step, sf)
-            if v == end:
-                break
-            if v == next_g:
-                sg = gs[gi]
-                gi += 1
-                next_g = gy[gi] << kg if gi < len(gy) else end
-            if v == next_f:
-                sf = f_slopes[fi]
-                fi += 1
-                next_f = f_cuts[fi] if fi < len(f_cuts) else end
-            u = v
-            if sg + sf != ss[-1]:
-                xs.append(x)
-                ys.append(h)
-                ss.append(sg + sf)
+        f_cuts = [u, *fx[j + 1:]] + [x + one for x in fx[: j + 1]]
+        f_slopes = f._s[j:] + f._s[: j + 1]
+        h = (f._y[j] << kf) + _shift(u - fx[j], f._s[j])
+        gy = [y << kg for y in g._y] if kg else g._y
+        xs, ys, ss = [], [], []
+        _merge(0, h, gy, g._s, f_cuts, f_slopes, u + one, xs, ys, ss)
         return _plmap(w, xs, ys, ss)
 
     def inverse(self) -> "PLMap":
@@ -257,7 +233,7 @@ class PLMap(GroupElement):
         return hash((self._e, self._x, self._y, self._s))
 
     def canonical_key(self) -> tuple:
-        return tuple(self._piece_key(i) for i in range(len(self._s)))
+        return tuple(_piece_key(x, y, s, self._e) for x, y, s in zip(self._x, self._y, self._s))
 
     def is_identity(self) -> bool:
         return self._s == (0,) and self._y == (0,)
@@ -271,34 +247,35 @@ class PLMap(GroupElement):
     def support(self) -> "ArcSet":
         """The closure of the moved set: the union of the closed pieces that
         are not the identity."""
-        e = self._e
         arcs, start = [], None  # runs of moving pieces
         for i, x in enumerate(self._x):
             if self._fixes(i):
                 if start is not None:
-                    arcs.append((Dyadic(start, e), Dyadic(x, e)))
+                    arcs.append((start, x))
                     start = None
             elif start is None:
                 start = x
         if start is not None:
-            arcs.append((Dyadic(start, e), ONE))
-        return ArcSet(arcs)
+            arcs.append((start, 1 << self._e))
+        return _arcset(self._e, arcs)
 
     def identity_on(self, region: "ArcSet") -> bool:
         """Exact check that the map restricted to the closed region is the identity."""
         xs = self._x
-        for lo, hi in region.arcs:
+        d = max(self._e, region._e)
+        pe, pr = d - self._e, d - region._e
+        for lo, hi in region._cut():
+            lo, hi = lo << pr, hi << pr
             if lo == hi:
-                if self(lo) != lo.frac():
+                v, dv = self._lift(lo, d)
+                if v & ((1 << dv) - 1) != lo << (dv - d):
                     return False
                 continue
-            d = max(self._e, lo.exp, hi.exp)
-            lo_n, hi_n, pe = lo.num << (d - lo.exp), hi.num << (d - hi.exp), d - self._e
             for i, x in enumerate(xs):
-                if x << pe >= hi_n:
+                if x << pe >= hi:
                     break
                 right = xs[i + 1] if i + 1 < len(xs) else 1 << self._e
-                if right << pe > lo_n and not self._fixes(i):
+                if right << pe > lo and not self._fixes(i):
                     return False
         return True
 
@@ -331,6 +308,52 @@ def _plmap(w: int, xs: list[int], ys: list[int], ss: list[int]) -> PLMap:
     return f
 
 
+def _merge(x: int, h: int, g_cuts: Sequence[int], g_slopes: Sequence[int],
+           f_cuts: Sequence[int], f_slopes: Sequence[int], end: int,
+           xs: list[int], ys: list[int], ss: list[int]):
+    """Append to xs, ys, ss the pieces of f o g, two increasing piece lists
+    over one exponent.
+
+    g starts at the point x, and its i-th piece starts where its image
+    reaches g_cuts[i], with slope exponent g_slopes[i]; f's i-th piece
+    starts at f_cuts[i], with slope exponent f_slopes[i], and f(f_cuts[0])
+    is h, where f_cuts[0] == g_cuts[0].  Both kinds of cut are walked in
+    order up to end, where g's image stops.  The exponent must cover g's
+    steepest slope and f's shallowest, so every cut and its value are
+    integers.  A piece with the slope of the last one in ss extends it.
+    """
+    u = g_cuts[0]
+    sg, sf = g_slopes[0], f_slopes[0]
+    if not ss or sg + sf != ss[-1]:
+        xs.append(x)
+        ys.append(h)
+        ss.append(sg + sf)
+    gi = fi = 1
+    ng, nf = len(g_cuts), len(f_cuts)
+    next_g = g_cuts[1] if ng > 1 else end
+    next_f = f_cuts[1] if nf > 1 else end
+    while True:
+        v = next_g if next_g < next_f else next_f
+        if v == end:
+            return
+        step = v - u
+        x += _shift(step, -sg)
+        h += _shift(step, sf)
+        if v == next_g:
+            sg = g_slopes[gi]
+            gi += 1
+            next_g = g_cuts[gi] if gi < ng else end
+        if v == next_f:
+            sf = f_slopes[fi]
+            fi += 1
+            next_f = f_cuts[fi] if fi < nf else end
+        u = v
+        if sg + sf != ss[-1]:
+            xs.append(x)
+            ys.append(h)
+            ss.append(sg + sf)
+
+
 class _Pieces(Sequence):
     """A map's pieces as (left, slope_exp, intercept) Dyadics, built per index."""
 
@@ -343,12 +366,13 @@ class _Pieces(Sequence):
         return len(self._f._s)
 
     def __getitem__(self, i: int) -> Piece:
-        left, s, c = self._f._piece_key(i)
+        f = self._f
+        left, s, c = _piece_key(f._x[i], f._y[i], f._s[i], f._e)
         return Dyadic(*left), s, Dyadic(*c)
 
 
 def identity() -> PLMap:
-    return PLMap([(ZERO, 0, ZERO)])
+    return _plmap(0, [0], [0], [0])
 
 
 def rotation(d: Dyadic) -> PLMap:
@@ -389,11 +413,12 @@ class GermData:
 
 def germ_data(f: PLMap, x: Dyadic) -> GermData:
     """One-sided germs of f at the circle point x."""
-    x = Dyadic.coerce(x).frac()
-    i = f.piece_index(x)
+    x = Dyadic.coerce(x)
+    d = max(f._e, x.exp)
+    t, pe = x.num << (d - x.exp) & ((1 << d) - 1), d - f._e
+    i = bisect.bisect_right(f._x, t >> pe) - 1
     # at a break the left germ is the previous piece's (the last one's at 0)
-    at_break = x.exp <= f._e and x.num << (f._e - x.exp) == f._x[i]
-    li = i - 1 if at_break else i
+    li = i - 1 if f._x[i] << pe == t else i
     return GermData(f._s[li], f._fixes(li), f._s[i], f._fixes(i))
 
 
@@ -410,139 +435,169 @@ def in_derived_F(f: PLMap) -> bool:
 
 
 class ArcSet:
-    """A finite union of closed arcs of the circle.
+    """A finite union of closed arcs of the circle, stored once, canonically.
 
-    Stored cut at 0: a sorted tuple of (lo, hi) with 0 <= lo <= hi <= 1;
-    lo == hi is a single point.  Point-set semantics glue 1 back to 0.
+    The maximal arcs are integer pairs (lo, hi) over 2**_e, sorted by lo,
+    with 0 <= lo < 2**_e and lo <= hi < lo + 2**_e: an arc through 0 runs
+    past 2**_e, the point 1 is the point 0, and lo == hi is a single point.
+    The full circle is ((0, 1),) over 2**0, and _e is the least exponent
+    that makes every endpoint an integer, so equal point sets have equal
+    fields and ``==``/``hash`` compare them.
+
+    ``ArcSet(arcs)`` and ``of`` take (lo, hi) pairs with 0 <= lo <= hi <= 1;
+    ``arcs`` gives the set back cut at 0 and sorted, as Dyadic pairs.
     """
 
-    __slots__ = ("arcs",)
+    __slots__ = ("_e", "_a")
 
     def __init__(self, arcs: Iterable[tuple[Dyadic, Dyadic]]):
-        cleaned = []
-        for lo, hi in arcs:
-            lo, hi = Dyadic.coerce(lo), Dyadic.coerce(hi)
-            if not (ZERO <= lo <= hi <= ONE):
-                raise ValueError(f"arc ({lo}, {hi}) outside the fundamental domain")
-            cleaned.append((lo, hi))
-        cleaned.sort()
-        merged: list[tuple[Dyadic, Dyadic]] = []
-        for lo, hi in cleaned:
+        ends = [Dyadic.coerce(v) for arc in arcs for v in arc]
+        e, ints = _ints(*ends)
+        pairs = list(zip(ints[::2], ints[1::2]))
+        for (lo, hi), lo_d, hi_d in zip(pairs, ends[::2], ends[1::2]):
+            if not 0 <= lo <= hi <= 1 << e:
+                raise ValueError(f"arc ({lo_d}, {hi_d}) outside the fundamental domain")
+        self._set(e, pairs)
+
+    def _set(self, e: int, arcs: Iterable[tuple[int, int]]):
+        """Store the union of closed arcs (lo, hi) over 2**e, any lo and
+        0 <= hi - lo <= 1: each lo is reduced into [0, 1), overlapping or
+        touching arcs merge, the last arc absorbs those it runs over past 1,
+        and the factors of two every endpoint shares are divided out."""
+        one = 1 << e
+        mask = one - 1
+        merged: list[list[int]] = []
+        for lo, hi in sorted((lo & mask, (lo & mask) + hi - lo) for lo, hi in arcs):
             if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
+                merged[-1][1] = max(merged[-1][1], hi)
             else:
-                merged.append((lo, hi))
-        object.__setattr__(self, "arcs", tuple(merged))
+                merged.append([lo, hi])
+        if merged:
+            last = merged[-1]
+            while len(merged) > 1 and merged[0][0] + one <= last[1]:
+                last[1] = max(last[1], merged.pop(0)[1] + one)
+            if last[1] - last[0] >= one:
+                merged = [[0, one]]
+        acc = one
+        for lo, hi in merged:
+            acc |= lo | hi
+        k = (acc & -acc).bit_length() - 1
+        object.__setattr__(self, "_e", e - k)
+        object.__setattr__(self, "_a", tuple((lo >> k, hi >> k) for lo, hi in merged))
 
     def __setattr__(self, name, value):
         raise AttributeError("ArcSet is immutable")
 
     @staticmethod
     def of(*pairs) -> "ArcSet":
-        return ArcSet([(Dyadic.coerce(a), Dyadic.coerce(b)) for a, b in pairs])
+        return ArcSet(pairs)
 
     @staticmethod
     def full() -> "ArcSet":
-        return ArcSet([(ZERO, ONE)])
+        return _arcset(0, [(0, 1)])
 
     @staticmethod
     def empty() -> "ArcSet":
-        return ArcSet([])
+        return _arcset(0, [])
 
     @staticmethod
     def cells(max_depth: int):
         """Standard dyadic arcs of depth 2 up, coarsest first, then left to right."""
         for depth in range(2, max_depth + 1):
             for k in range(1 << depth):
-                yield ArcSet.of((Fraction(k, 1 << depth), Fraction(k + 1, 1 << depth)))
+                yield _arcset(depth, [(k, k + 1)])
 
     @staticmethod
     def neighbourhoods(z, max_depth: int):
         """Arcs around z, shrinking: at each depth from 2 the standard arc
         holding z, or both standard arcs that meet at a dyadic z."""
-        zf = Dyadic.coerce(z).frac().as_fraction()
+        z = Dyadic.coerce(z)
         for depth in range(2, max_depth + 1):
-            step = Fraction(1, 1 << depth)
-            scaled = zf / step
-            if scaled.denominator == 1:
-                lo = (zf - step) % 1
-                hi = lo + 2 * step
-                if hi <= 1:
-                    yield ArcSet.of((lo, hi))
-                else:
-                    yield ArcSet.of((lo, Fraction(1)), (Fraction(0), hi - 1))
+            if z.exp <= depth:
+                k = z.num << (depth - z.exp)
+                yield _arcset(depth, [(k - 1, k + 1)])
             else:
-                k = scaled.numerator // scaled.denominator
-                yield ArcSet.of((k * step, (k + 1) * step))
+                k = z.num >> (z.exp - depth)
+                yield _arcset(depth, [(k, k + 1)])
 
     def is_empty(self) -> bool:
-        return not self.arcs
+        return not self._a
 
     def is_full(self) -> bool:
-        return self.arcs == ((ZERO, ONE),)
+        return self._e == 0 and self._a == ((0, 1),)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArcSet):
             return NotImplemented
-        return self.glued() == other.glued()
+        return self._e == other._e and self._a == other._a
 
     def __hash__(self):
-        return hash(self.glued())
+        return hash((self._e, self._a))
 
     def __repr__(self):
         return "ArcSet(" + ", ".join(f"[{lo}, {hi}]" for lo, hi in self.arcs) + ")"
 
+    def _at(self, e: int) -> Sequence[tuple[int, int]]:
+        """The maximal arcs over 2**e, for e >= _e."""
+        k = e - self._e
+        return [(lo << k, hi << k) for lo, hi in self._a] if k else self._a
+
+    def _cut(self) -> list[tuple[int, int]]:
+        """The maximal arcs over 2**_e cut at 0, sorted: an arc through 0
+        gives its part from 0 first and its part up to 1 last."""
+        arcs = list(self._a)
+        one = 1 << self._e
+        if arcs and arcs[-1][1] > one:
+            lo, hi = arcs[-1]
+            arcs[-1] = (lo, one)
+            arcs.insert(0, (0, hi - one))
+        return arcs
+
+    def _gaps(self) -> list[tuple[int, int]]:
+        """The open gaps over 2**_e as (start, lifted end), each after the
+        arc that bounds it on the left."""
+        one = 1 << self._e
+        if not self._a:
+            return [(0, one)]
+        if self.is_full():
+            return []
+        starts = [lo for lo, _ in self._a[1:]] + [self._a[0][0] + one]
+        return [(hi & (one - 1), (hi & (one - 1)) + nxt - hi)
+                for (_, hi), nxt in zip(self._a, starts)]
+
+    @property
+    def arcs(self) -> tuple[tuple[Dyadic, Dyadic], ...]:
+        """The arcs cut at 0 and sorted, as (lo, hi) with 0 <= lo <= hi <= 1."""
+        e = self._e
+        return tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self._cut())
+
     def glued(self) -> tuple[tuple[Dyadic, Dyadic], ...]:
         """Maximal arcs as (start, lifted_end); wraps across 0 are rejoined."""
-        arcs = list(self.arcs)
-        if not arcs:
-            return ()
-        if self.is_full():
-            return ((ZERO, ONE),)
-        if len(arcs) > 1 and arcs[0][0] == ZERO and arcs[-1][1] == ONE:
-            first = arcs.pop(0)
-            last = arcs.pop()
-            arcs.append((last[0], first[1] + 1))
-        elif arcs[0][0] == ZERO and arcs[0][1] == ONE:
-            pass
-        return tuple(arcs)
+        e = self._e
+        return tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self._a)
 
     def contains_point(self, x: Dyadic) -> bool:
-        x = Dyadic.coerce(x).frac()
-        for lo, hi in self.arcs:
-            if lo <= x <= hi:
-                return True
-            if x == ZERO and hi == ONE:
-                return True
-        return False
+        x = Dyadic.coerce(x)
+        d = max(self._e, x.exp)
+        t, one = x.num << (d - x.exp) & ((1 << d) - 1), 1 << d
+        return any(lo <= t <= hi or t + one <= hi for lo, hi in self._at(d))
 
     def contains_fraction(self, x: Fraction) -> bool:
-        x = x - (x.numerator // x.denominator)
-        for lo, hi in self.arcs:
-            if lo.as_fraction() <= x <= hi.as_fraction():
-                return True
-            if x == 0 and hi == ONE:
-                return True
-        return False
+        p, q = x.numerator % x.denominator, x.denominator
+        one = 1 << self._e
+        return any(lo * q <= p * one <= hi * q or (p + q) * one <= hi * q for lo, hi in self._a)
 
     def subset_of(self, other: "ArcSet") -> bool:
-        if self.is_empty():
-            return True
         if other.is_full():
             return True
-        if other.is_empty():
-            return False
-        mine = self.glued()
-        theirs = other.glued()
-        for s, e in mine:
-            ok = False
+        d = max(self._e, other._e)
+        one = 1 << d
+        theirs = other._at(d)
+        for s, e in self._at(d):
             for S, E in theirs:
-                s2 = s if s >= S else s + 1
-                if s2 + (e - s) <= E:
-                    ok = True
+                if (s if s >= S else s + one) + e - s <= E:
                     break
-            if not ok:
+            else:
                 return False
         return True
 
@@ -551,57 +606,41 @@ class ArcSet:
             return True
         if self.is_full() or other.is_full():
             return False
-        for s, e in self.glued():
-            la = e - s
-            for S, E in other.glued():
-                lb = E - S
-                if (s - S).frac() <= lb or (S - s).frac() <= la:
+        d = max(self._e, other._e)
+        mask = (1 << d) - 1
+        theirs = other._at(d)
+        for s, e in self._at(d):
+            for S, E in theirs:
+                if (s - S) & mask <= E - S or (S - s) & mask <= e - s:
                     return False
         return True
 
     def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet(list(self.arcs) + list(other.arcs))
+        d = max(self._e, other._e)
+        return _arcset(d, [*self._at(d), *other._at(d)])
 
     def image(self, f: PLMap) -> "ArcSet":
-        out: list[tuple[Dyadic, Dyadic]] = []
-        for lo, hi in self.arcs:
-            if lo == ZERO and hi == ONE:
-                return ArcSet.full()
-            v_lo = f.eval_lift(lo)
-            length = f.eval_lift(hi) - v_lo
-            s = v_lo.frac()
-            e = s + length
-            if e <= ONE:
-                out.append((s, e))
-            else:
-                out.append((s, ONE))
-                out.append((ZERO, e - 1))
-        return ArcSet(out)
+        if self.is_full():
+            return self
+        ends = [f._lift(v, self._e) for arc in self._a for v in arc]
+        d = max((x for _, x in ends), default=0)
+        values = [v << (d - x) for v, x in ends]
+        return _arcset(d, zip(values[::2], values[1::2]))
 
     def preimage(self, f: PLMap) -> "ArcSet":
         return self.image(f.inverse())
 
     def complement_components(self) -> list[tuple[Dyadic, Dyadic]]:
         """Open gaps as (start, lifted_end); empty set gives the full circle."""
-        if self.is_empty():
-            return [(ZERO, ONE)]
-        if self.is_full():
-            return []
-        glued = sorted(self.glued(), key=lambda a: a[0])
-        gaps = []
-        for i, (s, e) in enumerate(glued):
-            nxt = glued[(i + 1) % len(glued)][0]
-            start = e.frac()
-            length = (nxt - e).frac()
-            if length == ZERO and len(glued) == 1:
-                length = ONE  # complement of a point or of a single closed arc endpoint-touching itself
-            gaps.append((start, start + length))
-        # a single arc whose complement wraps entirely
-        result = []
-        for s, e in gaps:
-            if e > s:
-                result.append((s, e))
-        return result
+        e = self._e
+        return [(Dyadic(s, e), Dyadic(t, e)) for s, t in self._gaps()]
+
+
+def _arcset(e: int, arcs: Iterable[tuple[int, int]]) -> ArcSet:
+    """The union of closed arcs (lo, hi) over 2**e, with 0 <= hi - lo <= 1."""
+    region = object.__new__(ArcSet)
+    region._set(e, arcs)
+    return region
 
 
 PLMap.region_type = ArcSet
@@ -622,12 +661,12 @@ def support_fix(f: PLMap) -> SupportData:
     (rational, possibly non-dyadic), and the closure of the moved set."""
     e, xs = f._e, f._x
     one = 1 << e
-    fixed: list[tuple[Dyadic, Dyadic]] = []
+    fixed: list[tuple[int, int]] = []
     points: set[Fraction] = set()
     for i, (x, right, y, s) in enumerate(zip(xs, xs[1:] + (one,), f._y, f._s)):
         if s == 0:
             if f._fixes(i):
-                fixed.append((Dyadic(x, e), Dyadic(right, e)))
+                fixed.append((x, right))
             continue
         # F(t) = t + k at t = n / 2**e: y + 2**s (n - x) = n + k 2**e, times 2**a
         a, b = max(0, -s), max(0, s)
@@ -637,12 +676,67 @@ def support_fix(f: PLMap) -> SupportData:
             num = sign * (((k - y) << a) + (x << b))
             if x * den <= num <= right * den:
                 points.add(Fraction(num, den << e) % 1)
-    arcs = ArcSet(fixed)
+    arcs = _arcset(e, fixed)
     isolated = tuple(sorted(p for p in points if not arcs.contains_fraction(p)))
     return SupportData(arcs, isolated, f.support())
 
 
-# -- interval machinery ------------------------------------------------------
+# -- constructions -------------------------------------------------------------
+
+
+def _standard(p: int, q: int, w: int) -> list[int]:
+    """The greedy partition of [p, q] over 2**w into standard intervals
+    [m/2^k, (m+1)/2^k], each the longest that starts at its left end and
+    fits, at most 1: the exponents j of their lengths 2**j over 2**w."""
+    out = []
+    while p < q:
+        j = min(w, (q - p).bit_length() - 1)
+        if p:
+            j = min(j, (p & -p).bit_length() - 1)
+        out.append(j)
+        p += 1 << j
+    return out
+
+
+def _split(cells: list[int], n: int) -> list[int]:
+    """Halve the longest cells, leftmost first, until there are n."""
+    while len(cells) < n:
+        top, extra = max(cells), n - len(cells)
+        out = []
+        for j in cells:
+            if j == top and extra:
+                out += (j - 1, j - 1)
+                extra -= 1
+            else:
+                out.append(j)
+        cells = out
+    return cells
+
+
+def _chain(w: int, points: Sequence[tuple[int, int]]) -> tuple[int, list[int], list[int], list[int]]:
+    """Pieces (W, breaks, images, slope exponents) over 2**W of the
+    increasing map through the points (x_i, y_i) over 2**w that sends each
+    [x_i, x_{i+1}] onto [y_i, y_{i+1}] cell by cell: both sides are cut
+    greedily into standard intervals and the shorter list is split until
+    they pair up.  Neighbours of equal slope merge, and W >= w is what the
+    halved cells need."""
+    cells = []
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError("points must be strictly increasing")
+        dom, ran = _standard(x0, x1, w), _standard(y0, y1, w)
+        cells += zip(_split(dom, len(ran)), _split(ran, len(dom)))
+    k = max(0, -min(min(c) for c in cells))
+    x, y = points[0][0] << k, points[0][1] << k
+    xs, ys, ss = [], [], []
+    for jx, jy in cells:
+        if not ss or jy - jx != ss[-1]:
+            xs.append(x)
+            ys.append(y)
+            ss.append(jy - jx)
+        x += 1 << (jx + k)
+        y += 1 << (jy + k)
+    return w + k, xs, ys, ss
 
 
 def standard_subdivision(p: Dyadic, q: Dyadic) -> list[tuple[Dyadic, int]]:
@@ -650,135 +744,69 @@ def standard_subdivision(p: Dyadic, q: Dyadic) -> list[tuple[Dyadic, int]]:
 
     Returns (start, k) pairs; each piece has length 2**-k.
     """
-    if not p < q:
+    w, (a, b) = _ints(Dyadic.coerce(p), Dyadic.coerce(q))
+    if not a < b:
         raise ValueError("empty interval")
     out = []
-    cur = p
-    guard = 0
-    while cur < q:
-        d = q - cur
-        k_fit = max(0, d.exp - d.num.bit_length() + 1)
-        k = max(cur.exp, k_fit)
-        out.append((cur, k))
-        cur = cur + Dyadic(1, k)
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("subdivision failed to terminate")
+    for j in _standard(a, b, w):
+        out.append((Dyadic(a, w), w - j))
+        a += 1 << j
     return out
 
 
-def _equalize(a: list[tuple[Dyadic, int]], b: list[tuple[Dyadic, int]]):
-    def split_largest(lst):
-        k_min = min(k for _, k in lst)
-        i = next(i for i, (_, k) in enumerate(lst) if k == k_min)
-        start, k = lst[i]
-        lst[i : i + 1] = [(start, k + 1), (start + Dyadic(1, k + 1), k + 1)]
-
-    while len(a) < len(b):
-        split_largest(a)
-    while len(b) < len(a):
-        split_largest(b)
-
-
 def interval_map_pieces(p: Dyadic, q: Dyadic, r: Dyadic, s: Dyadic) -> list[Piece]:
-    """Pieces of an increasing 2-power-slope PL bijection [p, q] -> [r, s]."""
-    dom = standard_subdivision(p, q)
-    ran = standard_subdivision(r, s)
-    _equalize(dom, ran)
-    pieces = []
-    for (x, kx), (y, ky) in zip(dom, ran):
-        slope_exp = kx - ky
-        pieces.append((x, slope_exp, y - x.ldexp(slope_exp)))
-    return pieces
+    """Pieces of the increasing 2-power-slope PL bijection [p, q] -> [r, s]
+    built cell by cell on standard subdivisions, equal slopes merged."""
+    w, (p, q, r, s) = _ints(*map(Dyadic.coerce, (p, q, r, s)))
+    w, xs, ys, ss = _chain(w, [(p, r), (q, s)])
+    keys = (_piece_key(x, y, slope, w) for x, y, slope in zip(xs, ys, ss))
+    return [(Dyadic(*left), slope, Dyadic(*c)) for left, slope, c in keys]
 
 
 def pl_map_through_points(points: Sequence[tuple[Dyadic, Dyadic]]) -> PLMap:
     """The circle map built cellwise through (x_i, y_i), x_0 = y_0 = 0, x_m = y_m = 1."""
-    pts = [(Dyadic.coerce(x), Dyadic.coerce(y)) for x, y in points]
-    if pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ONE):
+    w, ints = _ints(*(Dyadic.coerce(v) for point in points for v in point))
+    pts = list(zip(ints[::2], ints[1::2]))
+    if pts[0] != (0, 0) or pts[-1] != (1 << w, 1 << w):
         raise ValueError("point chain must run from (0,0) to (1,1)")
-    pieces: list[Piece] = []
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if not (x0 < x1 and y0 < y1):
-            raise ValueError("points must be strictly increasing")
-        pieces.extend(interval_map_pieces(x0, x1, y0, y1))
-    return PLMap(pieces)
+    return _plmap(*_chain(w, pts))
 
 
-def glue_segment(a: Dyadic, b: Dyadic, segment: Sequence[Piece]) -> PLMap:
-    """Extend a PL bijection of [a, b] fixing both endpoints by the identity."""
-    pieces: list[Piece] = []
-    if a > ZERO:
-        pieces.append((ZERO, 0, ZERO))
-    pieces.extend(segment)
-    if b < ONE:
-        pieces.append((b, 0, ZERO))
-    return PLMap(pieces)
-
-
-class _Segment:
-    """An increasing piecewise-affine bijection of closed dyadic intervals."""
-
-    def __init__(self, pieces: Sequence[Piece], lo: Dyadic, hi: Dyadic):
-        self.pieces = list(pieces)
-        self.lo, self.hi = lo, hi
-        self.lefts = [p[0] for p in self.pieces]
-        self.values = [l.ldexp(s) + c for l, s, c in self.pieces]
-
-    def index_at(self, t: Dyadic) -> int:
-        i = bisect.bisect_right(self.lefts, t) - 1
-        return min(max(i, 0), len(self.pieces) - 1)
-
-    def __call__(self, t: Dyadic) -> Dyadic:
-        _, s, c = self.pieces[self.index_at(t)]
-        return t.ldexp(s) + c
-
-    def slope_at(self, t: Dyadic) -> int:
-        return self.pieces[self.index_at(t)][1]
-
-    def inv(self, y: Dyadic) -> Dyadic:
-        i = bisect.bisect_right(self.values, y) - 1
-        i = min(max(i, 0), len(self.pieces) - 1)
-        _, s, c = self.pieces[i]
-        return (y - c).ldexp(-s)
+def expanding_conjugator(n: int) -> PLMap:
+    """A map trivial near 0 sending [1/4, 1/2] onto [2^-n-2, 1 - 2^-n-2]."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    one = 1 << (n + 3)
+    return _plmap(*_chain(n + 3, [(0, 0), (1, 1), (one >> 2, 2), (one >> 1, one - 2),
+                                  (one - 1, one - 1), (one, one)]))
 
 
 def conjugate_into_interval(f: PLMap, a: Dyadic, b: Dyadic) -> PLMap:
-    """Carry a point-0-stabilizing map into [a, b] along a 2-power-slope
-    identification phi of [0, 1] with [a, b]; identity outside."""
+    """Carry a point-0-stabilizing map into [a, b]: phi o f o phi^-1 on
+    [a, b] and the identity outside, where phi : [0, 1] -> [a, b] is the
+    standard-subdivision map and phi^-1 is phi with its coordinates swapped."""
     if not is_in_F(f):
         raise ValueError("only maps fixing 0 can be transported")
-    a, b = Dyadic.coerce(a), Dyadic.coerce(b)
-    if not (ZERO <= a < b <= ONE):
+    e, (lo, hi) = _ints(Dyadic.coerce(a), Dyadic.coerce(b))
+    if not 0 <= lo < hi <= 1 << e:
         raise ValueError("need 0 <= a < b <= 1")
-    phi = _Segment(interval_map_pieces(ZERO, ONE, a, b), ZERO, ONE)
-
-    def f_seg(t: Dyadic) -> Dyadic:
-        return f.eval_lift(t) if t < ONE else ONE
-
-    def f_inv_seg(t: Dyadic) -> Dyadic:
-        return f.eval_lift_inverse(t) if t < ONE else ONE
-
-    # conj = phi o f o phi^{-1} breaks where phi^{-1} breaks, where f breaks,
-    # and where the outer phi breaks
-    cuts = {a, b}
-    for left in phi.lefts:
-        cuts.add(phi(left))
-        cuts.add(phi(f_inv_seg(left)))
-    for left, _, _ in f.pieces:
-        cuts.add(phi(left))
-    ordered = sorted(x for x in cuts if a <= x <= b)
-    pieces: list[Piece] = []
-    for i, x in enumerate(ordered[:-1]):
-        x_next = ordered[i + 1]
-        if not x < x_next:
-            continue
-        mid = (x + x_next).half()
-        t = phi.inv(mid)
-        slope_exp = phi.slope_at(f_seg(t)) + f.pieces[f.piece_index(t)][1] - phi.slope_at(t)
-        val = phi(f_seg(phi.inv(x)))
-        pieces.append((x, slope_exp, val - x.ldexp(slope_exp)))
-    return glue_segment(a, b, pieces)
+    wp, px, _, ps = _chain(e, [(0, lo), (1 << e, hi)])
+    # 2**w covers each merge's inner steepest and outer shallowest slope:
+    # phi^-1 then f, and f o phi^-1, no steeper than 2**(max f - min phi),
+    # then phi
+    w = max(wp, f._e) + 2 * max(0, -min(ps)) + max(0, -min(f._s)) + max(0, max(f._s))
+    one, a, b = 1 << w, lo << (w - e), hi << (w - e)
+    px = [x << (w - wp) for x in px]
+    gx, gy, gs = [], [], []
+    _merge(a, 0, px, [-s for s in ps], [x << (w - f._e) for x in f._x], f._s, one, gx, gy, gs)
+    # phi o f o phi^-1 after the identity on [0, a], then the identity on [b, 1]
+    xs, ys, ss = ([0], [0], [0]) if a else ([], [], [])
+    _merge(a, a, gy, gs, px, ps, one, xs, ys, ss)
+    if b < one and ss[-1]:
+        xs.append(b)
+        ys.append(b)
+        ss.append(0)
+    return _plmap(w, xs, ys, ss)
 
 
 def rigid_stabilizer_gens(a: Dyadic, b: Dyadic) -> tuple[PLMap, PLMap]:
@@ -800,99 +828,45 @@ def compress(region: ArcSet, beta: Dyadic, alpha: Dyadic) -> PLMap:
     [b, beta'] toward beta' with slope 2**-n for the least sufficient n, where
     ]a, b[ is a gap of the region and alpha' = alpha/2, beta' = (1 + beta)/2.
     """
-    alpha = Dyadic.coerce(alpha)
-    beta = Dyadic.coerce(beta)
-    if not (ZERO < alpha < ONE and ZERO < beta < ONE and alpha < beta):
+    e0, (al, be) = _ints(Dyadic.coerce(alpha), Dyadic.coerce(beta))
+    if not 0 < al < be < 1 << e0:
         raise ValueError("target must be a proper open arc through 0")
     if region.is_full():
         raise ValueError("region must be a proper closed subset")
-    if _inside_target(region, beta, alpha):
+    # three more bits make the gap's quarter points and the halvings integers
+    e = max(e0, region._e) + 3
+    one = 1 << e
+    al, be = al << (e - e0), be << (e - e0)
+    # the closed region lies in the open target when it misses the closed
+    # arc from alpha to beta
+    window = _arcset(e, [(al, be)])
+    if region.disjoint_from(window):
         return identity()
-
-    a, b = _pick_gap(region)
-    alpha0 = alpha if alpha <= a else a
-    beta0 = beta if beta >= b else b
-    alpha_p = alpha0.half()
-    beta_p = (beta0 + 1).half()
-    if not ZERO < alpha_p < a < b < beta_p < ONE:
+    # ]a, b[ is the second quarter of the first gap, or of its part above 0
+    s, t = (v << (e - region._e) for v in region._gaps()[0])
+    if t > one:
+        s, t = 0, t - one
+    a, b = s + (t - s >> 2), s + (t - s >> 1)
+    a0, b0 = min(al, a), max(be, b)
+    p, q = a0 >> 1, (b0 + one) >> 1  # alpha', beta'
+    if not 0 < p < a < b < q < one:
         raise RuntimeError("the contraction windows must nest inside the circle")
-
-    n = 1
-    while True:
-        lhs1 = (a - alpha_p).ldexp(-n)
-        lhs2 = (beta_p - b).ldexp(-n)
-        if lhs1 < alpha0 - alpha_p and lhs2 < beta_p - beta0:
-            break
-        n += 1
-        if n > 4096:
-            raise RuntimeError("no contraction depth found")
-
-    c1 = alpha_p - alpha_p.ldexp(-n)
-    c2 = beta_p - beta_p.ldexp(-n)
-    ga = a.ldexp(-n) + c1
-    gb = b.ldexp(-n) + c2
-    pieces: list[Piece] = [(ZERO, 0, ZERO), (alpha_p, -n, c1)]
-    pieces.extend(interval_map_pieces(a, b, ga, gb))
-    pieces.append((b, -n, c2))
-    pieces.append((beta_p, 0, ZERO))
-    g = PLMap(pieces)
+    # the least n >= 1 with (a - p) 2**-n < a0 - p and (q - b) 2**-n < q - b0
+    n = max(1, ((a - p) // (a0 - p)).bit_length(), ((q - b) // (q - b0)).bit_length())
+    # a and b go to p + (a - p) 2**-n and q - (q - b) 2**-n, over 2**(e + n)
+    ga, gb = (p << n) + a - p, (q << n) - q + b
+    w, mx, my, ms = _chain(e + n, [(a << n, ga), (b << n, gb)])
+    k = w - e
+    xs, ys, ss = [0, p << k], [0, p << k], [0, -n]
+    for x, y, s in zip(mx + [b << k, q << k], my + [gb << (k - n), q << k], ms + [-n, 0]):
+        if s != ss[-1]:
+            xs.append(x)
+            ys.append(y)
+            ss.append(s)
+    g = _plmap(w, xs, ys, ss)
     if not in_derived_F(g):
         raise RuntimeError("compressor must lie in the derived group")
-    if not _inside_target(region.image(g), beta, alpha):
+    if not region.image(g).disjoint_from(window):
         raise RuntimeError("compressed region must land inside the target")
     return g
 
-
-def _pick_gap(region: ArcSet) -> tuple[Dyadic, Dyadic]:
-    """A dyadic open arc ]a, b[ with 0 < a < b < 1 inside the complement."""
-    comps = region.complement_components()
-    if not comps:
-        raise ValueError("region must be a proper closed subset")
-    s, e = comps[0]
-    if s < ONE < e:
-        # the gap straddles 0: keep the part just above 0
-        width = e - 1
-        return width.ldexp(-2), width.half()
-    if s == ZERO:
-        width = e - s
-        return width.ldexp(-2), width.half()
-    width = e - s
-    return s + width.ldexp(-2), s + width.half()
-
-
-def _inside_target(region: ArcSet, beta: Dyadic, alpha: Dyadic) -> bool:
-    """Is the closed region strictly inside the open arc beta -> 0 -> alpha?"""
-    if region.is_empty():
-        return True
-    if region.is_full():
-        return False
-    for s, e in region.glued():
-        length = e - s
-        if s > beta:
-            s2 = s
-        elif s < beta:
-            s2 = s + 1
-        else:
-            return False
-        if not s2 + length < alpha + 1:
-            return False
-    return True
-
-
-def expanding_conjugator(n: int) -> PLMap:
-    """A map trivial near 0 sending [1/4, 1/2] onto [2^-n-2, 1 - 2^-n-2]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    delta = Dyadic(1, n + 3)
-    lo = Dyadic(1, n + 2)
-    hi = ONE - Dyadic(1, n + 2)
-    return pl_map_through_points(
-        [
-            (ZERO, ZERO),
-            (delta, delta),
-            (Dyadic(1, 2), lo),
-            (Dyadic(1, 1), hi),
-            (ONE - delta, ONE - delta),
-            (ONE, ONE),
-        ]
-    )

@@ -329,7 +329,11 @@ class TreeAut(GroupElement):
     @staticmethod
     def from_json(pair: PermGroupPair, data: dict) -> "TreeAut":
         portrait = {(): tuple(data["default"])}
-        portrait.update((parse_vertex(k), tuple(p)) for k, p in data.get("exceptions", {}).items())
+        for key, perm in data.get("exceptions", {}).items():
+            v = parse_vertex(key)
+            if not v:
+                raise ValueError("the base vertex's permutation is 'default', not an exception")
+            portrait[v] = tuple(perm)
         return TreeAut(pair, parse_vertex(data["base_image"]), portrait)
 
 

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from germlab.plcircle import (
@@ -685,3 +685,403 @@ def test_compose_inverse_and_piece_count_build_no_dyadic(monkeypatch):
     count = len(h.pieces)
     assert built == []
     assert count == len(list(h.pieces)) > 1
+
+
+# -- the integer constructions against the Dyadic ones ----------------------------
+
+
+class _OracleSegment:
+    """An increasing piecewise-affine bijection of closed dyadic intervals,
+    evaluated piece by piece in Dyadic arithmetic."""
+
+    def __init__(self, pieces):
+        self.pieces = list(pieces)
+        self.lefts = [p[0] for p in self.pieces]
+        self.values = [l.ldexp(s) + c for l, s, c in self.pieces]
+
+    def index_at(self, t):
+        i = bisect.bisect_right(self.lefts, t) - 1
+        return min(max(i, 0), len(self.pieces) - 1)
+
+    def __call__(self, t):
+        _, s, c = self.pieces[self.index_at(t)]
+        return t.ldexp(s) + c
+
+    def slope_at(self, t):
+        return self.pieces[self.index_at(t)][1]
+
+    def inv(self, y):
+        i = bisect.bisect_right(self.values, y) - 1
+        i = min(max(i, 0), len(self.pieces) - 1)
+        _, s, c = self.pieces[i]
+        return (y - c).ldexp(-s)
+
+
+class _OracleBuild:
+    """The constructions as germlab built them in Dyadic arithmetic: greedy
+    standard subdivisions split one piece at a time, a conjugation that
+    samples a midpoint per cell, and a compressor that searches its depth."""
+
+    @staticmethod
+    def standard_subdivision(p, q):
+        out, cur = [], p
+        while cur < q:
+            d = q - cur
+            k = max(cur.exp, max(0, d.exp - d.num.bit_length() + 1))
+            out.append((cur, k))
+            cur = cur + D(1, k)
+        return out
+
+    @staticmethod
+    def equalize(a, b):
+        def split_largest(lst):
+            k_min = min(k for _, k in lst)
+            i = next(i for i, (_, k) in enumerate(lst) if k == k_min)
+            start, k = lst[i]
+            lst[i : i + 1] = [(start, k + 1), (start + D(1, k + 1), k + 1)]
+
+        while len(a) < len(b):
+            split_largest(a)
+        while len(b) < len(a):
+            split_largest(b)
+
+    @classmethod
+    def interval_map_pieces(cls, p, q, r, s):
+        dom = cls.standard_subdivision(p, q)
+        ran = cls.standard_subdivision(r, s)
+        cls.equalize(dom, ran)
+        return [(x, kx - ky, y - x.ldexp(kx - ky)) for (x, kx), (y, ky) in zip(dom, ran)]
+
+    @classmethod
+    def through_points(cls, points):
+        pieces = []
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
+            pieces.extend(cls.interval_map_pieces(x0, x1, y0, y1))
+        return _OraclePLMap(pieces)
+
+    @classmethod
+    def expanding_conjugator(cls, n):
+        delta = D(1, n + 3)
+        return cls.through_points([
+            (D(0), D(0)), (delta, delta), (D(1, 2), D(1, n + 2)),
+            (D(1, 1), D(1) - D(1, n + 2)), (D(1) - delta, D(1) - delta), (D(1), D(1))])
+
+    @classmethod
+    def conjugate_into_interval(cls, f, a, b):
+        f = _OraclePLMap(f.pieces)
+        phi = _OracleSegment(cls.interval_map_pieces(D(0), D(1), a, b))
+
+        def f_seg(t):
+            return f.eval_lift(t) if t < D(1) else D(1)
+
+        def f_inv_seg(t):
+            return f.eval_lift_inverse(t) if t < D(1) else D(1)
+
+        cuts = {a, b}
+        for left in phi.lefts:
+            cuts.add(phi(left))
+            cuts.add(phi(f_inv_seg(left)))
+        for left in f.lefts:
+            cuts.add(phi(left))
+        ordered = sorted(x for x in cuts if a <= x <= b)
+        pieces = [(D(0), 0, D(0))] if a > D(0) else []
+        for x, x_next in zip(ordered, ordered[1:]):
+            t = phi.inv((x + x_next).half())
+            s = phi.slope_at(f_seg(t)) + f.pieces[f.piece_index(t)][1] - phi.slope_at(t)
+            pieces.append((x, s, phi(f_seg(phi.inv(x))) - x.ldexp(s)))
+        if b < D(1):
+            pieces.append((b, 0, D(0)))
+        return _OraclePLMap(pieces)
+
+    @classmethod
+    def compress(cls, region, beta, alpha):
+        if cls.inside_target(region, beta, alpha):
+            return _OraclePLMap([(D(0), 0, D(0))])
+        a, b = cls.pick_gap(region)
+        alpha0 = alpha if alpha <= a else a
+        beta0 = beta if beta >= b else b
+        alpha_p = alpha0.half()
+        beta_p = (beta0 + 1).half()
+        n = 1
+        while not ((a - alpha_p).ldexp(-n) < alpha0 - alpha_p
+                   and (beta_p - b).ldexp(-n) < beta_p - beta0):
+            n += 1
+        c1 = alpha_p - alpha_p.ldexp(-n)
+        c2 = beta_p - beta_p.ldexp(-n)
+        pieces = [(D(0), 0, D(0)), (alpha_p, -n, c1)]
+        pieces.extend(cls.interval_map_pieces(a, b, a.ldexp(-n) + c1, b.ldexp(-n) + c2))
+        pieces += [(b, -n, c2), (beta_p, 0, D(0))]
+        return _OraclePLMap(pieces)
+
+    @staticmethod
+    def pick_gap(region):
+        s, e = region.complement_components()[0]
+        if s < D(1) < e:
+            width = e - 1
+            return width.ldexp(-2), width.half()
+        width = e - s
+        return s + width.ldexp(-2), s + width.half()
+
+    @staticmethod
+    def inside_target(region, beta, alpha):
+        for s, e in region.glued():
+            if s == beta:
+                return False
+            if not (s if s > beta else s + 1) + (e - s) < alpha + 1:
+                return False
+        return True
+
+
+def _dyadic_pairs(depth, size):
+    """Sorted distinct dyadics in [0, 1] on a 2**-d grid, d <= depth."""
+    return st.integers(size.bit_length(), depth).flatmap(lambda d: st.lists(
+        st.integers(0, 1 << d), min_size=size, max_size=size, unique=True).map(
+            lambda ks: [D(k, d) for k in sorted(ks)]))
+
+
+_F_LETTER_WORDS = st.one_of(
+    st.sampled_from([GEN_A, GEN_B]),
+    st.lists(st.sampled_from("abAB"), max_size=8).map(lambda w: _word("".join(w))))
+
+
+def _merged(pieces):
+    """Continuous pieces with neighbours of equal slope joined."""
+    out = []
+    for piece in pieces:
+        if not out or out[-1][1] != piece[1]:
+            out.append(piece)
+    return out
+
+
+@given(_dyadic_pairs(14, 2), _dyadic_pairs(14, 2))
+def test_subdivisions_and_interval_maps_match_oracle(dom, ran):
+    (p, q), (r, s) = dom, ran
+    assert standard_subdivision(p, q) == _OracleBuild.standard_subdivision(p, q)
+    assert interval_map_pieces(p, q, r, s) == _merged(_OracleBuild.interval_map_pieces(p, q, r, s))
+
+
+@given(_F_LETTER_WORDS, _dyadic_pairs(14, 2))
+def test_conjugate_into_interval_matches_oracle(f, interval):
+    a, b = interval
+    assert conjugate_into_interval(f, a, b).canonical_key() == (
+        _OracleBuild.conjugate_into_interval(f, a, b).canonical_key())
+
+
+@given(st.integers(1, 14).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(1, (1 << d) - 1), max_size=4, unique=True),
+    st.lists(st.integers(1, (1 << d) - 1), max_size=4, unique=True), st.just(d))))
+def test_maps_through_points_match_oracle(chain):
+    xs, ys, d = chain
+    n = min(len(xs), len(ys))
+    points = [(D(0), D(0))] + [(D(x, d), D(y, d)) for x, y in zip(sorted(xs)[:n], sorted(ys)[:n])]
+    points.append((D(1), D(1)))
+    assert pl_map_through_points(points).canonical_key() == (
+        _OracleBuild.through_points(points).canonical_key())
+
+
+def test_expanding_conjugators_match_oracle():
+    for n in range(1, 41):
+        assert expanding_conjugator(n).canonical_key() == (
+            _OracleBuild.expanding_conjugator(n).canonical_key())
+
+
+@given(_dyadic_pairs(14, 6), st.integers(1, 3), st.booleans(), _dyadic_pairs(14, 2))
+def test_compress_matches_oracle(cuts, n_arcs, wrap, target):
+    cuts = cuts[: 2 * n_arcs]
+    pairs = list(zip(cuts[::2], cuts[1::2]))
+    if wrap:
+        # the same cuts paired across 0
+        pairs = list(zip(cuts[1:-1:2], cuts[2::2])) + [(cuts[-1], D(1)), (D(0), cuts[0])]
+    region = ArcSet(pairs)
+    alpha, beta = target
+    if region.is_full() or alpha == D(0) or beta == D(1):
+        with pytest.raises(ValueError):
+            compress(region, beta, alpha)
+        return
+    g = compress(region, beta, alpha)
+    assert g.canonical_key() == _OracleBuild.compress(region, beta, alpha).canonical_key()
+    assert in_derived_F(g)
+
+
+def _pinned_constructions():
+    """Expanding conjugators, rigid stabilizers of seeded intervals, and
+    compressors of seeded regions with the arcs of each image."""
+    rng = random.Random(1607)
+    maps = [expanding_conjugator(n) for n in range(1, 41)]
+    for _ in range(100):
+        d = rng.randrange(1, 15)
+        a, b = sorted(rng.sample(range((1 << d) + 1), 2))
+        maps.extend(rigid_stabilizer_gens(D(a, d), D(b, d)))
+    images = []
+    for _ in range(200):
+        d = rng.randrange(3, 11)
+        grid = 1 << d
+        cuts = sorted(rng.sample(range(1, grid), 2 * rng.choice((1, 2, 3))))
+        pairs = [(D(lo, d), D(hi, d)) for lo, hi in zip(cuts[::2], cuts[1::2])]
+        if rng.random() < 0.3:
+            pairs = [(D(lo, d), D(hi, d)) for lo, hi in zip(cuts[1::2], cuts[2::2])]
+            pairs += [(D(cuts[-1], d), D(1)), (D(0), D(cuts[0], d))]
+        region = ArcSet.of(*pairs)
+        a, b = sorted(rng.sample(range(1, grid), 2))
+        g = compress(region, D(b, d), D(a, d))
+        maps.append(g)
+        images.append([[str(lo), str(hi)] for lo, hi in region.image(g).arcs])
+    return maps, images
+
+
+def test_construction_bytes_are_pinned():
+    # digest taken with the Dyadic constructions
+    maps, images = _pinned_constructions()
+    text = json.dumps(
+        [[g.to_json(), repr(g), repr(g.canonical_key())] for g in maps] + images, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "feef85926df4b0459fc92485922b529bd17b3afb23609ea6168a855e6737ab42")
+
+
+# -- arc sets against membership on a grid ------------------------------------------
+
+_GRID = 4  # arcs on the 2**-4 grid, decided on the 2**-5 grid
+_SPECIAL_ARCS = [
+    [], [(0, 16)], [(12, 16), (0, 4)], [(0, 0)], [(16, 16)], [(16, 16), (0, 4)],
+    [(0, 0), (8, 16)], [(4, 8), (8, 12)], [(3, 3), (3, 9)], [(0, 8), (8, 16)], [(5, 5), (11, 11)],
+]
+_ARC_LISTS = st.one_of(
+    st.sampled_from(_SPECIAL_ARCS),
+    st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)).map(sorted).map(tuple), max_size=4))
+
+
+def _region(arcs):
+    return ArcSet([(D(lo, _GRID), D(hi, _GRID)) for lo, hi in arcs])
+
+
+def _members(arcs):
+    """The points k / 2**5 of the circle in the union of the closed arcs
+    (lo, hi) over 2**4, where the point 1 is the point 0."""
+    return frozenset(k % 32 for lo, hi in arcs for k in range(2 * lo, 2 * hi + 1))
+
+
+def _holds(arcs, x):
+    """Does the circle point x lie in the union of the closed arcs over 2**4?"""
+    x = x.frac()
+    return any(D(lo, _GRID) <= x <= D(hi, _GRID) or x == 0 and hi == 16 for lo, hi in arcs)
+
+
+def _grid_points(region):
+    """The points k / 2**5 in region, read from its arcs and point by point."""
+    arcs = []
+    for lo, hi in region.arcs:
+        assert lo.exp <= _GRID and hi.exp <= _GRID
+        arcs.append((lo.num << (_GRID - lo.exp), hi.num << (_GRID - hi.exp)))
+    held = frozenset(k for k in range(32) if region.contains_point(D(k, 5)))
+    assert _members(arcs) == held
+    return held
+
+
+@given(_ARC_LISTS, _ARC_LISTS)
+@example([(16, 16)], [(0, 0)])
+@example([(0, 4), (16, 16)], [(0, 4)])
+def test_arcset_operations_match_point_oracle(left, right):
+    a, b = _region(left), _region(right)
+    ma, mb = _members(left), _members(right)
+    assert _grid_points(a) == ma and _grid_points(b) == mb
+    assert _grid_points(a.union(b)) == ma | mb
+    assert (a == b) == (ma == mb)
+    if ma == mb:
+        assert hash(a) == hash(b)
+    assert a.subset_of(b) == (ma <= mb)
+    assert a.disjoint_from(b) == (not ma & mb)
+    assert a.is_empty() == (not ma) and a.is_full() == (len(ma) == 32)
+    gaps = a.complement_components()
+    if not ma:
+        assert gaps == [(D(0), D(1))]  # the whole circle, by convention
+        return
+    outside = {k for k in range(32) for s, e in gaps if s < D(k, 5) < e or s < D(k + 32, 5) < e}
+    assert outside == set(range(32)) - ma
+
+
+@given(_ARC_LISTS, st.lists(st.sampled_from("abcABC"), max_size=3))
+def test_arcset_images_match_point_oracle(arcs, letters):
+    f = _word("".join(letters))
+    region = _region(arcs)
+    for image, back in ((region.image(f), f.inverse()), (region.preimage(f), f)):
+        # the image and the true one, back's inverse of the arcs, share a grid
+        ends = [v for arc in image.arcs for v in arc]
+        ends += [back.inverse()(D(v, _GRID)) for arc in arcs for v in arc]
+        d = max((v.exp for v in ends), default=0) + 1
+        for k in range(1 << d):
+            assert image.contains_point(D(k, d)) == _holds(arcs, back(D(k, d)))
+
+
+def test_arcset_equality_folds_the_point_one_onto_zero():
+    assert ArcSet.of((1, 1)) == ArcSet.of((0, 0))
+    assert hash(ArcSet.of((1, 1))) == hash(ArcSet.of((0, 0)))
+    quarter = ArcSet.of((0, Fraction(1, 4)))
+    with_one = ArcSet.of((0, Fraction(1, 4)), (1, 1))
+    assert with_one == quarter and hash(with_one) == hash(quarter)
+    assert with_one.subset_of(quarter) and quarter.subset_of(with_one)
+
+
+def test_invalid_regions_and_targets_raise_under_optimize():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as Q\n"
+        "from germlab.plcircle import ArcSet, GEN_A, GEN_C, compress, conjugate_into_interval\n"
+        "arc = ArcSet.of((Q(1, 2), Q(3, 4)))\n"
+        "cases = {\n"
+        "    'lo > hi': lambda: ArcSet.of((Q(1, 2), Q(1, 4))),\n"
+        "    'below 0': lambda: ArcSet.of((Q(-1, 4), Q(1, 4))),\n"
+        "    'above 1': lambda: ArcSet.of((Q(1, 2), Q(5, 4))),\n"
+        "    'target reversed': lambda: compress(arc, Q(1, 8), Q(7, 8)),\n"
+        "    'target at 0': lambda: compress(arc, Q(7, 8), 0),\n"
+        "    'target at 1': lambda: compress(arc, 1, Q(1, 8)),\n"
+        "    'full region': lambda: compress(ArcSet.of((0, 1)), Q(7, 8), Q(1, 8)),\n"
+        "    'empty interval': lambda: conjugate_into_interval(GEN_A, Q(1, 2), Q(1, 2)),\n"
+        "    'interval past 1': lambda: conjugate_into_interval(GEN_A, Q(1, 2), Q(3, 2)),\n"
+        "    'moves 0': lambda: conjugate_into_interval(GEN_C, 0, 1),\n"
+        "}\n"
+        "for name, build in cases.items():\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit('accepted: ' + name)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "1"
+
+
+def test_regions_and_constructions_build_no_dyadic(monkeypatch):
+    f = expanding_conjugator(6) * GEN_C * GEN_B
+    region, other = ArcSet.of((D(1, 3), D(5, 3))), ArcSet.of((D(7, 3), D(1)), (D(0), D(1, 2)))
+    a, b, x = D(3, 4), D(13, 5), D(5, 3)
+    beta, alpha = D(7, 3), D(1, 3)
+    built = []
+    original = D.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(D, "__init__", counting)
+    f.support()
+    f.identity_on(region)
+    f.germ_trivial_at(x)
+    support_fix(f)
+    hash(region)
+    region == other
+    region.subset_of(other)
+    region.disjoint_from(other)
+    region.union(other).contains_point(x)
+    region.image(f).preimage(f)
+    list(ArcSet.cells(4))
+    list(ArcSet.neighbourhoods(x, 6))
+    expanding_conjugator(7)
+    conjugate_into_interval(GEN_B, a, b)
+    rigid_stabilizer_gens(a, b)
+    compress(other, beta, alpha)
+    compress(region, beta, alpha)
+    assert built == []

@@ -350,6 +350,12 @@ def test_json_roundtrip():
         assert TreeAut.from_json(PAIR, g.to_json()) == g
 
 
+def test_from_json_rejects_an_exception_at_the_base_vertex():
+    data = {"base_image": "", "default": [0, 1, 2, 3, 4], "exceptions": {"": [1, 2, 3, 4, 0]}}
+    with pytest.raises(ValueError, match="default"):
+        TreeAut.from_json(PAIR, data)
+
+
 # -- the recursive kernel, kept as an oracle ------------------------------------
 
 def _perm_inverse(p):
