@@ -8,7 +8,9 @@ of {0,1}^N.  Evaluation is exact on eventually periodic sequences.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .kernel import GroupElement
@@ -23,13 +25,9 @@ class NeedsRefinement(ValueError):
 
 
 def _check_word(w: str) -> str:
-    if not isinstance(w, str) or any(ch not in "01" for ch in w):
+    if not isinstance(w, str) or w.strip("01"):
         raise ValueError(f"not a binary word: {w!r}")
     return w
-
-
-def is_prefix(p: str, w: str) -> bool:
-    return w.startswith(p)
 
 
 def sibling_path(w: str) -> list[str]:
@@ -39,25 +37,29 @@ def sibling_path(w: str) -> list[str]:
 
 def word_to_int(word: str) -> int:
     """The 2-adic integer whose low binary digits, lowest first, are word."""
-    value = 0
-    for k, ch in enumerate(word):
-        if ch == "1":
-            value += 1 << k
-        elif ch != "0":
-            raise ValueError("digit words use characters 0 and 1 only")
-    return value
+    if word.strip("01"):
+        raise ValueError("digit words use characters 0 and 1 only")
+    return int(word[::-1], 2) if word else 0
 
 
 def int_to_word(value: int, length: int) -> str:
-    return "".join("1" if value >> k & 1 else "0" for k in range(length))
+    """The low length binary digits of value, lowest first."""
+    return bin(value % (1 << length) | 1 << length)[:2:-1]
 
 
-def _complete_code(words: Iterable[str]) -> bool:
+def translate_word(w: str, n: int) -> str:
+    """The word of the cylinder C_w + n under the odometer power x -> x + n."""
+    return int_to_word(word_to_int(w) + n, len(w))
+
+
+def complete_code(words: Iterable[str]) -> bool:
+    """Prefix-free, as no word starts the next in sorted order, and
+    complete, as the Kraft sum over 2^L is 2^L."""
     ws = sorted(words)
-    for i in range(len(ws) - 1):
-        if ws[i + 1].startswith(ws[i]):
-            return False
-    return sum(Fraction(1, 2 ** len(w)) for w in ws) == 1
+    if any(b.startswith(a) for a, b in zip(ws, ws[1:])):
+        return False
+    top = max(map(len, ws), default=0)
+    return sum(1 << top - len(w) for w in ws) == 1 << top
 
 
 class EventuallyPeriodic:
@@ -198,15 +200,15 @@ class Cylinders:
 
     def contains_word(self, w: str) -> bool:
         """Whole cylinder C_w inside this set."""
-        return any(is_prefix(v, w) for v in self.words)
+        return any(w.startswith(v) for v in self.words)
 
     def meets_word(self, w: str) -> bool:
-        return any(is_prefix(v, w) or is_prefix(w, v) for v in self.words)
+        return any(w.startswith(v) or v.startswith(w) for v in self.words)
 
     def contains_point(self, x) -> bool:
         """x is an EventuallyPeriodic or an odometer point."""
         d = x.digits(self.max_length())
-        return any(is_prefix(v, d) for v in self.words)
+        return any(d.startswith(v) for v in self.words)
 
     def subset_of(self, other: "Cylinders") -> bool:
         return all(other.contains_word(w) for w in self.words)
@@ -218,14 +220,9 @@ class Cylinders:
         return Cylinders(self.words + other.words)
 
     def intersect(self, other: "Cylinders") -> "Cylinders":
-        out = []
-        for w in self.words:
-            for u in other.words:
-                if is_prefix(u, w):
-                    out.append(w)
-                elif is_prefix(w, u):
-                    out.append(u)
-        return Cylinders(out)
+        # of two words that meet, the longer one spans the meet
+        return Cylinders([w if w.startswith(u) else u for w in self.words
+                          for u in other.words if w.startswith(u) or u.startswith(w)])
 
     def complement(self) -> "Cylinders":
         out: list[str] = []
@@ -247,9 +244,7 @@ class Cylinders:
         A word is read as the low binary digits of a 2-adic integer, and
         the low digits of x + n depend only on the low digits of x.
         """
-        return Cylinders(
-            int_to_word((word_to_int(w) + n) % (1 << len(w)), len(w)) for w in self.words
-        )
+        return Cylinders(translate_word(w, n) for w in self.words)
 
     def image(self, f: "PrefixMap") -> "Cylinders":
         pieces: list[str] = []
@@ -293,22 +288,20 @@ class PrefixMap(GroupElement):
             table[v] = z
         if not table:
             raise ValueError("a map needs at least one rule")
-        if not _complete_code(table.keys()):
+        if not complete_code(table.keys()):
             raise ValueError("domain words do not form a complete prefix code")
-        if len(set(table.values())) != len(table) or not _complete_code(table.values()):
+        # a repeated range word starts the next one in sorted order
+        if not complete_code(table.values()):
             raise ValueError("range words do not form a complete prefix code")
-        changed = True
-        while changed:
-            changed = False
-            for v, z in list(table.items()):
-                if v.endswith("0") and z.endswith("0"):
-                    v1, z1 = v[:-1] + "1", z[:-1] + "1"
-                    if table.get(v1) == z1:
-                        del table[v], table[v1]
-                        table[v[:-1]] = z[:-1]
-                        changed = True
-                        break
-        object.__setattr__(self, "rules", tuple(sorted(table.items())))
+        out: list[tuple[str, str]] = []
+        for rule in sorted(table.items()):
+            out.append(rule)
+            # sibling rules u0 -> r0, u1 -> r1 are adjacent in domain order;
+            # merge them bottom-up into u -> r
+            while len(out) > 1 and all(
+                    b.endswith("1") and a == b[:-1] + "0" for a, b in zip(*out[-2:])):
+                out[-2:] = [(out[-2][0][:-1], out[-2][1][:-1])]
+        object.__setattr__(self, "rules", tuple(out))
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixMap is immutable")
@@ -323,14 +316,10 @@ class PrefixMap(GroupElement):
         """Composition self o other (apply other first)."""
         if not isinstance(other, PrefixMap):
             return NotImplemented
-        out = []
-        for v, w in other.rules:
-            for p, q in self.rules:
-                if is_prefix(p, w):
-                    out.append((v, q + w[len(p):]))
-                elif is_prefix(w, p) and len(p) > len(w):
-                    out.append((v + p[len(w):], q))
-        return PrefixMap(out)
+        # a rule p -> q over w takes v to q + the rest of w, and a rule
+        # under w takes v + the rest of p to q; the other rest is empty
+        return PrefixMap([(v + p[len(w):], q + w[len(p):])
+                          for v, w in other.rules for p, q in self._meeting(w)])
 
     def inverse(self) -> "PrefixMap":
         return PrefixMap([(z, v) for v, z in self.rules])
@@ -355,13 +344,20 @@ class PrefixMap(GroupElement):
 
     # -- action -------------------------------------------------------------
 
+    def _meeting(self, w: str) -> tuple[tuple[str, str], ...]:
+        """The rules whose domain cylinders meet C_w, in domain order.
+
+        The one rule over w is the last one at or before w; else the rules
+        under w follow it in one block, which ends before w + "2".
+        """
+        rules = self.rules
+        k = bisect_right(rules, w, key=itemgetter(0))
+        if k and w.startswith(rules[k - 1][0]):
+            return rules[k - 1 : k]
+        return rules[k : bisect_left(rules, w + "2", key=itemgetter(0))]
+
     def rule_at(self, x: EventuallyPeriodic) -> tuple[str, str]:
-        depth = max(len(v) for v, _ in self.rules)
-        d = x.digits(depth)
-        for v, z in self.rules:
-            if is_prefix(v, d):
-                return v, z
-        raise AssertionError("complete code must cover every sequence")
+        return self._meeting(x.digits(max(len(v) for v, _ in self.rules)))[0]
 
     def __call__(self, x: EventuallyPeriodic) -> EventuallyPeriodic:
         v, z = self.rule_at(x)
@@ -370,22 +366,14 @@ class PrefixMap(GroupElement):
 
     def evaluate_on(self, c: str) -> str:
         """Image word of the cylinder C_c when c refines a single rule."""
-        c = _check_word(c)
-        for v, z in self.rules:
-            if is_prefix(v, c):
-                return z + c[len(v):]
-        raise NeedsRefinement(f"cylinder {c!r} spans several rules")
+        v, z = self._meeting(_check_word(c))[0]
+        if len(v) > len(c):
+            raise NeedsRefinement(f"cylinder {c!r} spans several rules")
+        return z + c[len(v):]
 
     def image_words(self, w: str) -> list[str]:
         """The image of C_w as a list of cylinder words (any coarseness)."""
-        w = _check_word(w)
-        out = []
-        for v, z in self.rules:
-            if is_prefix(v, w):
-                return [z + w[len(v):]]
-            if is_prefix(w, v):
-                out.append(z)
-        return out
+        return [z + w[len(v):] for v, z in self._meeting(_check_word(w))]
 
     # -- regions and germs ----------------------------------------------------
 
@@ -395,11 +383,7 @@ class PrefixMap(GroupElement):
 
     def identity_on(self, region: Cylinders) -> bool:
         """Exact identity on every cylinder of the region."""
-        for w in region.words:
-            for v, z in self.rules:
-                if (is_prefix(v, w) or is_prefix(w, v)) and v != z:
-                    return False
-        return True
+        return all(v == z for w in region.words for v, z in self._meeting(w))
 
     def germ_trivial_at(self, x: EventuallyPeriodic) -> bool:
         return germ_class(self, x) == GERM_FIXES
@@ -424,9 +408,9 @@ def rule_fixed_point(v: str, z: str) -> Optional[EventuallyPeriodic]:
     """
     if v == z:
         return EventuallyPeriodic(v, "0")
-    if is_prefix(v, z):
+    if z.startswith(v):
         return EventuallyPeriodic(v, z[len(v):])
-    if is_prefix(z, v):
+    if v.startswith(z):
         return EventuallyPeriodic(v, v[len(z):])
     return None
 

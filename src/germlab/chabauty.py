@@ -140,7 +140,7 @@ def ball(group, radius, budget=None):
     elements = [group.identity]
     words = [""]
     frontier = [group.identity]
-    for _ in range(radius):
+    for filling in range(1, radius + 1):
         nxt = []
         for element in frontier:
             base = seen[_key(element)]
@@ -151,7 +151,8 @@ def ball(group, radius, budget=None):
                     continue
                 if len(elements) + 1 > limit:
                     raise BudgetError(
-                        "ball exceeds the %d-element budget" % limit
+                        "ball exceeds the %d-element budget at radius %d of %d,"
+                        " with %d elements" % (limit, filling, radius, len(elements))
                     )
                 seen[k] = base + label
                 elements.append(candidate)

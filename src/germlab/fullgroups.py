@@ -3,18 +3,20 @@
 A point of the Cantor set {0,1}^N with digits d0 d1 d2 ... is encoded as
 the 2-adic value sum(d_k * 2^k).  Eventually periodic digit sequences are
 exactly the rationals with odd denominator, and the odometer (add one with
-carry) becomes literal rational addition, so every orbit computation here
-is plain Fraction arithmetic.
+carry) becomes literal rational addition; tables and patches are integers.
 
 Clopen subsets are cantorv.Cylinders: finite unions of cylinders
-C_w = {x : x starts with w}, whose translate(n) is the image under x -> x + n.
-Elements of the full group carry a finite table of (clopen piece, integer
-shift) pairs.
+C_w = {x : x starts with w}; translate(n), the image under x -> x + n, adds
+n to each word read as a 2-adic integer.  Elements of the full group carry
+a finite table of (clopen piece, integer shift) pairs, checked by a sorted
+sweep per side and an integer Kraft sum.  The Schreier patch of an orbit
+is a set of integers whose graph distances come from a greedy sweep.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .cantorv import Cylinders, int_to_word, word_to_int
+from .cantorv import Cylinders, complete_code, int_to_word, translate_word, word_to_int
 from .chabauty import BudgetError, element_budget
 from .kernel import GroupElement
 
@@ -54,11 +56,8 @@ class OdometerPoint:
         return cls.from_digits(pre, per)
 
     def digits(self, n):
-        if n == 0:
-            return ""
         p, q = self.value.numerator, self.value.denominator
-        r = p * pow(q, -1, 1 << n) % (1 << n)
-        return int_to_word(r, n)
+        return int_to_word(p * pow(q, -1, 1 << n), n)
 
     def preperiod_period(self):
         seen = {}
@@ -90,6 +89,22 @@ class OdometerPoint:
         return "OdometerPoint(%r, %r)" % (pre, per)
 
 
+def _first_meeting(words):
+    """The least pair (i, j), i < j, of pieces whose cylinders meet, from
+    (word, piece) pairs; None when the pieces are disjoint.
+
+    In sorted order the words that start a word w are the ones left on a
+    stack of prefixes, so one sweep meets every such pair.
+    """
+    pairs, stack = [], []
+    for w, i in sorted(words):
+        while stack and not w.startswith(stack[-1][0]):
+            stack.pop()
+        pairs += [(min(i, j), max(i, j)) for _, j in stack]
+        stack.append((w, i))
+    return min(pairs, default=None)
+
+
 class FullGroupElement(GroupElement):
     """A homeomorphism locally equal to odometer powers.
 
@@ -106,20 +121,22 @@ class FullGroupElement(GroupElement):
             if not isinstance(shift, int):
                 raise ValueError("shifts must be integers")
             by_shift.setdefault(shift, []).extend(piece.words)
-        pieces = sorted(
+        pieces = tuple(sorted(
             (shift, Cylinders(words)) for shift, words in by_shift.items() if words
-        )
-        images = [piece.translate(shift) for shift, piece in pieces]
-        for i, (_, piece) in enumerate(pieces):
-            for j in range(i + 1, len(pieces)):
-                if not piece.disjoint_from(pieces[j][1]):
-                    raise ValueError("domain pieces overlap")
-                if not images[i].disjoint_from(images[j]):
-                    raise ValueError("image pieces overlap")
-        if (sum(piece.measure() for _, piece in pieces) != 1
-                or sum(image.measure() for image in images) != 1):
+        ))
+        words = [(w, i) for i, (_, piece) in enumerate(pieces) for w in piece.words]
+        domain = _first_meeting(words)
+        image = _first_meeting(
+            [(translate_word(w, pieces[i][0]), i) for w, i in words])
+        # the first meeting pair of pieces names the side, the domain first
+        if domain is not None and (image is None or domain <= image):
+            raise ValueError("domain pieces overlap")
+        if image is not None:
+            raise ValueError("image pieces overlap")
+        # translation keeps measure, so the images cover when the pieces do
+        if not complete_code(w for w, _ in words):
             raise ValueError("pieces must partition the space")
-        object.__setattr__(self, "table", tuple((shift, piece) for shift, piece in pieces))
+        object.__setattr__(self, "table", pieces)
 
     def __setattr__(self, name, value):
         raise AttributeError("FullGroupElement is immutable")
@@ -232,7 +249,9 @@ class SchreierPatch:
 
     Distances in the acting copy of Z are word-metric distances for the
     generating set {-s, ..., -1, 1, ..., s} with s = s_bound, i.e.
-    d(y, z) = ceil(|y - z| / s_bound).  Vertices at d <= 3 are joined.
+    d(y, z) = ceil(|y - z| / s_bound).  Vertices at d <= 3, at most
+    3 * s_bound apart, are joined: on the sorted vertices a greedy sweep,
+    not a breadth-first search, gives the graph distances.
     """
 
     __slots__ = ("u", "x", "radius", "s_bound", "vertices", "edges")
@@ -242,58 +261,45 @@ class SchreierPatch:
             raise ValueError("base point must lie in u")
         if s_bound < 1 or radius < 1:
             raise ValueError("s_bound and radius must be positive")
-        vertices = tuple(
-            n for n in range(-radius, radius + 1) if u.contains_point(x + n)
-        )
-        edges = tuple(
-            (a, b)
-            for i, a in enumerate(vertices)
-            for b in vertices[i + 1 :]
-            if 0 < b - a <= 3 * s_bound
-        )
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "s_bound", s_bound)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+        # x + n lies in C_w when n = w - x mod 2^|w|, reading the digits as
+        # 2-adic integers: one arithmetic progression per word
+        low = word_to_int(x.digits(u.max_length()))
+        vertices = tuple(sorted(
+            n for w in u.words for n in range(
+                (word_to_int(w) - low + radius) % (1 << len(w)) - radius,
+                radius + 1, 1 << len(w))))
+        edges = tuple((a, b) for i, a in enumerate(vertices)
+                      for b in vertices[i + 1 : bisect_right(vertices, a + 3 * s_bound)])
+        for name, value in zip(self.__slots__, (u, x, radius, s_bound, vertices, edges)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SchreierPatch is immutable")
 
-    def ambient_distance(self, y, z):
-        return -(-abs(y - z) // self.s_bound)
-
     def graph_distances(self, source):
-        dist = {source: 0}
-        frontier = [source]
-        adjacency = {}
-        for a, b in self.edges:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adjacency.get(v, ()):
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
+        """Graph distance from source to every vertex it reaches."""
+        if source not in self.vertices:
+            return {source: 0}
+        i, reach = self.vertices.index(source), 3 * self.s_bound
+        left, right = self.vertices[i::-1], self.vertices[i:]
+        dist = dict(zip(left, _sweep([-v for v in left], reach)))
+        dist.update(zip(right, _sweep(right, reach)))
         return dist
 
+    def _bound(self, margin):
+        return self.radius - (3 * self.radius // 4 if margin is None else margin)
+
     def interior(self, margin=None):
-        if margin is None:
-            margin = 3 * self.radius // 4
-        bound = self.radius - margin
+        bound = self._bound(margin)
         return tuple(n for n in self.vertices if abs(n) <= bound)
 
     def one_density_holds(self, margin=None):
         """Every group element in the window is one S-step from a vertex."""
-        if margin is None:
-            margin = 3 * self.radius // 4
-        bound = self.radius - margin
+        line, s, bound = self.vertices, self.s_bound, self._bound(margin)
         for m in range(-bound, bound + 1):
-            if not any(abs(m - v) <= self.s_bound for v in self.vertices):
+            # the least vertex at or right of m - s is the one to try
+            i = bisect_left(line, m - s)
+            if i == len(line) or line[i] > m + s:
                 return False
         return True
 
@@ -307,6 +313,25 @@ class SchreierPatch:
         return "\n".join(lines) + "\n"
 
 
+def _sweep(line, reach):
+    """Graph distances from line[0] along sorted vertices joined when at
+    most reach apart, up to the first wider gap.
+
+    A farthest jump is a shortest path, so distance k + 1 holds the
+    vertices after the last one at distance k and at most reach beyond it.
+    """
+    out, k = [], 0
+    bound = last = line[0]
+    for v in line:
+        if v > bound:
+            k, bound = k + 1, last + reach
+            if v > bound:
+                break
+        out.append(k)
+        last = v
+    return out
+
+
 def schreier_patch(u, s_bound, x, radius):
     return SchreierPatch(u, s_bound, x, radius)
 
@@ -315,30 +340,27 @@ def quasi_isometry_check(patch, margin=None):
     """Verify delta <= d <= 3*delta on interior vertex pairs.
 
     Returns a report dict with every violating pair (empty on success) and
-    the maximal ratio d/delta reached, as an exact fraction string.
+    the maximal ratio d/delta reached, as an exact fraction string.  The
+    interior is a run of consecutive vertices, so shortest paths between
+    them stay inside it, and one sweep from each gives every delta.
     """
-    inner = patch.interior(margin)
+    inner, s = patch.interior(margin), patch.s_bound
     violations = []
-    max_ratio = Fraction(0)
-    pairs = 0
+    top, bottom = 0, 1
     for i, y in enumerate(inner):
-        dist = patch.graph_distances(y)
-        for z in inner[i + 1 :]:
-            pairs += 1
-            d = patch.ambient_distance(y, z)
-            delta = dist.get(z)
-            if delta is None:
-                violations.append({"pair": [y, z], "reason": "disconnected"})
-                continue
+        dist = _sweep(inner[i:], 3 * s)
+        for z, delta in zip(inner[i + 1 :], dist[1:]):
+            d = -(-(z - y) // s)
             if not delta <= d <= 3 * delta:
-                violations.append(
-                    {"pair": [y, z], "ambient": d, "graph": delta}
-                )
-                continue
-            max_ratio = max(max_ratio, Fraction(d, delta))
+                violations.append({"pair": [y, z], "ambient": d, "graph": delta})
+            elif d * bottom > top * delta:
+                top, bottom = d, delta
+        violations += ({"pair": [y, z], "reason": "disconnected"}
+                       for z in inner[i + len(dist) :])
+    max_ratio = Fraction(top, bottom)
     return {
         "interior_vertices": len(inner),
-        "pairs": pairs,
+        "pairs": len(inner) * (len(inner) - 1) // 2,
         "violations": violations,
         "max_ratio": "%d/%d" % (max_ratio.numerator, max_ratio.denominator),
         "one_dense": patch.one_density_holds(margin),

@@ -631,7 +631,8 @@ class ArcSet:
         return self.image(f.inverse())
 
     def complement_components(self) -> list[tuple[Dyadic, Dyadic]]:
-        """Open gaps as (start, lifted_end); empty set gives the full circle."""
+        """Open gaps as (start, lifted_end); the empty set gives [(0, 1)], the
+        open arc (0, 1), which leaves out the point 0."""
         e = self._e
         return [(Dyadic(s, e), Dyadic(t, e)) for s, t in self._gaps()]
 

@@ -294,13 +294,14 @@ def _suite_compress(config):
             alpha, beta = Dyadic(a, depth), Dyadic(b, depth)
             g = compress(region, beta, alpha)
             target = ArcSet.of((Dyadic(0), alpha), (beta, Dyadic(1)))
-            arcs = [[str(lo), str(hi)] for lo, hi in region.arcs]
             if not in_derived_F(g):
-                _fail(reason="compressor outside derived group",
-                      region=arcs, beta=str(beta), alpha=str(alpha))
-            if not region.image(g).subset_of(target):
-                _fail(reason="image escapes target",
-                      region=arcs, beta=str(beta), alpha=str(alpha))
+                reason = "compressor outside derived group"
+            elif not region.image(g).subset_of(target):
+                reason = "image escapes target"
+            else:
+                continue
+            _fail(reason=reason, region=[[str(lo), str(hi)] for lo, hi in region.arcs],
+                  beta=str(beta), alpha=str(alpha))
         return {"instances": instances}
 
     def cylinder_instances(rng):
@@ -528,6 +529,7 @@ def make_level_check(pair, ray, depth, max_dist):
         for v in vertices:
             levels.setdefault(busemann_level(v, ray), []).append(v)
         pairs_checked = 0
+        memo = {}
         for same in levels.values():
             for i, v in enumerate(same):
                 for w in same[i + 1:]:
@@ -536,7 +538,7 @@ def make_level_check(pair, ray, depth, max_dist):
                         lcp += 1
                     if len(v) + len(w) - 2 * lcp > max_dist:
                         continue
-                    word = level_transitivity_witness(pair, ray, v, w)
+                    word = level_transitivity_witness(pair, ray, v, w, memo)
                     cur = v
                     for step in word:
                         cur = step.act_on(cur)

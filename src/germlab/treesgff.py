@@ -446,13 +446,15 @@ def cocycle_failure(g: TreeAut, h: TreeAut, gh: TreeAut, radius: int) -> Optiona
 
 
 def level_transitivity_witness(pair: PermGroupPair, xi_prefix: Vertex, v: Vertex,
-                               w: Vertex) -> list[TreeAut]:
+                               w: Vertex, memo: Optional[dict] = None) -> list[TreeAut]:
     """Elements whose product carries v to w while fixing half-trees at the end.
 
     Follows the even-distance induction: push each endpoint to its unique
     neighbour one level closer to the end, recurse, and finish with a
     single permuter at the shared neighbour, which swings the image onto
-    w while keeping the end's direction pinned.
+    w while keeping the end's direction pinned.  Calls for one pair and
+    one end may share a memo dict, which keeps the witness of every
+    pushed-up pair, so the pairs that push up to it build it once.
     """
     if not pair.two_transitive():
         raise ValueError("needs a 2-transitive large group")
@@ -463,7 +465,12 @@ def level_transitivity_witness(pair: PermGroupPair, xi_prefix: Vertex, v: Vertex
         return []
     pv = neighbour(v, direction_toward(v, xi))
     pw = neighbour(w, direction_toward(w, xi))
-    word = level_transitivity_witness(pair, xi, pv, pw)
+    if memo is None:
+        memo = {}
+    if (pv, pw) not in memo:
+        # a tuple, as the word below grows
+        memo[pv, pw] = tuple(level_transitivity_witness(pair, xi, pv, pw, memo))
+    word = list(memo[pv, pw])
     cur = reduce(lambda x, step: step.act_on(x), word, v)
     if cur == w:
         return word

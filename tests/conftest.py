@@ -9,8 +9,8 @@ except ImportError:  # only the property-test modules need Hypothesis
 if settings is not None:
     # property tests replay the same examples on every run and keep no
     # example database; the constants Hypothesis mines from the source are
-    # cached in a temporary directory removed at exit, so no .hypothesis/
-    # appears
+    # cached in a temporary directory removed when the session ends, so no
+    # .hypothesis/ appears
     settings.register_profile("germlab", derandomize=True, deadline=None, database=None)
     settings.load_profile("germlab")
     _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="germlab-hypothesis-")
@@ -40,6 +40,11 @@ CRITERIA = {
 }
 
 _results = {}
+
+
+def pytest_unconfigure(config):
+    if settings is not None:
+        _HYPOTHESIS_HOME.cleanup()
 
 
 def pytest_runtest_logreport(report):

@@ -304,3 +304,114 @@ def test_json_roundtrip():
         f = rand_word(rng, 4)
         assert PrefixMap.from_json(f.to_json()) == f
     assert GEN_VA.to_json() == {"rules": [["00", "0"], ["01", "10"], ["1", "11"]]}
+
+
+# -- oracle: prefix maps simulated on digit strings ----------------------------
+
+
+def _simulate(rules, c):
+    """The image word of the cylinder C_c under a list of exchange rules,
+    from the first rule whose domain word starts c; None if none does."""
+    for v, z in rules:
+        if c.startswith(v):
+            return z + c[len(v):]
+    return None
+
+
+def _all_words(n):
+    return [format(k, "0%db" % n) if n else "" for k in range(1 << n)]
+
+
+def _depth(f):
+    return max(len(v) for v, _ in f.rules)
+
+
+def _refine(rng, rules):
+    """The same exchange, with some rules cut along both children."""
+    out = []
+    for v, z in rules:
+        if len(v) < 5 and rng.random() < 0.5:
+            out.extend(_refine(rng, [(v + "0", z + "0"), (v + "1", z + "1")]))
+        else:
+            out.append((v, z))
+    return out
+
+
+def _oracle_map_error(rules):
+    """The constructor's checks with Fraction Kraft sums and a duplicate scan."""
+    table = {}
+    for v, z in rules:
+        if not isinstance(v, str) or any(ch not in "01" for ch in v):
+            return "not a binary word: %r" % (v,)
+        if not isinstance(z, str) or any(ch not in "01" for ch in z):
+            return "not a binary word: %r" % (z,)
+        if v in table:
+            return "duplicate domain word %r" % (v,)
+        table[v] = z
+
+    def complete(words):
+        ws = sorted(words)
+        if any(ws[i + 1].startswith(ws[i]) for i in range(len(ws) - 1)):
+            return False
+        return sum(Fraction(1, 2 ** len(w)) for w in ws) == 1
+
+    if not table:
+        return "a map needs at least one rule"
+    if not complete(table):
+        return "domain words do not form a complete prefix code"
+    if len(set(table.values())) != len(table) or not complete(table.values()):
+        return "range words do not form a complete prefix code"
+    return None
+
+
+def test_prefix_maps_match_digit_string_simulation():
+    rng = random.Random(907)
+    for _ in range(60):
+        f, g = rand_word(rng, rng.randrange(1, 5)), rand_word(rng, rng.randrange(1, 5))
+        # reduced form: sorted, no sibling pair left, and the action of
+        # any refinement of the rules
+        for h in (f, g):
+            domain = [v for v, _ in h.rules]
+            assert domain == sorted(domain)
+            assert not any(v.endswith("0") and (v[:-1] + "1", z[:-1] + "1") in h.rules
+                           and z.endswith("0") for v, z in h.rules)
+            refined = _refine(rng, h.rules)
+            rng.shuffle(refined)
+            assert PrefixMap(refined) == h
+            for c in _all_words(max(len(v) for v, _ in refined)):
+                assert _simulate(refined, c) == _simulate(h.rules, c)
+        fg, f_inv = f * g, f.inverse()
+        for c in _all_words(_depth(f) + _depth(g)):
+            assert _simulate(fg.rules, c) == _simulate(f.rules, _simulate(g.rules, c))
+        for c in _all_words(_depth(f) + _depth(f_inv)):
+            assert _simulate(f_inv.rules, _simulate(f.rules, c)) == c
+
+
+def test_prefix_map_checks_match_fraction_oracle():
+    rng = random.Random(908)
+    seen = set()
+    for _ in range(600):
+        rules = _refine(rng, rand_word(rng, rng.randrange(4)).rules)
+        kind = rng.randrange(5)
+        if kind == 1:
+            del rules[rng.randrange(len(rules))]
+        elif kind == 2:
+            k = rng.randrange(len(rules))
+            rules[k] = (rules[k][0], rules[k][1] + rng.choice("01"))
+        elif kind == 3:
+            k = rng.randrange(len(rules))
+            rules.append((rules[k][0] + rng.choice(["", "0", "1"]), rules[k][1] + "1"))
+        elif kind == 4:
+            rules[rng.randrange(len(rules))] = rng.choice([("2", "0"), (0, "1"), ("0", "x")])
+        rng.shuffle(rules)
+        want = _oracle_map_error(rules)
+        try:
+            PrefixMap(rules)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        seen.add(want.split(":")[0].split(" ")[0] if want else None)
+    assert seen == {None, "a", "not", "duplicate", "domain", "range"}
+    with pytest.raises(ValueError, match="at least one rule"):
+        PrefixMap([])

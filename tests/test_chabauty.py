@@ -81,6 +81,12 @@ def test_ball_budget():
         ball(F, 3, budget=10)
 
 
+def test_ball_budget_error_names_radius_and_size():
+    # F's ball has 5 elements at radius 1 and 17 at radius 2
+    with pytest.raises(BudgetError, match=r"10-element budget at radius 2 of 3, with 10 elements"):
+        ball(F, 3, budget=10)
+
+
 def test_ball_budget_env(monkeypatch):
     monkeypatch.setenv("GERMLAB_BUDGET", "5")
     with pytest.raises(BudgetError):

@@ -184,6 +184,15 @@ def test_tree_verify_obeys_budget(capsys, monkeypatch):
     assert "budget" in err and "Traceback" not in err
 
 
+def test_chabauty_budget_error_names_the_radius(capsys, monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "20")
+    code, out, err = run(capsys, "chabauty", "--group", "F", "--h", "whole",
+                         "--k", "trivial", "--radius", "3")
+    assert code == 2 and out == ""
+    assert "budget at radius 3 of 3, with 20 elements" in err
+    assert "Traceback" not in err
+
+
 def test_small_budget_does_not_stop_the_import(tmp_path):
     # the suites build their tree pair on first use, not at import
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

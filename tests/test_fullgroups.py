@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import reduce
@@ -319,3 +322,224 @@ def test_dot_export():
     assert dot.startswith("graph schreier_patch {")
     assert '"0" -- "2";' in dot
     assert dot == patch.to_dot()
+
+
+# -- oracles: the quadratic constructions the sorted sweeps replaced ----------
+
+
+class _OraclePatch:
+    """The Schreier patch with every vertex pair scanned for edges, one BFS
+    per source and a scan of all vertices per point for 1-density."""
+
+    def __init__(self, u, s_bound, x, radius):
+        self.radius, self.s_bound = radius, s_bound
+        self.vertices = tuple(n for n in range(-radius, radius + 1) if u.contains_point(x + n))
+        self.edges = tuple(
+            (a, b)
+            for i, a in enumerate(self.vertices)
+            for b in self.vertices[i + 1:]
+            if 0 < b - a <= 3 * s_bound
+        )
+
+    def graph_distances(self, source):
+        adjacency = {}
+        for a, b in self.edges:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        dist, frontier = {source: 0}, [source]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adjacency.get(v, ()):
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
+    def one_density_holds(self, margin=None):
+        bound = self.radius - (3 * self.radius // 4 if margin is None else margin)
+        return all(
+            any(abs(m - v) <= self.s_bound for v in self.vertices)
+            for m in range(-bound, bound + 1)
+        )
+
+    def quasi_isometry_check(self, margin=None):
+        bound = self.radius - (3 * self.radius // 4 if margin is None else margin)
+        inner = tuple(n for n in self.vertices if abs(n) <= bound)
+        violations, max_ratio, pairs = [], Fraction(0), 0
+        for i, y in enumerate(inner):
+            dist = self.graph_distances(y)
+            for z in inner[i + 1:]:
+                pairs += 1
+                d = -(-abs(y - z) // self.s_bound)
+                delta = dist.get(z)
+                if delta is None:
+                    violations.append({"pair": [y, z], "reason": "disconnected"})
+                elif not delta <= d <= 3 * delta:
+                    violations.append({"pair": [y, z], "ambient": d, "graph": delta})
+                else:
+                    max_ratio = max(max_ratio, Fraction(d, delta))
+        return {
+            "interior_vertices": len(inner),
+            "pairs": pairs,
+            "violations": violations,
+            "max_ratio": "%d/%d" % (max_ratio.numerator, max_ratio.denominator),
+            "one_dense": self.one_density_holds(margin),
+        }
+
+
+def _patch_cases():
+    rng = random.Random(71)
+    # unit generators cannot cross the gaps of 16 in C_0000: disconnected
+    yield Clopen.of("0000"), 1, OdometerPoint(0), 60, None
+    yield Clopen.of("0000"), 4, OdometerPoint(0), 60, 10
+    yield Clopen.full(), 1, OdometerPoint(0), 12, 0
+    for _ in range(120):
+        words = ["".join(rng.choice("01") for _ in range(rng.randrange(6)))
+                 for _ in range(rng.randrange(1, 4))]
+        u = Clopen(words)
+        w = rng.choice(u.words)
+        x = OdometerPoint.from_digits(w + "".join(rng.choice("01") for _ in range(3)),
+                                      rng.choice(["0", "1", "01", "110"]))
+        radius = rng.randrange(1, 70)
+        margin = rng.choice([None, 0, rng.randrange(radius + 1)])
+        yield u, rng.randrange(1, 5), x, radius, margin
+
+
+def test_patch_sweep_matches_bfs_oracle():
+    disconnected = 0
+    for u, s_bound, x, radius, margin in _patch_cases():
+        patch = schreier_patch(u, s_bound, x, radius)
+        oracle = _OraclePatch(u, s_bound, x, radius)
+        assert patch.vertices == oracle.vertices
+        assert patch.edges == oracle.edges
+        for source in patch.vertices:
+            assert patch.graph_distances(source) == oracle.graph_distances(source)
+        assert patch.graph_distances(radius + 1) == {radius + 1: 0}
+        assert patch.one_density_holds(margin) == oracle.one_density_holds(margin)
+        report = quasi_isometry_check(patch, margin)
+        assert report == oracle.quasi_isometry_check(margin)
+        disconnected += any("reason" in v for v in report["violations"])
+    assert disconnected >= 5
+
+
+def _oracle_table(table):
+    """The full-group constructor with pairwise disjointness and Fraction
+    measures: the sorted table, or the ValueError message."""
+    by_shift = {}
+    for piece, shift in table:
+        if not isinstance(shift, int):
+            return "shifts must be integers"
+        by_shift.setdefault(shift, []).extend(piece.words)
+    pieces = sorted((shift, Clopen(words)) for shift, words in by_shift.items() if words)
+    images = [piece.translate(shift) for shift, piece in pieces]
+    for i, (_, piece) in enumerate(pieces):
+        for j in range(i + 1, len(pieces)):
+            if not piece.disjoint_from(pieces[j][1]):
+                return "domain pieces overlap"
+            if not images[i].disjoint_from(images[j]):
+                return "image pieces overlap"
+    if (sum(piece.measure() for _, piece in pieces) != 1
+            or sum(image.measure() for image in images) != 1):
+        return "pieces must partition the space"
+    return tuple(pieces)
+
+
+def _split(rng, words):
+    """The same set, with some words cut into their two children."""
+    out = []
+    for w in words:
+        if len(w) < 5 and rng.random() < 0.4:
+            out.extend(_split(rng, [w + "0", w + "1"]))
+        else:
+            out.append(w)
+    return out
+
+
+def _tables():
+    rng = random.Random(72)
+    for _ in range(400):
+        g = reduce(lambda f, h: f * h, [rand_gamma(rng) for _ in range(rng.randrange(1, 4))])
+        table = []
+        for shift, piece in g.table:
+            words = _split(rng, piece.words)
+            rng.shuffle(words)
+            cut = rng.randrange(len(words) + 1)
+            # one shift may come in several entries
+            table += [(Clopen(words[:cut]), shift), (Clopen(words[cut:]), shift)]
+        kind = rng.randrange(4)
+        if kind == 1 and len(table) > 1:
+            del table[rng.randrange(len(table))]
+        elif kind == 2:
+            word = "".join(rng.choice("01") for _ in range(rng.randrange(1, 4)))
+            table.insert(rng.randrange(len(table) + 1),
+                         (Clopen.of(word), rng.randrange(-4, 5)))
+        elif kind == 3:
+            k = rng.randrange(len(table))
+            table[k] = (table[k][0], table[k][1] + rng.choice([-2, -1, 1, 2]))
+        rng.shuffle(table)
+        yield table
+
+
+def test_element_constructor_matches_pairwise_oracle():
+    verdicts = {}
+    for table in _tables():
+        want = _oracle_table(table)
+        try:
+            got = FullGroupElement(table).table
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        verdicts[want if isinstance(want, str) else "valid"] = True
+    assert set(verdicts) == {
+        "valid", "domain pieces overlap", "image pieces overlap",
+        "pieces must partition the space",
+    }
+    # tables overlapping on both sides: the first pair of pieces in shift
+    # order that meets on either side names it, the domain first
+    for want, table in (
+        # shifts 0, 1 meet in the image C_0, shifts 0, 2 in the domain C_00
+        ("image pieces overlap",
+         ((Clopen.of("0"), 0), (Clopen.of("1"), 1), (Clopen.of("00"), 2))),
+        # shifts 0, 1 meet in the domain C_00, shifts 1, 2 in the image C_10
+        ("domain pieces overlap",
+         ((Clopen.of("1"), 2), (Clopen.of("0"), 0), (Clopen.of("00"), 1))),
+        ("shifts must be integers", ((Clopen.of("0"), 0.5),)),
+    ):
+        with pytest.raises(ValueError, match=want):
+            FullGroupElement(table)
+        assert _oracle_table(table) == want
+
+
+def test_invalid_codes_and_partitions_raise_under_optimize():
+    # the checks are ValueErrors, not asserts, so python -O keeps them
+    code = (
+        "import sys\n"
+        "from germlab.cantorv import Cylinders, PrefixMap\n"
+        "from germlab.fullgroups import FullGroupElement\n"
+        "C = Cylinders.of\n"
+        "bad = [\n"
+        "    ('domain words', lambda: PrefixMap([('0', '0'), ('00', '1')])),\n"
+        "    ('domain words', lambda: PrefixMap([('0', '0')])),\n"
+        "    ('range words', lambda: PrefixMap([('0', '1'), ('1', '1')])),\n"
+        "    ('range words', lambda: PrefixMap([('0', '1'), ('1', '10')])),\n"
+        "    ('domain pieces overlap', lambda: FullGroupElement(((C('0'), 0), (C('00', '1'), 1)))),\n"
+        "    ('image pieces overlap', lambda: FullGroupElement(((C('0'), 1), (C('1'), 0)))),\n"
+        "    ('partition', lambda: FullGroupElement(((C('0'), 0),))),\n"
+        "]\n"
+        "for want, build in bad:\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError as exc:\n"
+        "        if want not in str(exc):\n"
+        "            sys.exit('wrong message: %s' % exc)\n"
+        "    else:\n"
+        "        sys.exit('accepted: ' + want)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "1"

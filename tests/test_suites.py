@@ -156,6 +156,25 @@ def test_checks_survive_python_O():
     assert by_id["cylinder-instances"]["status"] == "pass"
 
 
+def test_compress_failure_witnesses_are_pinned(monkeypatch):
+    # the witness is built only when a check fails; its bytes are those
+    # the suite wrote when it built one for every instance
+    import germlab.suites as suites
+    from germlab.plcircle import ArcSet
+
+    def arc_witness():
+        report = run_suite("compress", {"instances": 3}, seed=5)
+        return {c["id"]: c for c in report.to_json()["checks"]}["arc-instances"]["witness"]
+
+    monkeypatch.setattr(suites, "in_derived_F", lambda f: False)
+    assert arc_witness() == {"alpha": "1/8", "beta": "5/16", "region": [["1/8", "9/16"]],
+                             "reason": "compressor outside derived group"}
+    monkeypatch.setattr(suites, "in_derived_F", lambda f: True)
+    monkeypatch.setattr(ArcSet, "subset_of", lambda self, other: False)
+    assert arc_witness() == {"alpha": "1/8", "beta": "5/16", "region": [["1/8", "9/16"]],
+                             "reason": "image escapes target"}
+
+
 def test_spell_words():
     assert spell(_PL_GENS, "aA").is_identity()
     assert spell(_PL_GENS, "ab") == _PL_GENS["a"] * _PL_GENS["b"]

@@ -335,6 +335,25 @@ def test_random_level_pairs():
         count += 1
 
 
+def test_level_witness_memo_matches_fresh_witnesses():
+    memo = {}
+    levels = {}
+    for v in ball(PAIR.degree, 3):
+        levels.setdefault(busemann_level(v, XI), []).append(v)
+    pairs = [(v, w) for same in levels.values() for v in same for w in same if v != w]
+    for v, w in pairs:
+        assert level_transitivity_witness(PAIR, XI, v, w, memo) == \
+            level_transitivity_witness(PAIR, XI, v, w)
+    # the memo keeps the pushed-up pairs only, as tuples that the words
+    # extended from them leave alone
+    assert all(isinstance(word, tuple) for word in memo.values())
+    pushed = {(neighbour(v, direction_toward(v, XI)), neighbour(w, direction_toward(w, XI)))
+              for v, w in pairs}
+    assert set(memo) == pushed
+    for (v, w), word in memo.items():
+        assert list(word) == level_transitivity_witness(PAIR, XI, v, w)
+
+
 def test_vertex_formatting():
     assert parse_vertex("0.1.0") == (0, 1, 0)
     assert parse_vertex("") == ()
