@@ -3,7 +3,8 @@
 A map is given by a finite list of rules (w, z): every sequence starting
 with w is sent to the same sequence with w replaced by z.  When the w's
 and the z's each form a complete prefix code this defines a homeomorphism
-of {0,1}^N.  Evaluation is exact on eventually periodic sequences.
+of {0,1}^N.  Evaluation is exact on eventually periodic sequences, which
+are also the points the odometer x -> x + 1 of fullgroups moves.
 """
 
 from __future__ import annotations
@@ -52,6 +53,19 @@ def translate_word(w: str, n: int) -> str:
     return int_to_word(word_to_int(w) + n, len(w))
 
 
+def meeting(rules, w: str):
+    """The entries of rules whose cylinders meet C_w, in order.
+
+    rules is sorted by its first fields, which form a complete prefix
+    code.  The one entry over w is the last one at or before w; else the
+    entries under w follow it in one block, which ends before w + "2".
+    """
+    k = bisect_right(rules, w, key=itemgetter(0))
+    if k and w.startswith(rules[k - 1][0]):
+        return rules[k - 1 : k]
+    return rules[k : bisect_left(rules, w + "2", key=itemgetter(0))]
+
+
 def complete_code(words: Iterable[str]) -> bool:
     """Prefix-free, as no word starts the next in sorted order, and
     complete, as the Kraft sum over 2^L is 2^L."""
@@ -92,14 +106,15 @@ class EventuallyPeriodic:
 
     @staticmethod
     def parse(text: str) -> "EventuallyPeriodic":
-        """Parse the u(p) notation, e.g. "01(10)" for 0 1 1 0 1 0 ..."""
+        """Parse "u(p)" or "u,p", e.g. "01(10)" or "01,10" for 0 1 1 0 1 0 ..."""
         text = text.strip()
-        if "(" in text:
-            u, rest = text.split("(", 1)
-            if not rest.endswith(")"):
-                raise ValueError(f"malformed point: {text!r}")
-            return EventuallyPeriodic(u, rest[:-1])
-        raise ValueError(f"malformed point: {text!r}")
+        if text.endswith(")") and text.count("(") == 1:
+            u, p = text[:-1].split("(")
+        elif text.count(",") == 1:
+            u, p = text.split(",")
+        else:
+            raise ValueError(f"malformed point: {text!r}")
+        return EventuallyPeriodic(u, p)
 
     def digits(self, n: int) -> str:
         u, p = self.preperiod, self.period
@@ -115,6 +130,29 @@ class EventuallyPeriodic:
             return EventuallyPeriodic(u[k:], p)
         k = (k - len(u)) % len(p)
         return EventuallyPeriodic("", p[k:] + p[:k])
+
+    def __add__(self, n: int) -> "EventuallyPeriodic":
+        """The odometer power x -> x + n, the digits read as a 2-adic integer.
+
+        n is added to a head u p^k long enough to hold it; the one carry
+        out of the head (-1, 0 or +1) goes into the next copy of p, and
+        only (0) - 1 = (1) and (1) + 1 = (0) pass it on for ever.
+        """
+        if not n:
+            return self
+        u, p = self.preperiod, self.period
+        length = len(u) + len(p) * abs(n).bit_length()
+        total = word_to_int(self.digits(length)) + n
+        head, carry = int_to_word(total, length), total >> length
+        if carry:
+            value = word_to_int(p) + carry
+            if value in (-1, 1 << len(p)):
+                return EventuallyPeriodic(head, "1" if carry < 0 else "0")
+            head += int_to_word(value, len(p))
+        return EventuallyPeriodic(head, p)
+
+    def __sub__(self, n: int) -> "EventuallyPeriodic":
+        return self + -n
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventuallyPeriodic):
@@ -205,8 +243,8 @@ class Cylinders:
     def meets_word(self, w: str) -> bool:
         return any(w.startswith(v) or v.startswith(w) for v in self.words)
 
-    def contains_point(self, x) -> bool:
-        """x is an EventuallyPeriodic or an odometer point."""
+    def contains_point(self, x: EventuallyPeriodic) -> bool:
+        """x lies in the set; points of PrefixMap and of fullgroups alike."""
         d = x.digits(self.max_length())
         return any(d.startswith(v) for v in self.words)
 
@@ -218,11 +256,6 @@ class Cylinders:
 
     def union(self, other: "Cylinders") -> "Cylinders":
         return Cylinders(self.words + other.words)
-
-    def intersect(self, other: "Cylinders") -> "Cylinders":
-        # of two words that meet, the longer one spans the meet
-        return Cylinders([w if w.startswith(u) else u for w in self.words
-                          for u in other.words if w.startswith(u) or u.startswith(w)])
 
     def complement(self) -> "Cylinders":
         out: list[str] = []
@@ -246,13 +279,14 @@ class Cylinders:
         """
         return Cylinders(translate_word(w, n) for w in self.words)
 
-    def image(self, f: "PrefixMap") -> "Cylinders":
+    def image(self, f) -> "Cylinders":
+        """The image under a PrefixMap or a FullGroupElement."""
         pieces: list[str] = []
         for w in self.words:
             pieces.extend(f.image_words(w))
         return Cylinders(pieces)
 
-    def preimage(self, f: "PrefixMap") -> "Cylinders":
+    def preimage(self, f) -> "Cylinders":
         return self.image(f.inverse())
 
     def __eq__(self, other) -> bool:
@@ -319,7 +353,7 @@ class PrefixMap(GroupElement):
         # a rule p -> q over w takes v to q + the rest of w, and a rule
         # under w takes v + the rest of p to q; the other rest is empty
         return PrefixMap([(v + p[len(w):], q + w[len(p):])
-                          for v, w in other.rules for p, q in self._meeting(w)])
+                          for v, w in other.rules for p, q in meeting(self.rules, w)])
 
     def inverse(self) -> "PrefixMap":
         return PrefixMap([(z, v) for v, z in self.rules])
@@ -344,20 +378,8 @@ class PrefixMap(GroupElement):
 
     # -- action -------------------------------------------------------------
 
-    def _meeting(self, w: str) -> tuple[tuple[str, str], ...]:
-        """The rules whose domain cylinders meet C_w, in domain order.
-
-        The one rule over w is the last one at or before w; else the rules
-        under w follow it in one block, which ends before w + "2".
-        """
-        rules = self.rules
-        k = bisect_right(rules, w, key=itemgetter(0))
-        if k and w.startswith(rules[k - 1][0]):
-            return rules[k - 1 : k]
-        return rules[k : bisect_left(rules, w + "2", key=itemgetter(0))]
-
     def rule_at(self, x: EventuallyPeriodic) -> tuple[str, str]:
-        return self._meeting(x.digits(max(len(v) for v, _ in self.rules)))[0]
+        return meeting(self.rules, x.digits(max(len(v) for v, _ in self.rules)))[0]
 
     def __call__(self, x: EventuallyPeriodic) -> EventuallyPeriodic:
         v, z = self.rule_at(x)
@@ -366,14 +388,14 @@ class PrefixMap(GroupElement):
 
     def evaluate_on(self, c: str) -> str:
         """Image word of the cylinder C_c when c refines a single rule."""
-        v, z = self._meeting(_check_word(c))[0]
+        v, z = meeting(self.rules, _check_word(c))[0]
         if len(v) > len(c):
             raise NeedsRefinement(f"cylinder {c!r} spans several rules")
         return z + c[len(v):]
 
     def image_words(self, w: str) -> list[str]:
         """The image of C_w as a list of cylinder words (any coarseness)."""
-        return [z + w[len(v):] for v, z in self._meeting(_check_word(w))]
+        return [z + w[len(v):] for v, z in meeting(self.rules, _check_word(w))]
 
     # -- regions and germs ----------------------------------------------------
 
@@ -383,7 +405,7 @@ class PrefixMap(GroupElement):
 
     def identity_on(self, region: Cylinders) -> bool:
         """Exact identity on every cylinder of the region."""
-        return all(v == z for w in region.words for v, z in self._meeting(w))
+        return all(v == z for w in region.words for v, z in meeting(self.rules, w))
 
     def germ_trivial_at(self, x: EventuallyPeriodic) -> bool:
         return germ_class(self, x) == GERM_FIXES
@@ -393,6 +415,8 @@ class PrefixMap(GroupElement):
 
     @staticmethod
     def from_json(data: dict) -> "PrefixMap":
+        if not all(isinstance(rule, (list, tuple)) and len(rule) == 2 for rule in data["rules"]):
+            raise ValueError("each rule must be a [domain, range] pair of words")
         return PrefixMap([(v, z) for v, z in data["rules"]])
 
 

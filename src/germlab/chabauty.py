@@ -128,9 +128,6 @@ class BallTruncation:
     def __contains__(self, element):
         return _key(element) in self._index
 
-    def key_set(self):
-        return frozenset(self._index)
-
 
 def ball(group, radius, budget=None):
     if radius < 0:
@@ -236,16 +233,6 @@ class SubgroupSpec:
                 object.__setattr__(self, "_members", members)
             return element in self._members
         raise ValueError("unknown spec kind %r" % self.kind)
-
-
-def chabauty_trunc(spec, group, radius, budget=None):
-    full = ball(group, radius, budget)
-    kept = [
-        (el, w)
-        for el, w in zip(full.elements, full.words)
-        if spec.contains(el)
-    ]
-    return BallTruncation(radius, [e for e, _ in kept], [w for _, w in kept])
 
 
 def disagreements(h_spec, k_spec, group, radius, budget=None):

@@ -15,7 +15,7 @@ from .cantorv import GEN_PI0, GEN_VA, GEN_VB, GEN_VC
 from .cantorv import Cylinders, EventuallyPeriodic, compress_v
 from .chabauty import BudgetError, MarkedGroup, SubgroupSpec
 from .chabauty import disagreements, neumann_sweep
-from .fullgroups import OdometerPoint, quasi_isometry_check, schreier_patch
+from .fullgroups import quasi_isometry_check, schreier_patch
 from .plcircle import GEN_A, GEN_B, GEN_C, ArcSet, compress, in_derived_F
 from .projline import interval_compression_witness
 from .scalars import Dyadic
@@ -195,7 +195,7 @@ def _cmd_neumann(args):
 
 def _cmd_schreier(args):
     u = Cylinders.of(args.u)
-    x = OdometerPoint.parse(args.x)
+    x = EventuallyPeriodic.parse(args.x)
     patch = schreier_patch(u, args.s_bound, x, args.radius)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(patch.to_dot())
@@ -298,7 +298,8 @@ def build_parser():
     p = sub.add_parser("schreier", help="orbit patch of a clopen set, as DOT")
     p.add_argument("--u", default="", help="binary cylinder word, empty for all")
     p.add_argument("--x", required=True,
-                   help="base point as preperiod,period digits, e.g. 01,0")
+                   help="base point as preperiod,period or preperiod(period) "
+                        "digits, lowest first, e.g. 01,0 or 01(0)")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--s-bound", type=int, default=1, dest="s_bound",
                    help="generating radius of the acting shifts")

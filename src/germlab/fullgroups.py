@@ -1,22 +1,22 @@
 """Topological full group of the dyadic odometer.
 
-A point of the Cantor set {0,1}^N with digits d0 d1 d2 ... is encoded as
-the 2-adic value sum(d_k * 2^k).  Eventually periodic digit sequences are
-exactly the rationals with odd denominator, and the odometer (add one with
-carry) becomes literal rational addition; tables and patches are integers.
+A point of the Cantor set {0,1}^N is a cantorv.EventuallyPeriodic: its
+digits d0 d1 d2 ... are read as the 2-adic integer sum(d_k * 2^k), and the
+odometer (add one with carry) is EventuallyPeriodic + 1.
 
 Clopen subsets are cantorv.Cylinders: finite unions of cylinders
 C_w = {x : x starts with w}; translate(n), the image under x -> x + n, adds
 n to each word read as a 2-adic integer.  Elements of the full group carry
 a finite table of (clopen piece, integer shift) pairs, checked by a sorted
-sweep per side and an integer Kraft sum.  The Schreier patch of an orbit
-is a set of integers whose graph distances come from a greedy sweep.
+sweep per side and an integer Kraft sum, and composed word by word.  The
+Schreier patch of an orbit is a set of integers whose graph distances come
+from a greedy sweep.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .cantorv import Cylinders, complete_code, int_to_word, translate_word, word_to_int
+from .cantorv import Cylinders, complete_code, meeting, translate_word, word_to_int
 from .chabauty import BudgetError, element_budget
 from .kernel import GroupElement
 
@@ -24,74 +24,9 @@ from .kernel import GroupElement
 Clopen = Cylinders
 
 
-class OdometerPoint:
-    """An eventually periodic binary sequence, stored as its 2-adic value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        value = Fraction(value)
-        if value.denominator % 2 == 0:
-            raise ValueError("odometer points have odd denominator")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OdometerPoint is immutable")
-
-    @classmethod
-    def from_digits(cls, preperiod, period="0"):
-        if not period:
-            raise ValueError("period must be nonempty")
-        head = word_to_int(preperiod)
-        body = word_to_int(period)
-        a, b = len(preperiod), len(period)
-        return cls(head + Fraction((1 << a) * body, 1 - (1 << b)))
-
-    @classmethod
-    def parse(cls, text):
-        """Parse "preperiod,period", e.g. "11,0" for 110^inf."""
-        if "," not in text:
-            raise ValueError("point format is preperiod,period")
-        pre, per = text.split(",", 1)
-        return cls.from_digits(pre, per)
-
-    def digits(self, n):
-        p, q = self.value.numerator, self.value.denominator
-        return int_to_word(p * pow(q, -1, 1 << n), n)
-
-    def preperiod_period(self):
-        seen = {}
-        digits = []
-        y = self.value
-        while y not in seen:
-            seen[y] = len(digits)
-            d = y.numerator % 2
-            digits.append(d)
-            y = (y - d) / 2
-        cut = seen[y]
-        joined = "".join(str(d) for d in digits)
-        return joined[:cut], joined[cut:]
-
-    def __add__(self, n):
-        return OdometerPoint(self.value + n)
-
-    def __sub__(self, n):
-        return OdometerPoint(self.value - n)
-
-    def __eq__(self, other):
-        return isinstance(other, OdometerPoint) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("OdometerPoint", self.value))
-
-    def __repr__(self):
-        pre, per = self.preperiod_period()
-        return "OdometerPoint(%r, %r)" % (pre, per)
-
-
 def _first_meeting(words):
-    """The least pair (i, j), i < j, of pieces whose cylinders meet, from
-    (word, piece) pairs; None when the pieces are disjoint.
+    """The least pair (s, t), s < t, of pieces whose cylinders meet, from
+    (word, piece name) pairs; None when the pieces are disjoint.
 
     In sorted order the words that start a word w are the ones left on a
     stack of prefixes, so one sweep meets every such pair.
@@ -108,35 +43,38 @@ def _first_meeting(words):
 class FullGroupElement(GroupElement):
     """A homeomorphism locally equal to odometer powers.
 
-    The table lists (clopen piece, shift) pairs; the element sends x to
-    x + shift on each piece.  Both the pieces and their images must
-    partition the space.
+    Built from (clopen piece, shift) pairs; the element sends x to
+    x + shift on each piece, and both the pieces and their images must
+    partition the space.  table keeps one (shift, piece) pair per shift,
+    in shift order, and _cells the (word, shift) pairs in word order.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "_cells")
+    region_type = Cylinders
 
     def __init__(self, table):
         by_shift = {}
         for piece, shift in table:
-            if not isinstance(shift, int):
+            if type(shift) is not int:
                 raise ValueError("shifts must be integers")
             by_shift.setdefault(shift, []).extend(piece.words)
         pieces = tuple(sorted(
             (shift, Cylinders(words)) for shift, words in by_shift.items() if words
         ))
-        words = [(w, i) for i, (_, piece) in enumerate(pieces) for w in piece.words]
-        domain = _first_meeting(words)
-        image = _first_meeting(
-            [(translate_word(w, pieces[i][0]), i) for w, i in words])
+        # pieces are in shift order, so shifts name them in the same order
+        cells = sorted((w, shift) for shift, piece in pieces for w in piece.words)
+        domain = _first_meeting(cells)
+        image = _first_meeting([(translate_word(w, shift), shift) for w, shift in cells])
         # the first meeting pair of pieces names the side, the domain first
         if domain is not None and (image is None or domain <= image):
             raise ValueError("domain pieces overlap")
         if image is not None:
             raise ValueError("image pieces overlap")
         # translation keeps measure, so the images cover when the pieces do
-        if not complete_code(w for w, _ in words):
+        if not complete_code(w for w, _ in cells):
             raise ValueError("pieces must partition the space")
         object.__setattr__(self, "table", pieces)
+        object.__setattr__(self, "_cells", tuple(cells))
 
     def __setattr__(self, name, value):
         raise AttributeError("FullGroupElement is immutable")
@@ -146,38 +84,49 @@ class FullGroupElement(GroupElement):
         return cls(((Cylinders.full(), 0),))
 
     def shift_at(self, point):
-        for shift, piece in self.table:
-            if piece.contains_point(point):
-                return shift
-        raise AssertionError("pieces partition the space")
+        return meeting(self._cells, point.digits(max(len(w) for w, _ in self._cells)))[0][1]
 
     def __call__(self, point):
         return point + self.shift_at(point)
 
+    def _meets(self, w):
+        """(meet, shift) for each cell meeting C_w: of two words that meet,
+        the longer one spans the meet."""
+        return [(v if len(v) > len(w) else w, shift) for v, shift in meeting(self._cells, w)]
+
     def __mul__(self, other):
-        """Composition self o other: refine other's images by self's pieces."""
+        """Composition self o other: each cell of other, moved by its shift,
+        is cut by self's cells and pulled back."""
         if not isinstance(other, FullGroupElement):
             return NotImplemented
-        table = []
-        for first, piece in other.table:
-            image = piece.translate(first)
-            for second, target in self.table:
-                meet = image.intersect(target)
-                if not meet.is_empty():
-                    table.append((meet.translate(-first), first + second))
-        return FullGroupElement(table)
+        by_shift = {}
+        for v, first in other._cells:
+            for meet, second in self._meets(translate_word(v, first)):
+                by_shift.setdefault(first + second, []).append(translate_word(meet, -first))
+        return FullGroupElement([(Cylinders(words), shift) for shift, words in by_shift.items()])
 
     def inverse(self):
-        return FullGroupElement(
-            tuple((piece.translate(shift), -shift) for shift, piece in self.table)
-        )
+        return FullGroupElement([(piece.translate(shift), -shift) for shift, piece in self.table])
 
     def is_identity(self):
         return all(shift == 0 for shift, _ in self.table)
 
+    # -- regions and germs ----------------------------------------------------
+
     def support(self):
         """Exact support: the action is free, so nonzero pieces never fix."""
         return Cylinders(w for shift, piece in self.table if shift for w in piece.words)
+
+    def image_words(self, w):
+        """The image of C_w as a list of cylinder words."""
+        return [translate_word(meet, shift) for meet, shift in self._meets(w)]
+
+    def identity_on(self, region):
+        return all(shift == 0 for w in region.words for _, shift in meeting(self._cells, w))
+
+    def germ_trivial_at(self, point):
+        # the action is free: trivial near a point exactly when it is fixed
+        return self.shift_at(point) == 0
 
     def __eq__(self, other):
         return isinstance(other, FullGroupElement) and self.table == other.table
@@ -185,27 +134,23 @@ class FullGroupElement(GroupElement):
     def __hash__(self):
         return hash(("FullGroupElement", self.table))
 
+    def canonical_key(self):
+        return self.table
+
     def __repr__(self):
         return "FullGroupElement(%s)" % ", ".join(
             "%r: %+d" % (piece.words, shift) for shift, piece in self.table
         )
 
     def to_json(self):
-        return {
-            "pieces": [
-                {"words": list(piece.words), "shift": shift}
-                for shift, piece in self.table
-            ]
-        }
+        return {"pieces": [{"words": list(piece.words), "shift": shift}
+                           for shift, piece in self.table]}
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            tuple(
-                (Cylinders(entry["words"]), int(entry["shift"]))
-                for entry in data["pieces"]
-            )
-        )
+        if not all(isinstance(entry["words"], list) for entry in data["pieces"]):
+            raise ValueError("piece words must be a list of words")
+        return cls(tuple((Cylinders(entry["words"]), entry["shift"]) for entry in data["pieces"]))
 
 
 def gamma_tv(t, v):

@@ -41,7 +41,7 @@ from .chabauty import (
     spell,
     verify_micro_support,
 )
-from .fullgroups import OdometerPoint, quasi_isometry_check, return_set, schreier_patch
+from .fullgroups import quasi_isometry_check, return_set, schreier_patch
 from .plcircle import (
     ArcSet,
     GEN_A,
@@ -571,7 +571,7 @@ def _suite_fullgroup_qi(config):
 
     def _run_patch(word, s_bound, radius, min_interior):
         u = Cylinders.of(word)
-        x = OdometerPoint.parse(word + ",0")
+        x = EventuallyPeriodic.parse(word + ",0")
         patch = schreier_patch(u, s_bound, x, radius)
         report = quasi_isometry_check(patch)
         if report["violations"]:

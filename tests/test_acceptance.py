@@ -15,7 +15,6 @@ from germlab.chabauty import (
     MarkedGroup,
     SubgroupSpec,
     ball,
-    chabauty_trunc,
     conjugate_net_probe,
     disjoint_open_search,
     micro_support_element,
@@ -25,7 +24,6 @@ from germlab.chabauty import (
 from germlab.fullgroups import (
     Clopen,
     FullGroupElement,
-    OdometerPoint,
     gamma_tv,
     quasi_isometry_check,
     schreier_patch,
@@ -246,7 +244,7 @@ def test_criterion_06_chabauty_net():
     report = conjugate_net_probe(F, h_spec, net, limit, 3)
     assert report["stabilizes_at"] == 1  # frozen regression constant
     assert all(report["matches"])
-    assert report["target_size"] == len(chabauty_trunc(limit, F, 3))
+    assert report["target_size"] == sum(map(limit.contains, ball(F, 3).elements))
 
 
 def test_criterion_07_tree_cocycle():
@@ -260,7 +258,7 @@ def test_criterion_07_tree_cocycle():
 def test_criterion_08_fullgroup_qi():
     for word, s_bound, radius in (("0", 1, 800), ("01", 2, 1600)):
         patch = schreier_patch(
-            Clopen.of(word), s_bound, OdometerPoint.parse(word + ",0"), radius
+            Clopen.of(word), s_bound, EventuallyPeriodic.parse(word + ",0"), radius
         )
         report = quasi_isometry_check(patch)
         assert report["interior_vertices"] >= 100

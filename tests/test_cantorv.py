@@ -157,6 +157,10 @@ def test_eventually_periodic_basics():
     assert x.shift(3) == EventuallyPeriodic("", "10")
     assert str(EventuallyPeriodic.parse("01(10)")) == "01(10)"
     assert EventuallyPeriodic.parse("(1)") == EventuallyPeriodic("111", "1")
+    assert EventuallyPeriodic.parse(" 01,10 ") == EventuallyPeriodic.parse("01(10)")
+    for text in ("0", "0(1", "0(1)(1)", "0,1,1", "0,", "0,2"):
+        with pytest.raises(ValueError):
+            EventuallyPeriodic.parse(text)
     with pytest.raises(ValueError):
         EventuallyPeriodic("0", "")
 
@@ -245,7 +249,6 @@ def test_cylinders_against_bitmask_oracle():
         assert not any(w.endswith("0") and w[:-1] + "1" in words for w in words)
         assert cell_mask(a.complement()) == ALL_CELLS ^ ma
         assert cell_mask(a.union(b)) == ma | mb
-        assert cell_mask(a.intersect(b)) == ma & mb
         n = rng.randrange(-70, 70)
         assert cell_mask(a.translate(n)) == shifted_mask(ma, n)
         assert a.measure() == Fraction(bin(ma).count("1"), len(CELLS))

@@ -140,6 +140,10 @@ def test_schreier_writes_dot_and_reports(capsys, tmp_path):
     text = target.read_text()
     assert text.startswith("graph")
     assert '"0" -- "2";' in text
+    # the u(p) notation names the same base point
+    code, again, _ = run(capsys, "schreier", "--u", "0", "--x", "0(0)",
+                         "--radius", "6", "--out", str(target))
+    assert code == 0 and again == out and target.read_text() == text
 
 
 def test_tree_verify_batteries(capsys):

@@ -8,24 +8,69 @@ from functools import reduce
 
 import pytest
 
-from germlab.chabauty import BudgetError
+from germlab.cantorv import ZERO_SEQ, EventuallyPeriodic, int_to_word, word_to_int
+from germlab.chabauty import BudgetError, MarkedGroup, SubgroupSpec, ball, disjoint_open_search
 from germlab.fullgroups import (
     Clopen,
     FullGroupElement,
-    OdometerPoint,
     gamma_tv,
-    int_to_word,
     quasi_isometry_check,
     return_set,
     schreier_patch,
-    word_to_int,
 )
+
+
+class _OracleOdometerPoint:
+    """An eventually periodic binary sequence, stored as its 2-adic value:
+    the odometer is rational addition."""
+
+    def __init__(self, value):
+        value = Fraction(value)
+        if value.denominator % 2 == 0:
+            raise ValueError("odometer points have odd denominator")
+        self.value = value
+
+    @classmethod
+    def from_digits(cls, preperiod, period="0"):
+        if not period:
+            raise ValueError("period must be nonempty")
+        head, body = word_to_int(preperiod), word_to_int(period)
+        return cls(head + Fraction((1 << len(preperiod)) * body, 1 - (1 << len(period))))
+
+    @classmethod
+    def parse(cls, text):
+        """Parse "preperiod,period", e.g. "11,0" for 110^inf."""
+        pre, per = text.split(",")
+        return cls.from_digits(pre, per)
+
+    def preperiod_period(self):
+        seen, digits, y = {}, [], self.value
+        while y not in seen:
+            seen[y] = len(digits)
+            digits.append(y.numerator % 2)
+            y = (y - digits[-1]) / 2
+        joined = "".join(map(str, digits))
+        return joined[:seen[y]], joined[seen[y]:]
+
+    def __add__(self, n):
+        return _OracleOdometerPoint(self.value + n)
+
+    def __sub__(self, n):
+        return _OracleOdometerPoint(self.value - n)
+
+
+def _oracle(x):
+    return _OracleOdometerPoint.from_digits(x.preperiod, x.period)
+
+
+def _point(oracle):
+    return EventuallyPeriodic(*oracle.preperiod_period())
 
 
 def rand_point(rng):
     pre = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
     per = "".join(rng.choice("01") for _ in range(rng.randrange(1, 4)))
-    return OdometerPoint.from_digits(pre, per)
+    return EventuallyPeriodic(pre, per)
 
 
 def rand_gamma(rng):
@@ -47,32 +92,66 @@ def test_words():
 
 
 def test_carry_propagation():
-    x = OdometerPoint.from_digits("11", "0")
-    assert (x + 1).preperiod_period() == ("001", "0")
+    x = EventuallyPeriodic("11", "0")
+    assert ((x + 1).preperiod, (x + 1).period) == ("001", "0")
     assert x + 0 == x
     assert (x + 1) + -1 == x
 
 
+def test_carries_through_constant_periods():
+    # (1) is -1 and (0) is 0: a carry out of the head wraps the period
+    assert EventuallyPeriodic("", "1") + 1 == ZERO_SEQ
+    assert ZERO_SEQ - 1 == EventuallyPeriodic("", "1")
+    assert EventuallyPeriodic("1", "1") + 1 == EventuallyPeriodic("0", "0")
+    assert EventuallyPeriodic("0", "1") + 1 == EventuallyPeriodic("", "1")
+    assert EventuallyPeriodic("01", "0") - 3 == EventuallyPeriodic("", "1")
+    # other periods absorb the carry in their next copy
+    assert EventuallyPeriodic("1", "01") + 1 == EventuallyPeriodic("011", "01")
+    assert EventuallyPeriodic("", "10") - 2 == EventuallyPeriodic("110", "01")
+    for pre, per, n in (("", "1", 1), ("", "0", -1), ("111", "1", 5), ("000", "0", -9),
+                        ("", "01", 1), ("", "10", -1), ("1", "110", 6)):
+        x = EventuallyPeriodic(pre, per)
+        assert _oracle(x + n).value == _oracle(x).value + n
+        assert _oracle(x - n).value == _oracle(x).value - n
+
+
 def test_point_encoding():
-    assert OdometerPoint.from_digits("", "1").value == -1
-    assert OdometerPoint.from_digits("", "01").value == Fraction(-2, 3)
-    assert OdometerPoint.from_digits("11", "0").value == 3
-    x = OdometerPoint.parse(",10")
+    # the 2-adic values of the digit forms
+    assert _oracle(EventuallyPeriodic("", "1")).value == -1
+    assert _oracle(EventuallyPeriodic("", "01")).value == Fraction(-2, 3)
+    assert _oracle(EventuallyPeriodic("11", "0")).value == 3
+    assert _point(_OracleOdometerPoint(Fraction(-2, 3))) == EventuallyPeriodic("", "01")
+    x = EventuallyPeriodic.parse(",10")
     assert x.digits(6) == "101010"
     with pytest.raises(ValueError):
-        OdometerPoint(Fraction(1, 2))
+        EventuallyPeriodic("1", "2")
     with pytest.raises(ValueError):
-        OdometerPoint.from_digits("1", "")
+        EventuallyPeriodic("1", "")
+    with pytest.raises(ValueError):
+        EventuallyPeriodic.parse("1,")
 
 
 def test_digit_roundtrip():
     rng = random.Random(31)
     for _ in range(50):
         x = rand_point(rng)
-        pre, per = x.preperiod_period()
-        assert OdometerPoint.from_digits(pre, per) == x
+        assert EventuallyPeriodic(x.preperiod, x.period) == x
+        assert _point(_oracle(x)) == x
         # canonical form has a primitive period not absorbable into the tail
-        assert len(per) >= 1
+        assert len(x.period) >= 1
+
+
+def test_odometer_matches_fraction_oracle():
+    rng = random.Random(38)
+    for _ in range(3000):
+        x = rand_point(rng)
+        n = rng.choice([rng.randrange(-70, 70), rng.randrange(-10**6, 10**6)])
+        assert _point(_oracle(x) + n) == x + n
+        assert _point(_oracle(x) - n) == x - n
+        # both notations read the same point
+        text = "%s,%s" % (x.preperiod, x.period)
+        assert _point(_OracleOdometerPoint.parse(text)) == EventuallyPeriodic.parse(text)
+        assert EventuallyPeriodic.parse(text) == EventuallyPeriodic.parse(str(x)) == x
 
 
 def test_freeness():
@@ -96,15 +175,14 @@ def test_clopen_canonical():
 def test_clopen_algebra():
     u = Clopen.of("01", "11")
     v = Clopen.of("1")
-    assert u.intersect(v) == Clopen.of("11")
     assert u.union(v) == Clopen.of("01", "1")
     assert u.measure() == Fraction(1, 2)
     assert Clopen.of("11").subset_of(u)
     assert not u.subset_of(v)
     assert u.disjoint_from(Clopen.of("00"))
     assert not u.disjoint_from(v)
-    assert u.contains_point(OdometerPoint.from_digits("", "1"))
-    assert not u.contains_point(OdometerPoint(0))
+    assert u.contains_point(EventuallyPeriodic("", "1"))
+    assert not u.contains_point(ZERO_SEQ)
 
 
 def test_clopen_translate():
@@ -188,7 +266,7 @@ def test_gamma_support_and_admissibility():
     v = Clopen.of("00")
     g = gamma_tv(1, v)
     assert g.support().subset_of(v.union(Clopen.of("10")))
-    x = OdometerPoint(0)
+    x = ZERO_SEQ
     assert g(x) == x + 1
     assert g(x + 1) == x
     with pytest.raises(ValueError):
@@ -232,11 +310,37 @@ def test_compose_matches_pointwise_oracle():
         # one point per cell fine enough for every table decides all shifts
         depth = max(piece.max_length() for h in factors + [prod] for _, piece in h.table)
         for k in range(1 << depth):
-            x = OdometerPoint.from_digits(int_to_word(k, depth), rng.choice(["0", "1", "01"]))
+            x = EventuallyPeriodic(int_to_word(k, depth), rng.choice(["0", "1", "01"]))
             y = x
             for f in reversed(factors):
                 y = f(y)
             assert prod(x) == y
+
+
+def _oracle_compose(f, g):
+    """f o g by intersecting each moved piece of g with each piece of f."""
+    table = []
+    for first, piece in g.table:
+        image = piece.translate(first)
+        for second, target in f.table:
+            # of two words that meet, the longer one spans the meet
+            meet = Clopen([w if w.startswith(u) else u for w in image.words
+                           for u in target.words if w.startswith(u) or u.startswith(w)])
+            if not meet.is_empty():
+                table.append((meet.translate(-first), first + second))
+    return FullGroupElement(table)
+
+
+def rand_product(rng):
+    return reduce(lambda f, g: f * g, [rand_gamma(rng) for _ in range(rng.randrange(1, 5))])
+
+
+def test_compose_matches_per_pair_oracle():
+    rng = random.Random(39)
+    for _ in range(400):
+        f, g = rand_product(rng), rand_product(rng)
+        assert f * g == _oracle_compose(f, g)
+        assert g * f == _oracle_compose(g, f)
 
 
 def test_deep_gamma_times_inverse_is_fast():
@@ -266,8 +370,71 @@ def test_element_json_roundtrip():
         assert FullGroupElement.from_json(data) == g
 
 
+# -- the region protocol ---------------------------------------------------
+
+
+def _simulated_image(g, w):
+    """The image of C_w cut into cells below every piece, each cell moved
+    by the shift of the piece holding it, in integer digit arithmetic."""
+    depth = max(len(w), max(piece.max_length() for _, piece in g.table))
+    words, shifts = [], set()
+    for k in range(1 << depth - len(w)):
+        cell = w + int_to_word(k, depth - len(w))
+        shift = next(s for s, piece in g.table if piece.contains_word(cell))
+        words.append(int_to_word(word_to_int(cell) + shift, depth))
+        shifts.add(shift)
+    return Clopen(words), shifts
+
+
+def _gamma_group():
+    return MarkedGroup({
+        "a": gamma_tv(1, Clopen.of("00")),
+        "b": gamma_tv(2, Clopen.of("01")),
+        "c": gamma_tv(-1, Clopen.of("111")),
+    })
+
+
+def test_region_protocol_matches_digit_simulation():
+    group = _gamma_group()
+    cells = [w for n in range(7) for w in (int_to_word(k, n) for k in range(1 << n))]
+    for g in ball(group, 2).elements:
+        for w in cells:
+            image, shifts = _simulated_image(g, w)
+            assert Clopen(g.image_words(w)) == image
+            assert Clopen.of(w).image(g) == image
+            assert g.identity_on(Clopen.of(w)) == (shifts == {0})
+        for x in (ZERO_SEQ, EventuallyPeriodic("", "1"), EventuallyPeriodic("1", "01")):
+            near = Clopen.of(x.digits(max(piece.max_length() for _, piece in g.table)))
+            assert g.germ_trivial_at(x) == g.identity_on(near) == (g(x) == x)
+
+
+def test_conjugated_specs_contain_conjugates():
+    full = ball(_gamma_group(), 2).elements
+    specs = [
+        SubgroupSpec.support_inside(Clopen.of("0")),
+        SubgroupSpec.support_inside(Clopen.of("01", "110")),
+        SubgroupSpec.identity_germ_at(ZERO_SEQ),
+        SubgroupSpec.identity_germ_at(EventuallyPeriodic("1", "01"), EventuallyPeriodic("", "1")),
+    ]
+    for spec in specs:
+        verdicts = {spec.contains(h) for h in full}
+        assert verdicts == {True, False}
+        for g in full:
+            moved = SubgroupSpec.conjugate(spec, g)
+            for h in full:
+                assert moved.contains(g * h * g.inverse()) == spec.contains(h)
+
+
+def test_disjoint_open_search_on_full_group():
+    g = gamma_tv(1, Clopen.of("00"))
+    regions, w = disjoint_open_search([g], ZERO_SEQ)
+    u = regions[0]
+    assert u.disjoint_from(u.image(g)) and w.contains_point(ZERO_SEQ)
+    assert w.disjoint_from(u) and w.disjoint_from(u.preimage(g))
+
+
 def test_patch_full_space():
-    x = OdometerPoint(0)
+    x = ZERO_SEQ
     patch = schreier_patch(Clopen.full(), 1, x, 10)
     assert patch.vertices == tuple(range(-10, 11))
     assert (0, 3) in patch.edges and (0, 4) not in patch.edges
@@ -277,7 +444,7 @@ def test_patch_full_space():
 
 
 def test_patch_even_vertices():
-    x = OdometerPoint(0)
+    x = ZERO_SEQ
     patch = schreier_patch(Clopen.of("0"), 1, x, 40)
     assert all(n % 2 == 0 for n in patch.vertices)
     # orbit identification: exactly the n with x + n in u
@@ -291,7 +458,7 @@ def test_patch_even_vertices():
 
 
 def test_patch_mod_four():
-    x = OdometerPoint.from_digits("01", "0")
+    x = EventuallyPeriodic("01", "0")
     u = Clopen.of("01")
     patch = schreier_patch(u, 2, x, 80)
     assert all((x + n).digits(2) == "01" for n in patch.vertices)
@@ -303,7 +470,7 @@ def test_patch_mod_four():
 
 def test_patch_disconnection_without_wide_generators():
     # with unit generators the mod-4 patch has gaps of 4 > 3: no edges
-    x = OdometerPoint.from_digits("01", "0")
+    x = EventuallyPeriodic("01", "0")
     patch = schreier_patch(Clopen.of("01"), 1, x, 80)
     assert patch.edges == ()
     report = quasi_isometry_check(patch)
@@ -313,11 +480,11 @@ def test_patch_disconnection_without_wide_generators():
 
 def test_patch_requires_base_point_in_u():
     with pytest.raises(ValueError):
-        schreier_patch(Clopen.of("1"), 1, OdometerPoint(0), 10)
+        schreier_patch(Clopen.of("1"), 1, ZERO_SEQ, 10)
 
 
 def test_dot_export():
-    patch = schreier_patch(Clopen.of("0"), 1, OdometerPoint(0), 6)
+    patch = schreier_patch(Clopen.of("0"), 1, ZERO_SEQ, 6)
     dot = patch.to_dot()
     assert dot.startswith("graph schreier_patch {")
     assert '"0" -- "2";' in dot
@@ -392,16 +559,16 @@ class _OraclePatch:
 def _patch_cases():
     rng = random.Random(71)
     # unit generators cannot cross the gaps of 16 in C_0000: disconnected
-    yield Clopen.of("0000"), 1, OdometerPoint(0), 60, None
-    yield Clopen.of("0000"), 4, OdometerPoint(0), 60, 10
-    yield Clopen.full(), 1, OdometerPoint(0), 12, 0
+    yield Clopen.of("0000"), 1, ZERO_SEQ, 60, None
+    yield Clopen.of("0000"), 4, ZERO_SEQ, 60, 10
+    yield Clopen.full(), 1, ZERO_SEQ, 12, 0
     for _ in range(120):
         words = ["".join(rng.choice("01") for _ in range(rng.randrange(6)))
                  for _ in range(rng.randrange(1, 4))]
         u = Clopen(words)
         w = rng.choice(u.words)
-        x = OdometerPoint.from_digits(w + "".join(rng.choice("01") for _ in range(3)),
-                                      rng.choice(["0", "1", "01", "110"]))
+        x = EventuallyPeriodic(w + "".join(rng.choice("01") for _ in range(3)),
+                               rng.choice(["0", "1", "01", "110"]))
         radius = rng.randrange(1, 70)
         margin = rng.choice([None, 0, rng.randrange(radius + 1)])
         yield u, rng.randrange(1, 5), x, radius, margin
@@ -543,3 +710,31 @@ def test_invalid_codes_and_partitions_raise_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("want, build", [
+    ("shifts must be integers",
+     "FullGroupElement.from_json({'pieces': [{'words': [''], 'shift': 0.9}]})"),
+    ("shifts must be integers",
+     "FullGroupElement.from_json({'pieces': [{'words': [''], 'shift': True}]})"),
+    ("words must be a list",
+     "FullGroupElement.from_json({'pieces': [{'words': '01', 'shift': 0}]})"),
+    ("pair of words", "PrefixMap.from_json({'rules': ['01', '10']})"),
+], ids=["float-shift", "bool-shift", "string-words", "string-rules"])
+def test_malformed_json_raises_under_optimize(want, build):
+    code = (
+        "import sys\n"
+        "from germlab.cantorv import PrefixMap\n"
+        "from germlab.fullgroups import FullGroupElement\n"
+        "try:\n"
+        "    got = " + build + "\n"
+        "except ValueError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+        "else:\n"
+        "    sys.exit('accepted: %r' % (got,))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("1 ") and want in done.stdout
