@@ -57,9 +57,12 @@ class FullGroupElement(GroupElement):
         for piece, shift in table:
             if type(shift) is not int:
                 raise ValueError("shifts must be integers")
-            by_shift.setdefault(shift, []).extend(piece.words)
+            if piece.words:
+                by_shift.setdefault(shift, []).append(piece)
+        # a shift's only piece is already reduced, so it is kept as it is
         pieces = tuple(sorted(
-            (shift, Cylinders(words)) for shift, words in by_shift.items() if words
+            (shift, same[0] if len(same) == 1 else Cylinders(w for p in same for w in p.words))
+            for shift, same in by_shift.items()
         ))
         # pieces are in shift order, so shifts name them in the same order
         cells = sorted((w, shift) for shift, piece in pieces for w in piece.words)

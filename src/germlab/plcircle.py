@@ -293,9 +293,11 @@ class PLMap(GroupElement):
 
     @staticmethod
     def from_json(obj: dict) -> "PLMap":
+        if not all(type(p["slope_exp"]) is int for p in obj["pieces"]):
+            raise ValueError("slope exponents must be integers")
         return PLMap(
             [
-                (Dyadic.from_json(p["left"]), int(p["slope_exp"]), Dyadic.from_json(p["intercept"]))
+                (Dyadic.from_json(p["left"]), p["slope_exp"], Dyadic.from_json(p["intercept"]))
                 for p in obj["pieces"]
             ]
         )

@@ -62,6 +62,7 @@ from .treesgff import (
     ball as tree_ball,
     busemann_level,
     cocycle_failure,
+    common_prefix_len,
     cyclic_perms,
     elliptic_germ_check,
     format_vertex,
@@ -533,10 +534,7 @@ def make_level_check(pair, ray, depth, max_dist):
         for same in levels.values():
             for i, v in enumerate(same):
                 for w in same[i + 1:]:
-                    lcp = 0
-                    while lcp < min(len(v), len(w)) and v[lcp] == w[lcp]:
-                        lcp += 1
-                    if len(v) + len(w) - 2 * lcp > max_dist:
+                    if len(v) + len(w) - 2 * common_prefix_len(v, w) > max_dist:
                         continue
                     word = level_transitivity_witness(pair, ray, v, w, memo)
                     cur = v

@@ -16,7 +16,9 @@ the forced value s = taking(c, portrait[a][c]) lies in the free group, and
 taking(c', s[c']) == s for every color c'.  So a walk state (vertex,
 permutation, inside the portrait) moves one edge, up or down, with at most
 one dictionary lookup.  Inside a walk a permutation is its number in the
-pair's sorted large group, composed and inverted by table lookup.
+pair's sorted large group, composed and inverted by table lookup.  The
+cocycle check stops its walk where no local permutation can change any
+more: below three portraits, along an edge that h carries downward.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class TreeAut(GroupElement):
     def _pull(self, v: Vertex) -> tuple:
         """The walk state at act_inv(v), along the image geodesic to v."""
         v = tuple(v)
-        common = _common_prefix_len(self.base_image, v)
+        common = common_prefix_len(self.base_image, v)
         return reduce(self._back, self.base_image[common:][::-1] + v[common:], self._root())
 
     def local_perm(self, v: Vertex) -> Perm:
@@ -374,7 +376,7 @@ def halftree_permuter(pair: PermGroupPair, m: Vertex, fixed_color: int, perm: Pe
 
 # -- Busemann bookkeeping for a fixed end -----------------------------------
 
-def _common_prefix_len(v: Vertex, w: Vertex) -> int:
+def common_prefix_len(v: Vertex, w: Vertex) -> int:
     n = 0
     while n < min(len(v), len(w)) and v[n] == w[n]:
         n += 1
@@ -384,7 +386,7 @@ def _common_prefix_len(v: Vertex, w: Vertex) -> int:
 def busemann_level(v: Vertex, xi_prefix: Vertex) -> int:
     """d(v, confluence with the ray) minus d(o, confluence), exactly."""
     v, xi = tuple(v), tuple(xi_prefix)
-    lcp = _common_prefix_len(v, xi)
+    lcp = common_prefix_len(v, xi)
     if lcp >= len(xi):
         raise ValueError("ray prefix too short to separate the vertex from the end")
     return len(v) - 2 * lcp
@@ -393,7 +395,7 @@ def busemann_level(v: Vertex, xi_prefix: Vertex) -> int:
 def direction_toward(m: Vertex, xi_prefix: Vertex) -> int:
     """The color of the first edge on the geodesic from m to the end."""
     m, xi = tuple(m), tuple(xi_prefix)
-    lcp = _common_prefix_len(m, xi)
+    lcp = common_prefix_len(m, xi)
     if lcp == len(m):
         if len(xi) <= len(m):
             raise ValueError("ray prefix too short at a ray vertex")
@@ -427,7 +429,14 @@ def elliptic_germ_check(g: TreeAut, ray_prefix: Vertex, depth: int) -> tuple:
 def cocycle_failure(g: TreeAut, h: TreeAut, gh: TreeAut, radius: int) -> Optional[Vertex]:
     """The first v of ball(degree, radius), ordered by length and then word,
     where gh's local permutation is not g's at h(v) after h's at v, or None;
-    h, gh and g at h(v) walk together depth first, skipping later-only subtrees."""
+    h, gh and g at h(v) walk together depth first, skipping later-only subtrees.
+
+    The walk also stops below a vertex v where the identity holds, all three
+    states lie outside their portraits, and h carries v's parent edge onto
+    h(v)'s parent edge.  Then h sends the subtree below v into the one below
+    h(v), so all three walks only go down from there, where no local
+    permutation changes: every check below v is the one that held at v.
+    """
     perms, mul, degree = g.pair.perms, g.pair.mul, g.pair.degree
     first = (radius + 1, None)
 
@@ -436,7 +445,8 @@ def cocycle_failure(g: TreeAut, h: TreeAut, gh: TreeAut, radius: int) -> Optiona
         v = hs[0]
         if ghs[1] != mul[gs[1]][hs[1]]:
             first = min(first, (len(v), v))
-        elif len(v) < min(radius, first[0]):
+        elif len(v) < min(radius, first[0]) and (
+                hs[2] or ghs[2] or gs[2] or gs[0][-1] != perms[hs[1]][v[-1]]):
             for c in range(degree):
                 if not v or v[-1] != c:
                     visit(h._step(hs, c), gh._step(ghs, c), g._step(gs, perms[hs[1]][c]))
@@ -454,7 +464,8 @@ def level_transitivity_witness(pair: PermGroupPair, xi_prefix: Vertex, v: Vertex
     single permuter at the shared neighbour, which swings the image onto
     w while keeping the end's direction pinned.  Calls for one pair and
     one end may share a memo dict, which keeps the witness of every
-    pushed-up pair, so the pairs that push up to it build it once.
+    pushed-up pair under (pv, pw) and every permuter under (pw, gamma,
+    perm), so each is built once.
     """
     if not pair.two_transitive():
         raise ValueError("needs a 2-transitive large group")
@@ -482,5 +493,7 @@ def level_transitivity_witness(pair: PermGroupPair, xi_prefix: Vertex, v: Vertex
             or pair.find_large({gamma: gamma, c_cur: c_w}))
     if perm is None:
         raise RuntimeError("2-transitivity must provide a permuter")
-    word.append(halftree_permuter(pair, pw, gamma, perm))
+    if (pw, gamma, perm) not in memo:
+        memo[pw, gamma, perm] = halftree_permuter(pair, pw, gamma, perm)
+    word.append(memo[pw, gamma, perm])
     return word

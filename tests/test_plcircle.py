@@ -671,6 +671,33 @@ def test_invalid_maps_raise_under_optimize():
     assert done.stdout.strip() == "1"
 
 
+def test_fractional_slope_exponents_raise_under_optimize():
+    # int(...) used to truncate -1.4, 0.9 and 1.9 to GEN_A's -1, 0 and 1
+    code = (
+        "import sys\n"
+        "from germlab.plcircle import GEN_A, PLMap\n"
+        "data = GEN_A.to_json()\n"
+        "if [p['slope_exp'] for p in data['pieces']] != [-1, 0, 1]:\n"
+        "    sys.exit('GEN_A has other slopes: %r' % data)\n"
+        "for slopes in ([-1.4, 0.9, 1.9], [-1, 0.0, 1], [-1, 0, True]):\n"
+        "    for p, s in zip(data['pieces'], slopes):\n"
+        "        p['slope_exp'] = s\n"
+        "    try:\n"
+        "        PLMap.from_json(data)\n"
+        "    except ValueError as exc:\n"
+        "        if 'slope exponents must be integers' not in str(exc):\n"
+        "            sys.exit('wrong message: %s' % exc)\n"
+        "    else:\n"
+        "        sys.exit('accepted: %r' % slopes)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "1"
+
+
 def test_compose_inverse_and_piece_count_build_no_dyadic(monkeypatch):
     g = expanding_conjugator(6) * GEN_C
     built = []

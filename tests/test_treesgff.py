@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from germlab.chabauty import BudgetError
+from germlab.suites import _rand_tree_word
 from germlab.treesgff import (
     PermGroupPair,
     TreeAut,
@@ -62,10 +63,10 @@ def rand_vertex(rng, max_len, degree):
     return v
 
 
-def rand_word(rng, n):
-    g = TreeAut.identity(PAIR)
+def rand_word(rng, n, pair=PAIR):
+    g = TreeAut.identity(pair)
     for _ in range(n):
-        h = rand_element(rng)
+        h = rand_element(rng, pair)
         if rng.random() < 0.5:
             h = h.inverse()
         g = g * h
@@ -197,6 +198,116 @@ def test_cocycle_identity_on_ball():
         for v in vertices:
             expected = perm_compose(g.local_perm(h.act_on(v)), h.local_perm(v))
             assert gh.local_perm(v) == expected
+
+
+def _oracle_cocycle_failure(g, h, gh, radius):
+    """cocycle_failure without the stop at forced subtrees: the walk goes
+    on through every vertex of the ball until a first failure is known."""
+    perms, mul, degree = g.pair.perms, g.pair.mul, g.pair.degree
+    first = (radius + 1, None)
+
+    def visit(hs, ghs, gs):
+        nonlocal first
+        v = hs[0]
+        if ghs[1] != mul[gs[1]][hs[1]]:
+            first = min(first, (len(v), v))
+        elif len(v) < min(radius, first[0]):
+            for c in range(degree):
+                if not v or v[-1] != c:
+                    visit(h._step(hs, c), gh._step(ghs, c), g._step(gs, perms[hs[1]][c]))
+
+    visit(h._root(), gh._root(), g._walk(h.base_image)[0])
+    return first[1]
+
+
+def _depth(g):
+    return max(map(len, g.portrait))
+
+
+def test_pruned_cocycle_walk_matches_the_oracle():
+    # k's portrait reaches below g's and h's, so g * h * k and k * g * h are
+    # wrong products that agree with g * h down to some depth
+    rng = random.Random(1605)
+    failures = 0
+    for pair in PAIRS:
+        for _ in range(40):
+            g, h = rand_word(rng, 2, pair), rand_word(rng, 2, pair)
+            m = ()
+            while len(m) <= max(_depth(g), _depth(h)):
+                m += (rng.choice([c for c in range(pair.degree) if not m or m[-1] != c]),)
+            # half the time k fixes the half-tree holding the root, so the wrong
+            # products differ from g * h below m only
+            color = m[-1] if rng.random() < 0.5 else rng.randrange(pair.degree)
+            k = halftree_permuter(pair, m, color, rng.choice(pair.stabilizers[color]))
+            assert _depth(k) > max(_depth(g), _depth(h))
+            for gh in (g * h, g * h * k, k * g * h):
+                for radius in range(6):
+                    bad = _oracle_cocycle_failure(g, h, gh, radius)
+                    assert cocycle_failure(g, h, gh, radius) == bad
+                    failures += bad is not None
+    assert failures > 0
+
+
+def test_cocycle_walk_follows_g_back_into_its_portrait():
+    # h moves every vertex by the base image 0.1.2 and permutes no colors,
+    # so h(2) = 0.1 sits above h(2.1) = 0: below v = 2 the walk of g climbs
+    # back into g's portrait at 0 although all three states are outside
+    # their portraits at v
+    h = TreeAut(PAIR, (0, 1, 2), {(): perm_identity(5)})
+    g = halftree_permuter(PAIR, (0,), 0, (0, 1, 3, 4, 2))
+    v = (2,)
+    hs, gs = h._walk(v)[0], g._walk(h.act_on(v))[0]
+    assert h.act_on(v) == (0, 1) and h.act_on(v + (1,)) == (0,)
+    assert h.act_on(v)[-1] != h.local_perm(v)[v[-1]]
+    assert not hs[2] and not gs[2] and (0,) in g.portrait
+    # a wrong product: g * h with its portrait cut at v, so constant below v
+    gh = g * h
+    cut = TreeAut(PAIR, gh.base_image, {u: p for u, p in gh.portrait.items() if u[:1] != v})
+    assert not cut._walk(v)[0][2]
+    assert cut.local_perm(v) == perm_compose(g.local_perm(h.act_on(v)), h.local_perm(v))
+    for radius in range(6):
+        want = (2, 1) if radius >= 2 else None
+        assert _oracle_cocycle_failure(g, h, cut, radius) == want
+        assert cocycle_failure(g, h, cut, radius) == want
+        assert cocycle_failure(g, h, gh, radius) is None
+
+
+def test_cocycle_walk_goes_on_while_a_portrait_continues_below():
+    # a permuter at 1.2 that fixes the half-tree holding the root is the
+    # identity at 1, so the identity holds at v = 1 with every other element
+    # trivial, and only the permuter's own walk is inside its portrait there
+    permuter = halftree_permuter(PAIR, (1, 2), 2, PAIR.stabilizers[2][0])
+    e = TreeAut.identity(PAIR)
+    assert permuter.local_perm((1,)) == perm_identity(5) and (1,) in permuter.portrait
+    # the permuter stands as h, as the wrong product gh and as g in turn
+    for g, h, gh in ((e, permuter, e), (e, e, permuter), (permuter, e, e)):
+        for radius in range(4):
+            want = (1, 2) if radius >= 2 else None
+            assert _oracle_cocycle_failure(g, h, gh, radius) == want
+            assert cocycle_failure(g, h, gh, radius) == want
+
+
+def test_cocycle_walk_cost_stops_growing_with_the_radius(monkeypatch):
+    rng = random.Random(5)
+    triples = []
+    for _ in range(100):
+        g, h = _rand_tree_word(rng, PAIR, 2), _rand_tree_word(rng, PAIR, 2)
+        triples.append((g, h, g * h))
+    steps = [0]
+    step = TreeAut._step
+
+    def counting(self, state, color):
+        steps[0] += 1
+        return step(self, state, color)
+
+    monkeypatch.setattr(TreeAut, "_step", counting)
+    cost = {}
+    for radius in (5, 20):
+        steps[0] = 0
+        assert all(cocycle_failure(g, h, gh, radius) is None for g, h, gh in triples)
+        cost[radius] = steps[0]
+    # the unpruned walk would visit ~10^12 vertices at radius 20
+    assert 0 < cost[20] <= 2 * cost[5]
 
 
 def test_composition_keeps_portrait_finite_and_large():
@@ -344,14 +455,20 @@ def test_level_witness_memo_matches_fresh_witnesses():
     for v, w in pairs:
         assert level_transitivity_witness(PAIR, XI, v, w, memo) == \
             level_transitivity_witness(PAIR, XI, v, w)
-    # the memo keeps the pushed-up pairs only, as tuples that the words
-    # extended from them leave alone
-    assert all(isinstance(word, tuple) for word in memo.values())
+    # the memo keeps the pushed-up pairs, as tuples that the words extended
+    # from them leave alone, and the permuters under (vertex, color, perm)
+    words = {key: word for key, word in memo.items() if len(key) == 2}
+    permuters = {key: g for key, g in memo.items() if len(key) == 3}
+    assert len(words) + len(permuters) == len(memo)
+    assert all(isinstance(word, tuple) for word in words.values())
     pushed = {(neighbour(v, direction_toward(v, XI)), neighbour(w, direction_toward(w, XI)))
               for v, w in pairs}
-    assert set(memo) == pushed
-    for (v, w), word in memo.items():
+    assert set(words) == pushed
+    for (v, w), word in words.items():
         assert list(word) == level_transitivity_witness(PAIR, XI, v, w)
+    assert permuters
+    for (pw, gamma, perm), g in permuters.items():
+        assert g == halftree_permuter(PAIR, pw, gamma, perm)
 
 
 def test_vertex_formatting():
@@ -554,9 +671,9 @@ def test_cocycle_failure_names_the_first_bad_ball_vertex(data):
     (g, o), (h, p) = data.draw(_words(pair)), data.draw(_words(pair))
     # h * g stands in for g * h: wrong unless the two commute near the ball
     for gh, ogh in ((g * h, o * p), (h * g, p * o)):
-        bad = [v for v in ball(pair.degree, 3)
+        bad = [v for v in ball(pair.degree, 5)
                if ogh.local_perm(v) != perm_compose(o.local_perm(p.act_on(v)), p.local_perm(v))]
-        assert cocycle_failure(g, h, gh, 3) == (bad[0] if bad else None)
+        assert cocycle_failure(g, h, gh, 5) == (bad[0] if bad else None)
 
 
 def test_boundary_bytes_are_pinned():
