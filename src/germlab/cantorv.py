@@ -301,6 +301,21 @@ class Cylinders:
         return "Cylinders(" + ", ".join(repr(w) for w in self.words) + ")"
 
 
+def _merged(rules) -> list[tuple[str, str]]:
+    """Rules with two complete prefix codes, sorted by domain word and with
+    every sibling pair merged."""
+    out: list[tuple[str, str]] = []
+    for v, z in sorted(rules):
+        # sibling rules u0 -> r0, u1 -> r1 are adjacent in domain order;
+        # merge them bottom-up into u -> r
+        while (out and v.endswith("1") and z.endswith("1")
+               and out[-1] == (v[:-1] + "0", z[:-1] + "0")):
+            out.pop()
+            v, z = v[:-1], z[:-1]
+        out.append((v, z))
+    return out
+
+
 class PrefixMap(GroupElement):
     """A homeomorphism of the Cantor space given by prefix exchanges.
 
@@ -308,6 +323,8 @@ class PrefixMap(GroupElement):
     and range words each form a complete prefix code.  Stored fully
     reduced: no sibling pair (u0 -> r0, u1 -> r1) is left unmerged, and
     rules are sorted by domain word, so equality is structural.
+    ``__init__`` and ``from_json`` check the words and both codes; products,
+    complete by construction, only merge siblings, and inverses only sort.
     """
 
     __slots__ = ("rules",)
@@ -327,15 +344,12 @@ class PrefixMap(GroupElement):
         # a repeated range word starts the next one in sorted order
         if not complete_code(table.values()):
             raise ValueError("range words do not form a complete prefix code")
-        out: list[tuple[str, str]] = []
-        for rule in sorted(table.items()):
-            out.append(rule)
-            # sibling rules u0 -> r0, u1 -> r1 are adjacent in domain order;
-            # merge them bottom-up into u -> r
-            while len(out) > 1 and all(
-                    b.endswith("1") and a == b[:-1] + "0" for a, b in zip(*out[-2:])):
-                out[-2:] = [(out[-2][0][:-1], out[-2][1][:-1])]
-        object.__setattr__(self, "rules", tuple(out))
+        self._set(_merged(table.items()))
+
+    def _set(self, rules) -> "PrefixMap":
+        """Store sorted, reduced rules without __init__'s checks."""
+        object.__setattr__(self, "rules", tuple(rules))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixMap is immutable")
@@ -352,11 +366,13 @@ class PrefixMap(GroupElement):
             return NotImplemented
         # a rule p -> q over w takes v to q + the rest of w, and a rule
         # under w takes v + the rest of p to q; the other rest is empty
-        return PrefixMap([(v + p[len(w):], q + w[len(p):])
-                          for v, w in other.rules for p, q in meeting(self.rules, w)])
+        return object.__new__(PrefixMap)._set(_merged([
+            (v + p[len(w):], q + w[len(p):])
+            for v, w in other.rules for p, q in meeting(self.rules, w)]))
 
     def inverse(self) -> "PrefixMap":
-        return PrefixMap([(z, v) for v, z in self.rules])
+        # a merge pair of the inverse would be one of self, swapped
+        return object.__new__(PrefixMap)._set(sorted((z, v) for v, z in self.rules))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrefixMap):

@@ -380,8 +380,8 @@ def neumann_check(group, cover):
     """Minimal subgroup index in a finite coset cover.
 
     The cover is a list of (subgroup elements, coset representative); it must
-    exactly cover the group, and the minimum index is asserted to be at most
-    the number of cosets.
+    exactly cover the group.  A minimum index above the number of cosets
+    raises RuntimeError.
     """
     covered = set()
     indices = []
@@ -431,10 +431,6 @@ def neumann_sweep(n_max, r_max):
                 covers_checked += 1
                 if best > max_min_index:
                     max_min_index = best
-                if best > r:
-                    raise AssertionError(
-                        "index bound violated on Z/%d with %d cosets" % (n, r)
-                    )
     return {
         "groups": n_max,
         "r_max": r_max,

@@ -47,6 +47,9 @@ class FullGroupElement(GroupElement):
     x + shift on each piece, and both the pieces and their images must
     partition the space.  table keeps one (shift, piece) pair per shift,
     in shift order, and _cells the (word, shift) pairs in word order.
+    ``__init__`` and ``from_json`` check the shifts and both partitions;
+    products and inverses, partitions with one piece per shift by
+    construction, only drop empty pieces and sort by shift.
     """
 
     __slots__ = ("table", "_cells")
@@ -57,15 +60,12 @@ class FullGroupElement(GroupElement):
         for piece, shift in table:
             if type(shift) is not int:
                 raise ValueError("shifts must be integers")
-            if piece.words:
-                by_shift.setdefault(shift, []).append(piece)
+            by_shift.setdefault(shift, []).append(piece)
         # a shift's only piece is already reduced, so it is kept as it is
-        pieces = tuple(sorted(
-            (shift, same[0] if len(same) == 1 else Cylinders(w for p in same for w in p.words))
-            for shift, same in by_shift.items()
-        ))
-        # pieces are in shift order, so shifts name them in the same order
-        cells = sorted((w, shift) for shift, piece in pieces for w in piece.words)
+        self._set((shift, same[0] if len(same) == 1 else
+                   Cylinders(w for p in same for w in p.words)) for shift, same in by_shift.items())
+        # the pieces are in shift order, so shifts name them in the same order
+        cells = self._cells
         domain = _first_meeting(cells)
         image = _first_meeting([(translate_word(w, shift), shift) for w, shift in cells])
         # the first meeting pair of pieces names the side, the domain first
@@ -76,8 +76,15 @@ class FullGroupElement(GroupElement):
         # translation keeps measure, so the images cover when the pieces do
         if not complete_code(w for w, _ in cells):
             raise ValueError("pieces must partition the space")
-        object.__setattr__(self, "table", pieces)
-        object.__setattr__(self, "_cells", tuple(cells))
+
+    def _set(self, pieces):
+        """Store (shift, piece) pairs of distinct shifts, empty pieces dropped,
+        without __init__'s checks."""
+        table = tuple(sorted((shift, piece) for shift, piece in pieces if piece.words))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_cells", tuple(sorted(
+            (w, shift) for shift, piece in table for w in piece.words)))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FullGroupElement is immutable")
@@ -106,10 +113,12 @@ class FullGroupElement(GroupElement):
         for v, first in other._cells:
             for meet, second in self._meets(translate_word(v, first)):
                 by_shift.setdefault(first + second, []).append(translate_word(meet, -first))
-        return FullGroupElement([(Cylinders(words), shift) for shift, words in by_shift.items()])
+        return object.__new__(FullGroupElement)._set(
+            (shift, Cylinders(words)) for shift, words in by_shift.items())
 
     def inverse(self):
-        return FullGroupElement([(piece.translate(shift), -shift) for shift, piece in self.table])
+        return object.__new__(FullGroupElement)._set(
+            (-shift, piece.translate(shift)) for shift, piece in self.table)
 
     def is_identity(self):
         return all(shift == 0 for shift, _ in self.table)

@@ -216,6 +216,8 @@ class PPMap(GroupElement):
     unbounded cells at both ends.  Adjacent pieces agree at the shared
     breakpoint, no piece has a pole on its cell, and the two outer pieces
     are affine, so infinity is fixed.
+    ``__init__`` and ``from_json`` check all this; products and inverses,
+    increasing and continuous by construction, only merge equal neighbours.
     """
 
     __slots__ = ("breaks", "maps")
@@ -225,13 +227,9 @@ class PPMap(GroupElement):
         ms = list(maps)
         if len(ms) != len(bs) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
-        i = 0
-        while i + 1 < len(ms):
-            if ms[i] == ms[i + 1]:
-                del ms[i + 1]
-                del bs[i]
-            else:
-                i += 1
+        # the checks read the merged pieces
+        self._set(bs, ms)
+        bs, ms = self.breaks, self.maps
         for i in range(len(bs) - 1):
             if not bs[i] < bs[i + 1]:
                 raise ValueError("breakpoints must increase strictly")
@@ -247,8 +245,13 @@ class PPMap(GroupElement):
         for i, x in enumerate(bs):
             if ms[i](x) != ms[i + 1](x):
                 raise ValueError(f"discontinuous at {x}")
-        object.__setattr__(self, "breaks", tuple(bs))
-        object.__setattr__(self, "maps", tuple(ms))
+
+    def _set(self, bs: list, ms: list) -> "PPMap":
+        """Store the pieces, equal neighbours merged, without __init__'s checks."""
+        keep = [i for i in range(len(bs)) if ms[i] != ms[i + 1]]
+        object.__setattr__(self, "breaks", tuple([bs[i] for i in keep]))
+        object.__setattr__(self, "maps", tuple([ms[i] for i in keep] + ms[-1:]))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PPMap is immutable")
@@ -318,10 +321,11 @@ class PPMap(GroupElement):
             if order >= 0:
                 k += 1
         maps.append(smaps[k] * omaps[j])
-        return PPMap(cuts, maps)
+        return object.__new__(PPMap)._set(cuts, maps)
 
     def inverse(self) -> "PPMap":
-        return PPMap(
+        """Increasing breaks have increasing images, the inverse's breaks."""
+        return object.__new__(PPMap)._set(
             [m(x) for m, x in zip(self.maps, self.breaks)],
             [m.inverse() for m in self.maps],
         )
@@ -361,6 +365,10 @@ class PPMap(GroupElement):
 
     @staticmethod
     def from_json(data: dict) -> "PPMap":
+        if not all(isinstance(data[key], (list, tuple)) for key in ("breaks", "maps")):
+            raise ValueError("breaks and maps must be lists")
+        if not all(isinstance(entry, (list, tuple)) and len(entry) == 4 for entry in data["maps"]):
+            raise ValueError("each map must be a [p, q, r, s] list of four scalars")
         breaks = [QuadExt.from_json(b) for b in data["breaks"]]
         maps = [
             Mobius(*(QuadExt.from_json(e) for e in entry)) for entry in data["maps"]

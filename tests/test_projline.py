@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,8 @@ from germlab.projline import (
     lodha_moore_gens,
 )
 from germlab.scalars import SQRT2, QuadExt
+
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 LETTER = {
     "a": LM_A,
@@ -92,17 +97,71 @@ def test_continuity_of_b_at_half():
     assert inner(half) == outer(half) == QuadExt.coerce(1)
 
 
+# (message, source of a map that PPMap must reject); source text, so that a
+# python -O child builds the same maps
+BAD_MAPS = [
+    ("one more piece than breakpoints", "PPMap([0], [I])"),
+    ("one more piece than breakpoints", "PPMap([], [I, I])"),
+    ("increase strictly", "PPMap([1, 0], [I, Mobius.affine(1, 1), I])"),
+    ("increase strictly", "PPMap([0, 0], [I, Mobius.affine(2, 0), I])"),
+    ("unbounded pieces must fix infinity", "PPMap([], [Mobius(3, -1, 1, 0)])"),
+    ("unbounded pieces must fix infinity", "PPMap([0], [I, Mobius(2, 0, 1, 1)])"),
+    # the pole of 3 - 1/t at t = 0 sits on the cell [-1, 1]
+    ("pole on its cell",
+     "PPMap([-1, 1], [Mobius.affine(1, Fraction(-13, 3)), Mobius(3, -1, 1, 0), Mobius.affine(1, 1)])"),
+    ("discontinuous at", "PPMap([0], [I, Mobius.affine(1, 1)])"),
+]
+BAD_MAP_NAMES = (
+    "from fractions import Fraction\n"
+    "from germlab.projline import Mobius, PPMap\n"
+    "I = Mobius.identity()\n"
+)
+
+
 def test_validation_rejects_bad_maps():
-    with pytest.raises(ValueError):
-        PPMap([0], [Mobius.identity(), Mobius.affine(1, 1)])  # jump at 0
-    with pytest.raises(ValueError):
-        PPMap([], [Mobius(3, -1, 1, 0)])  # unbounded piece not affine
-    with pytest.raises(ValueError):
-        # pole of 3 - 1/t at t = 0 sits on the cell [-1, 1]
-        PPMap(
-            [-1, 1],
-            [Mobius.affine(1, QuadExt.coerce(Fraction(-13, 3))), Mobius(3, -1, 1, 0), Mobius.affine(1, 1)],
-        )
+    names = {}
+    exec(BAD_MAP_NAMES, names)
+    for want, build in BAD_MAPS:
+        with pytest.raises(ValueError, match=want):
+            eval(build, names)
+    # each check is a ValueError, not an assert, so python -O keeps it
+    code = BAD_MAP_NAMES + (
+        "import sys\n"
+        "for want, build in %r:\n"
+        "    try:\n"
+        "        eval(build)\n"
+        "    except ValueError as exc:\n"
+        "        if want not in str(exc):\n"
+        "            sys.exit('wrong message: %%s' %% exc)\n"
+        "    else:\n"
+        "        sys.exit('accepted: ' + build)\n"
+        "print(sys.flags.optimize)\n" % (BAD_MAPS,)
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=_SRC_ENV, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("want, data", [
+    ("breaks and maps must be lists", {"breaks": "0", "maps": []}),
+    ("breaks and maps must be lists", {"breaks": [], "maps": 5}),
+    ("four scalars", {"breaks": [], "maps": [[{"a": ["1", "1"], "b": ["0", "1"]}] * 3]}),
+    ("four scalars", {"breaks": [], "maps": ["pqrs"]}),
+], ids=["string-breaks", "int-maps", "three-scalars", "string-map"])
+def test_malformed_json_raises_under_optimize(want, data):
+    code = (
+        "import sys\n"
+        "from germlab.projline import PPMap\n"
+        "try:\n"
+        "    got = PPMap.from_json(%r)\n"
+        "except ValueError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+        "else:\n"
+        "    sys.exit('accepted: %%r' %% (got,))\n" % (data,)
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=_SRC_ENV, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("1 ") and want in done.stdout
 
 
 def test_piece_merging():
