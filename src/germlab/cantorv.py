@@ -184,8 +184,13 @@ class Cylinders:
     __slots__ = ("words",)
 
     def __init__(self, words: Iterable[str]):
+        self._set(_check_word(w) for w in words)
+
+    def _set(self, words: Iterable[str]) -> "Cylinders":
+        """Store binary words reduced, without __init__'s word check;
+        object.__new__(Cylinders)._set(words) builds from words already checked."""
         out: list[str] = []
-        for w in sorted(set(_check_word(w) for w in words)):
+        for w in sorted(set(words)):
             # in sorted order a covering word is the last one kept
             if out and w.startswith(out[-1]):
                 continue
@@ -195,6 +200,7 @@ class Cylinders:
                 out.pop()
                 out[-1] = out[-1][:-1]
         object.__setattr__(self, "words", tuple(out))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Cylinders is immutable")
@@ -277,7 +283,7 @@ class Cylinders:
         A word is read as the low binary digits of a 2-adic integer, and
         the low digits of x + n depend only on the low digits of x.
         """
-        return Cylinders(translate_word(w, n) for w in self.words)
+        return object.__new__(Cylinders)._set(translate_word(w, n) for w in self.words)
 
     def image(self, f) -> "Cylinders":
         """The image under a PrefixMap or a FullGroupElement."""

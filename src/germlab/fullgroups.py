@@ -114,7 +114,7 @@ class FullGroupElement(GroupElement):
             for meet, second in self._meets(translate_word(v, first)):
                 by_shift.setdefault(first + second, []).append(translate_word(meet, -first))
         return object.__new__(FullGroupElement)._set(
-            (shift, Cylinders(words)) for shift, words in by_shift.items())
+            (shift, object.__new__(Cylinders)._set(words)) for shift, words in by_shift.items())
 
     def inverse(self):
         return object.__new__(FullGroupElement)._set(

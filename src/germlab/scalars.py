@@ -17,6 +17,19 @@ _HASH_BITS = sys.hash_info.modulus.bit_length()
 IntLike = Union[int, "Dyadic"]
 
 
+def _json_int(value, shape: str) -> int:
+    """An integer read from JSON, written as a number or a decimal string;
+    ValueError naming shape for anything else, booleans and floats included."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{shape}: not an integer: {value!r}")
+
+
 def reduced(num: int, exp: int) -> tuple[int, int]:
     """num / 2**exp for exp >= 0 in lowest terms: (0, 0), exp == 0 or num odd."""
     if not num:
@@ -189,7 +202,10 @@ class Dyadic:
 
     @staticmethod
     def from_json(obj: dict) -> "Dyadic":
-        return Dyadic(int(obj["num"]), int(obj["den_exp"]))
+        shape = 'a dyadic must be {"num": n, "den_exp": e}'
+        if not isinstance(obj, dict) or not {"num", "den_exp"} <= obj.keys():
+            raise ValueError(f"{shape}, not {obj!r}")
+        return Dyadic(_json_int(obj["num"], shape), _json_int(obj["den_exp"], shape))
 
 
 ZERO = Dyadic(0)
@@ -337,9 +353,14 @@ class QuadExt:
 
     @staticmethod
     def from_json(obj: dict) -> "QuadExt":
-        a = Fraction(int(obj["a"][0]), int(obj["a"][1]))
-        b = Fraction(int(obj["b"][0]), int(obj["b"][1]))
-        return QuadExt(a, b)
+        shape = 'a + b*sqrt(2) must be {"a": [num, den], "b": [num, den]}'
+        if not isinstance(obj, dict) or not all(
+                isinstance(obj.get(key), (list, tuple)) and len(obj[key]) == 2 for key in "ab"):
+            raise ValueError(f"{shape}, not {obj!r}")
+        (an, ad), (bn, bd) = ([_json_int(x, shape) for x in obj[key]] for key in "ab")
+        if not ad or not bd:
+            raise ValueError(f"{shape} with nonzero denominators, not {obj!r}")
+        return QuadExt(Fraction(an, ad), Fraction(bn, bd))
 
 
 SQRT2 = QuadExt(0, 1)

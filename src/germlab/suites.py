@@ -60,13 +60,12 @@ from .treesgff import (
     TreeAut,
     alternating_perms,
     ball as tree_ball,
-    busemann_level,
     cocycle_failure,
-    common_prefix_len,
     cyclic_perms,
     elliptic_germ_check,
     format_vertex,
     halftree_permuter,
+    level_pairs,
     level_transitivity_witness,
     perm_identity,
 )
@@ -525,24 +524,18 @@ def make_level_check(pair, ray, depth, max_dist):
     _require_nonnegative(depth=depth, max_dist=max_dist)
 
     def witnesses(rng):
-        vertices = tree_ball(pair.degree, depth)
-        levels = {}
-        for v in vertices:
-            levels.setdefault(busemann_level(v, ray), []).append(v)
+        levels = level_pairs(tree_ball(pair.degree, depth), ray, max_dist)
         pairs_checked = 0
         memo = {}
-        for same in levels.values():
-            for i, v in enumerate(same):
-                for w in same[i + 1:]:
-                    if len(v) + len(w) - 2 * common_prefix_len(v, w) > max_dist:
-                        continue
-                    word = level_transitivity_witness(pair, ray, v, w, memo)
-                    cur = v
-                    for step in word:
-                        cur = step.act_on(cur)
-                    if cur != w:
-                        _fail(source=format_vertex(v), target=format_vertex(w))
-                    pairs_checked += 1
+        for pairs in levels.values():
+            for v, w in pairs:
+                word = level_transitivity_witness(pair, ray, v, w, memo)
+                cur = v
+                for step in word:
+                    cur = step.act_on(cur)
+                if cur != w:
+                    _fail(source=format_vertex(v), target=format_vertex(w))
+                pairs_checked += 1
         return {"pairs": pairs_checked, "levels": len(levels)}
 
     return witnesses

@@ -16,9 +16,13 @@ the forced value s = taking(c, portrait[a][c]) lies in the free group, and
 taking(c', s[c']) == s for every color c'.  So a walk state (vertex,
 permutation, inside the portrait) moves one edge, up or down, with at most
 one dictionary lookup.  Inside a walk a permutation is its number in the
-pair's sorted large group, composed and inverted by table lookup.  The
-cocycle check stops its walk where no local permutation can change any
-more: below three portraits, along an edge that h carries downward.
+pair's sorted large group, composed and inverted by table lookup.  A
+product pulls the left factor's whole portrait back through the right
+factor in one walk, one step per portrait vertex.  The cocycle check
+stops its walk where no local permutation can change any more: below
+three portraits, along an edge that h carries downward.  Level pairs
+come from buckets: two vertices of one horosphere are within 2k of each
+other exactly when their k-th pushes toward the end agree.
 """
 
 from __future__ import annotations
@@ -285,10 +289,17 @@ class TreeAut(GroupElement):
         if self.pair != other.pair:
             raise ValueError("elements live over different color groups")
         perms, mul = self.pair.perms, self.pair.mul
-        keys = [*other._at, *(other._pull(v)[0] for v in self._at)]
+        # other at the preimage of each vertex v of self's portrait, in one
+        # walk, beside self at v itself
+        pulled = _grow({(): other._pull(())}, self._at, other._back)
+        states = {s[0]: (s, (v, self._at[v], True)) for v, s in pulled.items()}
+        # the preimages form a subtree hanging from its shortest vertex, top,
+        # so the path down to top is all their prefix closure lacks
+        top = min(states, key=len)
         start, base_image = self._walk(other.base_image)
+        states.setdefault((), (other._root(), start))
         # other at v and self at other's image of v, in lockstep
-        states = _grow({(): (other._root(), start)}, keys, lambda s, c: (
+        states = _grow(states, [top[:-1], *other._at], lambda s, c: (
             other._step(s[0], c), self._step(s[1], perms[s[0][1]][c])))
         at = {v: mul[s[1]][o[1]] for v, (o, s) in states.items()}
         return object.__new__(TreeAut)._settle(self.pair, base_image, at)
@@ -310,7 +321,7 @@ class TreeAut(GroupElement):
                 and self._at == other._at)
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash((self.base_image, frozenset(self._at.items())))
 
     def is_identity(self) -> bool:
         return not self.base_image and self.portrait == {(): perm_identity(self.pair.degree)}
@@ -340,12 +351,18 @@ class TreeAut(GroupElement):
 
 
 def _grow(states: dict, keys: Iterable[Vertex], step) -> dict:
-    """Extend states, keyed by vertex, to every prefix of every key; a
-    vertex's state is step(its parent's state, its last color)."""
+    """Extend states, keyed by vertex and holding the root, to every prefix
+    of every key; a vertex's state is step(its parent's state, its last
+    color).  A new key steps forward from its longest stored prefix, so a
+    prefix-closed key set costs one step per new vertex."""
     for v in keys:
-        for k in range(1, len(v) + 1):
-            if v[:k] not in states:
-                states[v[:k]] = step(states[v[:k - 1]], v[k - 1])
+        if v in states:
+            continue
+        k = len(v) - 1
+        while (state := states.get(v[:k])) is None:
+            k -= 1
+        for k in range(k, len(v)):
+            state = states[v[:k + 1]] = step(state, v[k])
     return states
 
 
@@ -401,6 +418,39 @@ def direction_toward(m: Vertex, xi_prefix: Vertex) -> int:
             raise ValueError("ray prefix too short at a ray vertex")
         return xi[len(m)]
     return m[-1]
+
+
+def level_pairs(vertices: Iterable[Vertex], xi_prefix: Vertex, max_dist: int) -> dict:
+    """{level: iterator of (v, w)}: the pairs of vertices on one horosphere
+    at distance at most max_dist, v before w in the order given, levels in
+    the order of their first vertex; pairs are made as they are read.
+
+    Two vertices of one level lie 2j apart, where their j-th pushes toward
+    the end first agree, so a pair is kept exactly when the pushes agree
+    after max_dist // 2 steps, and each level is bucketed by that push.  A
+    vertex off the ray is pushed to its parent; every push that reaches the
+    ray at a given level reaches the same ray vertex, so those share the
+    key None, and the ray prefix need not reach past the vertices.
+    """
+    xi, half = tuple(xi_prefix), max_dist // 2
+    levels: dict[int, list] = {}
+    for v in vertices:
+        v = tuple(v)
+        push = v[:len(v) - half] if len(v) - half > common_prefix_len(v, xi) else None
+        levels.setdefault(busemann_level(v, xi), []).append((v, push))
+    return {level: _bucket_pairs(same) for level, same in levels.items()}
+
+
+def _bucket_pairs(keyed: list):
+    """The pairs (v, w) of equal keys from [(v, key), ...], in list order."""
+    buckets: dict = {}
+    for v, key in keyed:
+        buckets.setdefault(key, []).append(v)
+    for v, key in keyed:
+        later = buckets[key]
+        later.pop(0)  # v itself, first of what is left of its bucket
+        for w in later:
+            yield v, w
 
 
 def elliptic_germ_check(g: TreeAut, ray_prefix: Vertex, depth: int) -> tuple:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from germlab.plcircle import PLMap
+from germlab.projline import PPMap
 from germlab.scalars import Dyadic, QuadExt, SQRT2
 
 
@@ -78,6 +80,53 @@ def test_dyadic_parse_and_json():
     x = Dyadic(12345678901234567890123, 77)
     assert Dyadic.from_json(x.to_json()) == x
     assert x.to_json()["num"] == "12345678901234567890123"
+
+
+MALFORMED_DYADICS = {
+    "string": "x",
+    "list": ["1", "0"],
+    "missing-keys": {"a": 1},
+    "missing-exponent": {"num": "1"},
+    "fraction-string": {"num": "1.5", "den_exp": 0},
+    "float": {"num": 1.5, "den_exp": 0},
+    "bool": {"num": "1", "den_exp": True},
+    "null": {"num": None, "den_exp": 0},
+}
+
+MALFORMED_QUADS = {
+    "string": "x",
+    "missing-keys": {"a": ["1", "1"]},
+    "string-coefficient": {"a": "12", "b": ["0", "1"]},
+    "three-entries": {"a": ["1", "2", "3"], "b": ["0", "1"]},
+    "zero-denominator": {"a": ["1", "0"], "b": ["0", "1"]},
+    "float-entry": {"a": ["1", "1"], "b": [0.5, "1"]},
+    "null-entry": {"a": [None, "1"], "b": ["0", "1"]},
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_DYADICS.values(), ids=MALFORMED_DYADICS)
+def test_malformed_dyadic_json_raises_value_error(data):
+    with pytest.raises(ValueError, match="a dyadic must be"):
+        Dyadic.from_json(data)
+    pieces = [{"left": data, "slope_exp": 0, "intercept": {"num": "0", "den_exp": 0}}]
+    with pytest.raises(ValueError, match="a dyadic must be"):
+        PLMap.from_json({"pieces": pieces})
+
+
+@pytest.mark.parametrize("data", MALFORMED_QUADS.values(), ids=MALFORMED_QUADS)
+def test_malformed_quadext_json_raises_value_error(data):
+    with pytest.raises(ValueError, match=r"a \+ b\*sqrt\(2\) must be"):
+        QuadExt.from_json(data)
+    one, zero = QuadExt(1).to_json(), QuadExt(0).to_json()
+    for breaks, maps in (([data], [[one, zero, zero, one]] * 2),
+                         ([], [[one, data, zero, one]])):
+        with pytest.raises(ValueError, match=r"a \+ b\*sqrt\(2\) must be"):
+            PPMap.from_json({"breaks": breaks, "maps": maps})
+
+
+def test_scalar_json_accepts_integer_numbers():
+    assert Dyadic.from_json({"num": 3, "den_exp": "2"}) == Dyadic(3, 2)
+    assert QuadExt.from_json({"a": [1, -2], "b": ["0", 5]}) == QuadExt(Fraction(-1, 2))
 
 
 def test_dyadic_hash_consistent():

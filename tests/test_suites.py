@@ -191,6 +191,15 @@ def test_check_factories_run_standalone():
     assert out["pairs"] > 0
 
 
+@pytest.mark.parametrize("depth, want", [
+    (4, {"pairs": 3132, "levels": 9}),
+    (5, {"pairs": 12732, "levels": 11}),
+])
+def test_level_check_counts_are_pinned(depth, want):
+    ray = (0, 1) * 4
+    assert make_level_check(_TREE_PAIR, ray, depth, 4)(random.Random(0)) == want
+
+
 def test_seed_changes_report_but_not_validity():
     a = run_suite("germ-ff", FAST["germ-ff"], seed=1)
     b = run_suite("germ-ff", FAST["germ-ff"], seed=2)

@@ -19,11 +19,13 @@ from germlab.treesgff import (
     ball,
     busemann_level,
     cocycle_failure,
+    common_prefix_len,
     cyclic_perms,
     direction_toward,
     elliptic_germ_check,
     format_vertex,
     halftree_permuter,
+    level_pairs,
     level_transitivity_witness,
     neighbour,
     parse_vertex,
@@ -310,6 +312,24 @@ def test_cocycle_walk_cost_stops_growing_with_the_radius(monkeypatch):
     assert 0 < cost[20] <= 2 * cost[5]
 
 
+def test_product_pulls_the_left_factor_in_one_walk(monkeypatch):
+    rng = random.Random(12)
+    f, g = _rand_tree_word(rng, PAIR, 12), _rand_tree_word(rng, PAIR, 12)
+    steps = [0]
+    back = TreeAut._back
+
+    def counting(self, state, color):
+        steps[0] += 1
+        return back(self, state, color)
+
+    monkeypatch.setattr(TreeAut, "_back", counting)
+    fg = f * g
+    # pulling each of f's portrait vertices from the root separately takes 297 steps
+    assert 0 < steps[0] <= len(f.portrait) + len(g.base_image)
+    monkeypatch.undo()
+    assert all(fg.act_on(v) == f.act_on(g.act_on(v)) for v in ball(PAIR.degree, 4))
+
+
 def test_composition_keeps_portrait_finite_and_large():
     rng = random.Random(20)
     for _ in range(20):
@@ -355,6 +375,31 @@ def test_busemann_levels_partition():
         assert levels.count(mine + 1) == 4
     with pytest.raises(ValueError):
         busemann_level(XI, XI)
+
+
+def _same_level_distances(vertices, xi):
+    """Every same-level pair (v, w, distance), v before w: the slow way."""
+    levels = {}
+    for v in vertices:
+        levels.setdefault(busemann_level(v, xi), []).append(v)
+    return {level: [(v, w, len(v) + len(w) - 2 * common_prefix_len(v, w))
+                    for i, v in enumerate(same) for w in same[i + 1:]]
+            for level, same in levels.items()}
+
+
+def test_level_pair_buckets_match_the_all_pairs_filter():
+    # (0, 1, 0, 1) is as short as a ray prefix can be for the depth-3 ball,
+    # so pushing its ray vertices 3 steps toward the end would run past it
+    for xi, depths in ((XI, range(6)), (XI[:4], [3])):
+        for depth in depths:
+            vertices = ball(PAIR.degree, depth)
+            distances = _same_level_distances(vertices, xi)
+            for max_dist in range(7):
+                want = {level: [(v, w) for v, w, d in pairs if d <= max_dist]
+                        for level, pairs in distances.items()}
+                # same levels, same pairs, in the same order
+                got = level_pairs(vertices, xi, max_dist)
+                assert [(level, list(pairs)) for level, pairs in got.items()] == list(want.items())
 
 
 def test_direction_toward():
@@ -663,6 +708,16 @@ def test_products_and_equality_classes_match_the_oracle(data):
         assert (x == y) == (ox == oy)
         if x == y:
             assert hash(x) == hash(y)
+
+
+@given(st.data())
+def test_hash_agrees_on_one_element_built_in_different_orders(data):
+    pair = data.draw(st.sampled_from(PAIRS))
+    (f, _), (g, _) = data.draw(_words(pair)), data.draw(_words(pair))
+    # each pair is one element whose portrait dict was filled in another order
+    for x, y in (((f * g) * f, f * (g * f)), (g.inverse() * f.inverse(), (f * g).inverse()),
+                 (f * g * g.inverse(), f)):
+        assert x == y and hash(x) == hash(y)
 
 
 @given(st.data())
