@@ -388,9 +388,6 @@ class PrefixMap(GroupElement):
     def __hash__(self):
         return hash(self.rules)
 
-    def canonical_key(self) -> tuple:
-        return self.rules
-
     def is_identity(self) -> bool:
         return self.rules == (("", ""),)
 

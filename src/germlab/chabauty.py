@@ -35,10 +35,6 @@ def element_budget(budget=None):
         raise ValueError("GERMLAB_BUDGET must be an integer, got %r" % text) from None
 
 
-def _key(element):
-    return element.canonical_key()
-
-
 def _protocol(element, name):
     """The region-protocol member ``name`` of element (``support``,
     ``identity_on``, ``germ_trivial_at`` or ``region_type``)."""
@@ -107,56 +103,61 @@ class MarkedGroup:
 
 
 class BallTruncation:
-    """All distinct elements of word length <= radius, in discovery order."""
+    """All distinct elements of word length <= radius, in discovery order,
+    each with the first word that spells it."""
 
-    __slots__ = ("radius", "elements", "words", "_index")
+    __slots__ = ("radius", "_index")
 
     def __init__(self, radius, elements, words):
+        self._set(radius, dict(zip(elements, words)))
+
+    def _set(self, radius, index):
+        """Store the radius and the {element: word} dict, in ball order."""
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "words", tuple(words))
-        object.__setattr__(
-            self, "_index", {_key(el): w for el, w in zip(elements, words)}
-        )
+        object.__setattr__(self, "_index", index)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BallTruncation is immutable")
 
+    @property
+    def elements(self):
+        return tuple(self._index)
+
+    @property
+    def words(self):
+        return tuple(self._index.values())
+
     def __len__(self):
-        return len(self.elements)
+        return len(self._index)
 
     def __contains__(self, element):
-        return _key(element) in self._index
+        return element in self._index
 
 
 def ball(group, radius, budget=None):
     if radius < 0:
         raise ValueError("radius must be nonnegative, got %d" % radius)
     limit = element_budget(budget)
-    seen = {_key(group.identity): ""}
-    elements = [group.identity]
-    words = [""]
-    frontier = [group.identity]
+    letters = sorted(group.gens.items())
+    index = {group.identity: ""}
+    frontier = [(group.identity, "")]
     for filling in range(1, radius + 1):
         nxt = []
-        for element in frontier:
-            base = seen[_key(element)]
-            for label in sorted(group.gens):
-                candidate = element * group.gens[label]
-                k = _key(candidate)
-                if k in seen:
+        for element, base in frontier:
+            for label, gen in letters:
+                candidate = element * gen
+                if candidate in index:
                     continue
-                if len(elements) + 1 > limit:
+                if len(index) >= limit:
                     raise BudgetError(
                         "ball exceeds the %d-element budget at radius %d of %d,"
-                        " with %d elements" % (limit, filling, radius, len(elements))
+                        " with %d elements" % (limit, filling, radius, len(index))
                     )
-                seen[k] = base + label
-                elements.append(candidate)
-                words.append(base + label)
-                nxt.append(candidate)
+                index[candidate] = word = base + label
+                nxt.append((candidate, word))
         frontier = nxt
-    return BallTruncation(radius, elements, words)
+    return object.__new__(BallTruncation)._set(radius, index)
 
 
 # -- subgroup predicates -------------------------------------------------------
@@ -237,8 +238,7 @@ class SubgroupSpec:
 
 def disagreements(h_spec, k_spec, group, radius, budget=None):
     """Words of the radius ball, in ball order, on which the two specs differ."""
-    full = ball(group, radius, budget)
-    for element, word in zip(full.elements, full.words):
+    for element, word in ball(group, radius, budget)._index.items():
         if h_spec.contains(element) != k_spec.contains(element):
             yield word
 
@@ -260,7 +260,7 @@ def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius, bud
     full = ball(group, radius, budget)
 
     def kept(spec):
-        return frozenset(_key(el) for el in full.elements if spec.contains(el))
+        return frozenset(el for el in full._index if spec.contains(el))
 
     target = kept(predicted_limit)
     matches = [kept(SubgroupSpec.conjugate(h_spec, g)) == target for g in conjugators]
@@ -289,7 +289,7 @@ def accumulation_probe(h_spec, group, forbidden, search_radius, budget=None):
             raise ValueError("the forbidden set must not contain the identity")
         if p not in full:
             raise ValueError("forbidden elements must lie in the search ball")
-    for element, word in zip(full.elements, full.words):
+    for element, word in full._index.items():
         # gpg^-1 lies in H exactly when p lies in g^-1 H g
         pulled = SubgroupSpec.conjugate(h_spec, element.inverse())
         if not any(pulled.contains(p) for p in forbidden):
@@ -408,6 +408,8 @@ def neumann_sweep(n_max, r_max):
     is validated and passed through neumann_check; the worst minimal index
     seen is reported.
     """
+    if n_max < 0 or r_max < 0:
+        raise ValueError("n_max and r_max must be nonnegative, got %d and %d" % (n_max, r_max))
     covers_checked = 0
     max_min_index = 0
     for n in range(1, n_max + 1):

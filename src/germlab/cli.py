@@ -54,7 +54,10 @@ def _parse_fraction_pair(text):
     lo, _, hi = text.partition(",")
     if not _:
         raise ValueError(f"interval {text!r} must look like lo,hi")
-    return Fraction(lo), Fraction(hi)
+    try:
+        return Fraction(lo), Fraction(hi)
+    except ZeroDivisionError:
+        raise ValueError(f"interval {text!r} has a zero denominator") from None
 
 
 def _spell_word(group_name, word):

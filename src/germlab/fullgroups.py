@@ -146,9 +146,6 @@ class FullGroupElement(GroupElement):
     def __hash__(self):
         return hash(("FullGroupElement", self.table))
 
-    def canonical_key(self):
-        return self.table
-
     def __repr__(self):
         return "FullGroupElement(%s)" % ", ".join(
             "%r: %+d" % (piece.words, shift) for shift, piece in self.table

@@ -17,9 +17,8 @@ standard subdivisions in integers (``_chain``).
 
 Dyadics stay at the boundary.  A map reads and writes pieces (left,
 slope_exp, intercept), F(t) = 2**slope_exp * t + intercept: the
-constructor, ``pieces``, ``repr``, ``to_json``/``from_json`` and
-``canonical_key`` are those of that form.  An arc set reads and prints
-(lo, hi) pairs.
+constructor, ``pieces``, ``repr`` and ``to_json``/``from_json`` are those
+of that form.  An arc set reads and prints (lo, hi) pairs.
 
 Maps fixing the point 0 with this slope/breakpoint discipline form the group
 usually written F; arbitrary such circle maps form T.
@@ -231,9 +230,6 @@ class PLMap(GroupElement):
 
     def __hash__(self):
         return hash((self._e, self._x, self._y, self._s))
-
-    def canonical_key(self) -> tuple:
-        return tuple(_piece_key(x, y, s, self._e) for x, y, s in zip(self._x, self._y, self._s))
 
     def is_identity(self) -> bool:
         return self._s == (0,) and self._y == (0,)

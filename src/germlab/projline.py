@@ -10,7 +10,7 @@ Each piece is a Mobius matrix held as eight integers in projective normal
 form over Z[sqrt 2], so compose and inverse never divide, and evaluation
 divides once, by the norm of the denominator.  The public view is that of
 the matrix divided by its first nonzero entry, as QuadExt values:
-.p/.q/.r/.s, repr, to_json and canonical_key.
+.p/.q/.r/.s, repr and to_json.
 """
 
 from __future__ import annotations
@@ -338,12 +338,6 @@ class PPMap(GroupElement):
     def __hash__(self):
         return hash((self.breaks, self.maps))
 
-    def canonical_key(self) -> tuple:
-        return (
-            tuple(b.key() for b in self.breaks),
-            tuple((m.p.key(), m.q.key(), m.r.key(), m.s.key()) for m in self.maps),
-        )
-
     def is_identity(self) -> bool:
         return not self.breaks and self.maps[0] == _IDENTITY
 
@@ -450,11 +444,11 @@ def interval_compression_witness(
 ) -> Optional[str]:
     """Shortest word w in a, b, c (capitals for inverses) with w(I1) inside I2.
 
-    Breadth-first over the canonical group elements, so words that merely
-    respell an already-seen element are skipped.  Returns None when no
-    word of length at most max_len works; the empty word is returned when
-    I1 already sits inside I2.  Raises BudgetError once the search has seen
-    more elements than GERMLAB_BUDGET allows.
+    Breadth-first over distinct group elements, each kept once by ``==``,
+    so words that merely respell an already-seen element are skipped.
+    Returns None when no word of length at most max_len works; the empty
+    word is returned when I1 already sits inside I2.  Raises BudgetError
+    once the search has seen more elements than GERMLAB_BUDGET allows.
     """
     i1 = tuple(QuadExt.coerce(v) for v in i1)
     i2 = tuple(QuadExt.coerce(v) for v in i2)
@@ -462,19 +456,18 @@ def interval_compression_witness(
     if interval_inside(image_interval(ident, i1), i2):
         return ""
     limit = element_budget()
-    seen = {ident.canonical_key()}
+    seen = {ident}
     frontier = [("", ident)]
     for _ in range(max_len):
         nxt = []
         for word, elem in frontier:
             for letter, gen in _LETTERS:
                 cand = elem * gen
-                key = cand.canonical_key()
-                if key in seen:
+                if cand in seen:
                     continue
                 if len(seen) >= limit:
                     raise BudgetError("search exceeds the %d-element budget" % limit)
-                seen.add(key)
+                seen.add(cand)
                 if interval_inside(image_interval(cand, i1), i2):
                     return word + letter
                 nxt.append((word + letter, cand))

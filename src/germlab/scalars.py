@@ -6,7 +6,9 @@ and equality with integer arithmetic only.  No floats anywhere.
 
 from __future__ import annotations
 
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -17,17 +19,24 @@ _HASH_BITS = sys.hash_info.modulus.bit_length()
 IntLike = Union[int, "Dyadic"]
 
 
+# the strings int() reads in base 10; int() and str() refuse more than
+# sys.get_int_max_str_digits() digits, Decimal converts any length exactly
+_DECIMAL_INT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _json_int(value, shape: str) -> int:
     """An integer read from JSON, written as a number or a decimal string;
     ValueError naming shape for anything else, booleans and floats included."""
     if type(value) is int:
         return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
+        return int(Decimal(value))
     raise ValueError(f"{shape}: not an integer: {value!r}")
+
+
+def _json_str(n: int) -> str:
+    """n as a decimal string, of any length."""
+    return str(Decimal(n))
 
 
 def reduced(num: int, exp: int) -> tuple[int, int]:
@@ -91,6 +100,8 @@ class Dyadic:
         text = text.strip()
         if "/" in text:
             p, q = text.split("/")
+            if not int(q):
+                raise ValueError(f"{text!r} has a zero denominator")
             return Dyadic.from_fraction(Fraction(int(p), int(q)))
         return Dyadic(int(text))
 
@@ -181,9 +192,6 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    def key(self) -> tuple:
-        return (self.num, self.exp)
-
     def __repr__(self):
         if self.exp == 0:
             return f"Dyadic({self.num})"
@@ -198,7 +206,7 @@ class Dyadic:
         # numerators are serialized as decimal strings so arbitrarily deep
         # subdivisions survive a round-trip through JSON readers that only
         # have 53-bit numbers
-        return {"num": str(self.num), "den_exp": self.exp}
+        return {"num": _json_str(self.num), "den_exp": self.exp}
 
     @staticmethod
     def from_json(obj: dict) -> "Dyadic":
@@ -337,9 +345,6 @@ class QuadExt:
             return hash(self.a)
         return hash((self.a, self.b))
 
-    def key(self) -> tuple:
-        return (self.a.numerator, self.a.denominator, self.b.numerator, self.b.denominator)
-
     def __repr__(self):
         if self.b == 0:
             return f"QuadExt({self.a})"
@@ -347,8 +352,8 @@ class QuadExt:
 
     def to_json(self) -> dict:
         return {
-            "a": [str(self.a.numerator), str(self.a.denominator)],
-            "b": [str(self.b.numerator), str(self.b.denominator)],
+            "a": [_json_str(self.a.numerator), _json_str(self.a.denominator)],
+            "b": [_json_str(self.b.numerator), _json_str(self.b.denominator)],
         }
 
     @staticmethod

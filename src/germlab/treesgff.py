@@ -311,9 +311,6 @@ class TreeAut(GroupElement):
         at = {v: self.pair.inv[s[1]] for v, s in states.items()}
         return object.__new__(TreeAut)._settle(self.pair, states[()][0], at)
 
-    def canonical_key(self) -> tuple:
-        return (self.base_image, tuple(sorted(self.portrait.items())))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TreeAut):
             return NotImplemented

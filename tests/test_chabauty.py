@@ -13,6 +13,7 @@ from germlab.cantorv import (
     ZERO_SEQ,
     Cylinders,
     EventuallyPeriodic,
+    PrefixMap,
     rigid_stabilizer_v,
 )
 from germlab.chabauty import (
@@ -33,16 +34,19 @@ from germlab.chabauty import (
     neumann_sweep,
     verify_micro_support,
 )
+from germlab.fullgroups import FullGroupElement, gamma_tv
 from germlab.plcircle import (
     GEN_A,
     GEN_B,
     ArcSet,
+    PLMap,
     conjugate_into_interval,
     expanding_conjugator,
     in_derived_F,
     rigid_stabilizer_gens,
     support_fix,
 )
+from germlab.projline import LM_A, LM_B, LM_C, PPMap
 from germlab.scalars import Dyadic
 
 F = MarkedGroup({"a": GEN_A, "b": GEN_B})
@@ -58,10 +62,6 @@ def chabauty_trunc(spec, group, radius):
     return BallTruncation(radius, [e for e, _ in kept], [w for _, w in kept])
 
 
-def key_set(truncation):
-    return frozenset(el.canonical_key() for el in truncation.elements)
-
-
 def test_marked_group_validation():
     with pytest.raises(ValueError):
         MarkedGroup({"a": GEN_A * GEN_A.inverse()})
@@ -73,11 +73,30 @@ def test_marked_group_validation():
     assert F.spell("ab") == GEN_A * GEN_B
 
 
+# (marked group, kernel, ball sizes at radius 0, 1, ...)
+BALL_SIZES = {
+    "F": (F, PLMap, [1, 5, 17, 53, 161]),
+    "V": (MarkedGroup({"a": GEN_VA, "b": GEN_VB, "c": GEN_VC, "p": GEN_PI0}),
+          PrefixMap, [1, 8, 44, 209, 951]),
+    "LM": (MarkedGroup({"a": LM_A, "b": LM_B, "c": LM_C}), PPMap, [1, 7, 37, 187]),
+    # three involutions
+    "full": (MarkedGroup({"a": gamma_tv(1, Cylinders.of("00")),
+                          "b": gamma_tv(2, Cylinders.of("01")),
+                          "c": gamma_tv(-1, Cylinders.of("111"))}),
+             FullGroupElement, [1, 4, 9, 16, 25, 37]),
+}
+
+
 def test_ball_sizes_and_monotonicity():
-    sizes = [len(ball(F, r)) for r in range(5)]
-    assert sizes == [1, 5, 17, 53, 161]
-    assert key_set(ball(F, 1)) <= key_set(ball(F, 2))
-    assert key_set(ball(F, 2)) <= key_set(ball(F, 3))
+    for name, (group, kernel, sizes) in BALL_SIZES.items():
+        balls = [ball(group, r) for r in range(len(sizes))]
+        assert [len(b) for b in balls] == sizes, name
+        for inner, outer in zip(balls, balls[1:]):
+            assert frozenset(inner.elements) <= frozenset(outer.elements)
+        # a ball holds elements by == and hash, so an equal object built
+        # afresh is found in it
+        for element in balls[-1].elements:
+            assert kernel.from_json(element.to_json()) in balls[-1], name
 
 
 def test_ball_words_spell_their_elements():
@@ -107,7 +126,8 @@ def test_ball_budget_env(monkeypatch):
 
 
 def test_trunc_basics():
-    assert key_set(chabauty_trunc(SubgroupSpec.whole_group(), F, 2)) == key_set(ball(F, 2))
+    whole = chabauty_trunc(SubgroupSpec.whole_group(), F, 2)
+    assert frozenset(whole.elements) == frozenset(ball(F, 2).elements)
     trivial = chabauty_trunc(SubgroupSpec.trivial(), F, 2)
     assert trivial.words == ("",)
 

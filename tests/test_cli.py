@@ -122,6 +122,22 @@ def test_chabauty_rejects_bad_spec(capsys):
     assert code == 2 and "cannot parse subgroup spec" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--group", "F", "--word", "a", "--at", "1/0"),
+    ("compress", "--arcs", "0:1/0", "--beta", "0", "--alpha", "1/2"),
+    ("chabauty", "--group", "F", "--h", "support:0:1/0", "--k", "whole", "--radius", "1"),
+    ("compress-proj", "--i1", "1/0,1", "--i2", "0,1", "--max-len", "2"),
+    ("neumann", "--n", "-1", "--r", "2"),
+    ("neumann", "--n", "3", "--r", "-1"),
+], ids=["eval-zero-denominator", "compress-zero-denominator",
+        "chabauty-zero-denominator", "compress-proj-zero-denominator",
+        "neumann-negative-n", "neumann-negative-r"])
+def test_bad_numbers_exit_2_with_a_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_neumann_sweep_pinned(capsys):
     code, out, _ = run(capsys, "neumann", "--n", "6", "--r", "3")
     assert code == 0

@@ -44,6 +44,16 @@ def word_to_element(word):
     return g
 
 
+def pp_key(g):
+    """Each break, then each piece's p, q, r, s, as the integers
+    (a.numerator, a.denominator, b.numerator, b.denominator) of a + b*sqrt(2):
+    the form the pinned digest was taken over."""
+    def quad(x):
+        return (x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator)
+    return (tuple(quad(b) for b in g.breaks),
+            tuple((quad(m.p), quad(m.q), quad(m.r), quad(m.s)) for m in g.maps))
+
+
 def rand_word(rng, n):
     return word_to_element("".join(rng.choice("abcABC") for _ in range(n)))
 
@@ -228,6 +238,13 @@ def test_witness_not_found():
     assert interval_compression_witness((0, 1), (5, 9), 2) is None
 
 
+def test_witness_is_the_first_word_in_letter_order():
+    # the search tries a, b, c, A, B, C at each step: aBBa works too
+    i1, i2 = (Fraction(-1, 3), Fraction(2, 3)), (1, Fraction(5, 3))
+    assert interval_compression_witness(i1, i2, 6) == "aBaB"
+    assert interval_inside(image_interval(word_to_element("aBBa"), i1), i2)
+
+
 def test_json_roundtrip():
     rng = random.Random(55)
     for _ in range(15):
@@ -386,7 +403,7 @@ def test_lodha_moore_boundary_bytes_are_pinned():
     def digest(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert digest(repr([g.canonical_key() for g in elements])) == (
+    assert digest(repr([pp_key(g) for g in elements])) == (
         "f8b19f469939ee2f60e98bf12749d42f14097ed7b51ea5c40a087bf923a4d42f")
     assert digest(json.dumps([g.to_json() for g in elements], sort_keys=True)) == (
         "fff3a8560f7c68784e7811267703da24bdd8e41ba913ee0052888b3300d7d8b6")

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from germlab.plcircle import PLMap
-from germlab.projline import PPMap
+from germlab.plcircle import PLMap, rotation
+from germlab.projline import Mobius, PPMap
 from germlab.scalars import Dyadic, QuadExt, SQRT2
 
 
@@ -42,13 +43,16 @@ def oracle_sign(x: QuadExt) -> int:
 
 
 def test_normalization_canonical():
-    assert Dyadic(6, 1).key() == (3, 0)
-    assert Dyadic(4, 2).key() == (1, 0)
-    assert Dyadic(0, 7).key() == (0, 0)
-    assert Dyadic(3, 3).key() == (3, 3)
-    assert Dyadic(-8, 2).key() == (-2, 0)
+    def form(d):
+        return d.num, d.exp
+
+    assert form(Dyadic(6, 1)) == (3, 0)
+    assert form(Dyadic(4, 2)) == (1, 0)
+    assert form(Dyadic(0, 7)) == (0, 0)
+    assert form(Dyadic(3, 3)) == (3, 3)
+    assert form(Dyadic(-8, 2)) == (-2, 0)
     # negative exponents mean multiplication by 2**k
-    assert Dyadic(3, -2).key() == (12, 0)
+    assert form(Dyadic(3, -2)) == (12, 0)
 
 
 def test_dyadic_matches_fraction_arithmetic():
@@ -88,6 +92,9 @@ MALFORMED_DYADICS = {
     "missing-keys": {"a": 1},
     "missing-exponent": {"num": "1"},
     "fraction-string": {"num": "1.5", "den_exp": 0},
+    "exponent-string": {"num": "1e3", "den_exp": 0},
+    "hex-string": {"num": "0x10", "den_exp": 0},
+    "empty-string": {"num": "", "den_exp": 0},
     "float": {"num": 1.5, "den_exp": 0},
     "bool": {"num": "1", "den_exp": True},
     "null": {"num": None, "den_exp": 0},
@@ -127,6 +134,23 @@ def test_malformed_quadext_json_raises_value_error(data):
 def test_scalar_json_accepts_integer_numbers():
     assert Dyadic.from_json({"num": 3, "den_exp": "2"}) == Dyadic(3, 2)
     assert QuadExt.from_json({"a": [1, -2], "b": ["0", 5]}) == QuadExt(Fraction(-1, 2))
+    assert Dyadic.from_json({"num": " -12 ", "den_exp": "+1"}) == Dyadic(-6)
+
+
+def test_json_keeps_integers_past_the_str_digit_limit():
+    # str(int) and int(str) stop at 4300 digits by default
+    big = 10 ** 9999 + 1
+    d = Dyadic(big, big.bit_length())
+    assert d.to_json()["num"] == "1" + "0" * 9998 + "1"
+    assert Dyadic.from_json(json.loads(json.dumps(d.to_json()))) == d
+    q = QuadExt(Fraction(big, 3), Fraction(-5, big))
+    assert q.to_json()["b"][1] == d.to_json()["num"]
+    assert QuadExt.from_json(json.loads(json.dumps(q.to_json()))) == q
+    f = rotation(d)
+    assert PLMap.from_json(json.loads(json.dumps(f.to_json()))) == f
+    # the identity left of big/3, t -> 2t - big/3 right of it
+    g = PPMap([q.a], [Mobius.identity(), Mobius.affine(2, -q.a)])
+    assert PPMap.from_json(json.loads(json.dumps(g.to_json()))) == g
 
 
 def test_dyadic_hash_consistent():
@@ -261,7 +285,7 @@ def test_dyadic_deep_normal_form_matches_fraction(exp):
         (0, (0, 0)),
     ):
         d = Dyadic(num, exp)
-        assert d.key() == want
+        assert (d.num, d.exp) == want
         value = Fraction(num, 1 << exp)
         assert d == value and value == d and d.as_fraction() == value
         assert hash(d) == hash(value)

@@ -76,3 +76,7 @@ def test_products_inverses_and_powers_pass_the_public_checks(family, u, w, n):
     for h in (f, g, f * g, g * f, f.inverse(), (f * g).inverse(), f ** n, f * f.inverse()):
         validate(h)
     assert (f * f.inverse()).is_identity()
+    # balls key elements by == and hash, which must not depend on how a
+    # product was bracketed
+    left, right = (f * g) * f, f * (g * f)
+    assert left == right and hash(left) == hash(right)
