@@ -6,11 +6,17 @@ Both unbounded pieces are required to be affine, so every map here fixes
 the point at infinity; that covers all words in the three standard
 generators a, b, c below.
 
-Each piece is a Mobius matrix held as eight integers in projective normal
-form over Z[sqrt 2], so compose and inverse never divide, and evaluation
-divides once, by the norm of the denominator.  The public view is that of
-the matrix divided by its first nonzero entry, as QuadExt values:
-.p/.q/.r/.s, repr and to_json.
+Everything inside is integers over Z[sqrt 2].  Each piece is a Mobius
+matrix held as eight integers in projective normal form, so compose and
+inverse never divide.  Each break is a primitive triple (x0, x1, d), the
+point (x0 + x1 sqrt2) / d with d > 0, so equal points have equal triples;
+a matrix sends a triple to a triple with one gcd (``_apply``), and two
+points are ordered by the sign of an element of Z[sqrt 2] (``_sign``).
+Products, inverses, equality and hashing build no Fraction and no QuadExt.
+
+QuadExt is only the public view: the constructor takes QuadExt, Fraction
+or int values, and ``breaks``, evaluation, ``preimage_point``, ``pole``,
+.p/.q/.r/.s, repr and to_json give QuadExt values back.
 """
 
 from __future__ import annotations
@@ -66,7 +72,10 @@ def _normal(v) -> "Mobius":
     g = gcd(*v)
     if v[i] < 0:
         g = -g
-    return _mobius(tuple(x // g for x in v))
+    return _mobius(tuple(v) if g == 1 else tuple([x // g for x in v]))
+
+
+_IDENTITY_V = (1, 0, 0, 0, 0, 0, 1, 0)
 
 
 def _mobius(v: tuple) -> "Mobius":
@@ -76,18 +85,71 @@ def _mobius(v: tuple) -> "Mobius":
     return m
 
 
-def _quotient(n0: int, n1: int, d0: int, d1: int):
-    """(n0 + n1 sqrt2) / (d0 + d1 sqrt2) as a QuadExt, or INF if d is 0.
+def _sign(a: int, b: int) -> int:
+    """The sign of a + b sqrt2: that of the larger term in absolute value,
+    found by comparing a^2 with 2 b^2, which differ unless a = b = 0."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if a * a > 2 * b * b:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
-    The norm d0^2 - 2 d1^2 vanishes only at d = 0, as sqrt(2) is
+
+def _cmp(x: tuple, y: tuple) -> int:
+    """The order of two points (x0 + x1 sqrt2) / d with d > 0."""
+    x0, x1, d = x
+    y0, y1, e = y
+    return _sign(x0 * e - y0 * d, x1 * e - y1 * d)
+
+
+def _apply(v: tuple, x: Optional[tuple]) -> Optional[tuple]:
+    """The image of the point x under the matrix v.
+
+    Points are primitive triples (x0, x1, d) for (x0 + x1 sqrt2) / d with
+    d > 0, and None for infinity.  The quotient n / m is n conj(m) / N(m);
+    the norm N(m) = m0^2 - 2 m1^2 vanishes only at m = 0, as sqrt(2) is
     irrational.
     """
-    norm = d0 * d0 - 2 * d1 * d1
-    if not norm:
+    p0, p1, q0, q1, r0, r1, s0, s1 = v
+    if x is None:
+        n0, n1, m0, m1 = p0, p1, r0, r1
+    else:
+        x0, x1, d = x
+        n0 = p0 * x0 + 2 * p1 * x1 + q0 * d
+        n1 = p0 * x1 + p1 * x0 + q1 * d
+        m0 = r0 * x0 + 2 * r1 * x1 + s0 * d
+        m1 = r0 * x1 + r1 * x0 + s1 * d
+    if m1:
+        n0, n1, m0 = n0 * m0 - 2 * n1 * m1, n1 * m0 - n0 * m1, m0 * m0 - 2 * m1 * m1
+    if not m0:
+        return None
+    if m0 < 0:
+        n0, n1, m0 = -n0, -n1, -m0
+    g = gcd(n0, n1, m0)
+    return n0 // g, n1 // g, m0 // g
+
+
+def _adjugate(v: tuple) -> tuple:
+    """(s, -q, -r, p): the inverse map, with the same determinant."""
+    p0, p1, q0, q1, r0, r1, s0, s1 = v
+    return s0, s1, -q0, -q1, -r0, -r1, p0, p1
+
+
+def _triple(x: Scalar) -> tuple:
+    """The primitive triple of a finite point; lcm leaves no common factor,
+    as both parts are in lowest terms."""
+    x = QuadExt.coerce(x)
+    a, b = x.a, x.b
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
+
+def _quad(t: Optional[tuple]):
+    """The public value of a point: a QuadExt, or INF for None."""
+    if t is None:
         return INF
-    return QuadExt(
-        Fraction(n0 * d0 - 2 * n1 * d1, norm), Fraction(n1 * d0 - n0 * d1, norm)
-    )
+    x0, x1, d = t
+    return QuadExt(Fraction(x0, d), Fraction(x1, d))
 
 
 class Mobius:
@@ -115,9 +177,8 @@ class Mobius:
         den = lcm(*(x.denominator for x in parts))
         m = _normal([x.numerator * (den // x.denominator) for x in parts])
         p0, p1, q0, q1, r0, r1, s0, s1 = m.v
-        det = (p0 * s0 + 2 * p1 * s1 - q0 * r0 - 2 * q1 * r1,
-               p0 * s1 + p1 * s0 - q0 * r1 - q1 * r0)
-        if QuadExt(*det).sign() <= 0:
+        if _sign(p0 * s0 + 2 * p1 * s1 - q0 * r0 - 2 * q1 * r1,
+                 p0 * s1 + p1 * s0 - q0 * r1 - q1 * r0) <= 0:
             raise ValueError("determinant must be positive")
         object.__setattr__(self, "v", m.v)
         object.__setattr__(self, "_entries", None)
@@ -144,7 +205,7 @@ class Mobius:
 
     @staticmethod
     def identity() -> "Mobius":
-        return _mobius((1, 0, 0, 0, 0, 0, 1, 0))
+        return _mobius(_IDENTITY_V)
 
     @staticmethod
     def affine(slope: Scalar, shift: Scalar) -> "Mobius":
@@ -155,43 +216,34 @@ class Mobius:
 
     def pole(self) -> Optional[QuadExt]:
         """The finite point sent to infinity, if any."""
-        if self.is_affine():
-            return None
-        v = self.v
-        return _quotient(-v[6], -v[7], v[4], v[5])
+        # the inverse sends infinity to -s / r
+        pole = _apply(_adjugate(self.v), None)
+        return None if pole is None else _quad(pole)
 
     def __call__(self, x):
-        """(p x + q) / (r x + s) with x = (x0 + x1 sqrt2) / d over Z."""
-        p0, p1, q0, q1, r0, r1, s0, s1 = self.v
-        if isinstance(x, _Infinity):
-            return _quotient(p0, p1, r0, r1)
-        x = QuadExt.coerce(x)
-        a, b = x.a, x.b
-        d = lcm(a.denominator, b.denominator)
-        x0 = a.numerator * (d // a.denominator)
-        x1 = b.numerator * (d // b.denominator)
-        return _quotient(
-            p0 * x0 + 2 * p1 * x1 + q0 * d, p0 * x1 + p1 * x0 + q1 * d,
-            r0 * x0 + 2 * r1 * x1 + s0 * d, r0 * x1 + r1 * x0 + s1 * d,
-        )
+        """(p x + q) / (r x + s), INF where r x + s = 0."""
+        return _quad(_apply(self.v, None if isinstance(x, _Infinity) else _triple(x)))
 
     def __mul__(self, other: "Mobius") -> "Mobius":
         if not isinstance(other, Mobius):
             return NotImplemented
         x, y = self.v, other.v
-        out = []
-        for row in (0, 4):  # (p, q), then (r, s)
-            a0, a1, b0, b1 = x[row:row + 4]
-            for col in (0, 2):  # (p, r), then (q, s)
-                c0, c1, d0, d1 = y[col], y[col + 1], y[col + 4], y[col + 5]
-                out += (a0 * c0 + 2 * a1 * c1 + b0 * d0 + 2 * b1 * d1,
-                        a0 * c1 + a1 * c0 + b0 * d1 + b1 * d0)
-        return _normal(out)
+        # an identity factor leaves the other, already in normal form
+        if x == _IDENTITY_V:
+            return other
+        if y == _IDENTITY_V:
+            return self
+        p0, p1, q0, q1, r0, r1, s0, s1 = x
+        a0, a1, b0, b1, c0, c1, d0, d1 = y
+        return _normal((
+            p0 * a0 + 2 * p1 * a1 + q0 * c0 + 2 * q1 * c1, p0 * a1 + p1 * a0 + q0 * c1 + q1 * c0,
+            p0 * b0 + 2 * p1 * b1 + q0 * d0 + 2 * q1 * d1, p0 * b1 + p1 * b0 + q0 * d1 + q1 * d0,
+            r0 * a0 + 2 * r1 * a1 + s0 * c0 + 2 * s1 * c1, r0 * a1 + r1 * a0 + s0 * c1 + s1 * c0,
+            r0 * b0 + 2 * r1 * b1 + s0 * d0 + 2 * s1 * d1, r0 * b1 + r1 * b0 + s0 * d1 + s1 * d0,
+        ))
 
     def inverse(self) -> "Mobius":
-        """The adjugate (s, -q, -r, p); it has the same determinant."""
-        p0, p1, q0, q1, r0, r1, s0, s1 = self.v
-        return _normal((s0, s1, -q0, -q1, -r0, -r1, p0, p1))
+        return _normal(_adjugate(self.v))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mobius):
@@ -205,9 +257,6 @@ class Mobius:
         return f"Mobius({self.p}, {self.q}, {self.r}, {self.s})"
 
 
-_IDENTITY = Mobius.identity()
-
-
 class PPMap(GroupElement):
     """An increasing piecewise fractional-linear bijection of R u {inf}.
 
@@ -218,75 +267,86 @@ class PPMap(GroupElement):
     are affine, so infinity is fixed.
     ``__init__`` and ``from_json`` check all this; products and inverses,
     increasing and continuous by construction, only merge equal neighbours.
+    The breaks are stored as primitive triples; ``breaks`` is their QuadExt
+    view, built on each read.
     """
 
-    __slots__ = ("breaks", "maps")
+    __slots__ = ("_breaks", "maps")
 
     def __init__(self, breaks: Iterable[Scalar], maps: Iterable[Mobius]):
-        bs = [QuadExt.coerce(x) for x in breaks]
+        bs = [_triple(x) for x in breaks]
         ms = list(maps)
         if len(ms) != len(bs) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
         # the checks read the merged pieces
         self._set(bs, ms)
-        bs, ms = self.breaks, self.maps
+        bs, ms = self._breaks, self.maps
         for i in range(len(bs) - 1):
-            if not bs[i] < bs[i + 1]:
+            if _cmp(bs[i], bs[i + 1]) >= 0:
                 raise ValueError("breakpoints must increase strictly")
         if not ms[0].is_affine() or not ms[-1].is_affine():
             raise ValueError("unbounded pieces must fix infinity")
         for i, m in enumerate(ms):
-            lo = bs[i - 1] if i > 0 else None
-            hi = bs[i] if i < len(bs) else None
-            pole = m.pole()
+            pole = _apply(_adjugate(m.v), None)
             if pole is not None:
-                if (lo is None or lo <= pole) and (hi is None or pole <= hi):
+                lo = bs[i - 1] if i > 0 else None
+                hi = bs[i] if i < len(bs) else None
+                if (lo is None or _cmp(lo, pole) <= 0) and (hi is None or _cmp(pole, hi) <= 0):
                     raise ValueError("piece has a pole on its cell")
         for i, x in enumerate(bs):
-            if ms[i](x) != ms[i + 1](x):
-                raise ValueError(f"discontinuous at {x}")
+            if _apply(ms[i].v, x) != _apply(ms[i + 1].v, x):
+                raise ValueError(f"discontinuous at {_quad(x)}")
 
     def _set(self, bs: list, ms: list) -> "PPMap":
         """Store the pieces, equal neighbours merged, without __init__'s checks."""
         keep = [i for i in range(len(bs)) if ms[i] != ms[i + 1]]
-        object.__setattr__(self, "breaks", tuple([bs[i] for i in keep]))
+        object.__setattr__(self, "_breaks", tuple([bs[i] for i in keep]))
         object.__setattr__(self, "maps", tuple([ms[i] for i in keep] + ms[-1:]))
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PPMap is immutable")
 
+    @property
+    def breaks(self) -> tuple[QuadExt, ...]:
+        return tuple([_quad(t) for t in self._breaks])
+
     @staticmethod
     def identity() -> "PPMap":
         return PPMap([], [Mobius.identity()])
 
-    def piece_at(self, x: QuadExt) -> Mobius:
-        lo, hi = 0, len(self.breaks)
+    def _cell(self, x: tuple) -> int:
+        """The index of the piece acting at the point x: the first cell
+        whose right end is not below x."""
+        bs = self._breaks
+        lo, hi = 0, len(bs)
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.breaks[mid] < x:
+            if _cmp(bs[mid], x) < 0:
                 lo = mid + 1
             else:
                 hi = mid
-        return self.maps[lo]
+        return lo
+
+    def piece_at(self, x: Scalar) -> Mobius:
+        return self.maps[self._cell(_triple(x))]
 
     def __call__(self, x):
         if isinstance(x, _Infinity):
             return INF
-        x = QuadExt.coerce(x)
-        return self.piece_at(x)(x)
+        t = _triple(x)
+        return _quad(_apply(self.maps[self._cell(t)].v, t))
 
     def preimage_point(self, y: Scalar) -> QuadExt:
         """The unique x with self(x) = y, found piece by piece."""
-        y = QuadExt.coerce(y)
+        y = _triple(y)
+        bs = self._breaks
         for i, m in enumerate(self.maps):
-            x = m.inverse()(y)
-            if isinstance(x, _Infinity):
+            x = _apply(_adjugate(m.v), y)
+            if x is None:
                 continue
-            lo = self.breaks[i - 1] if i > 0 else None
-            hi = self.breaks[i] if i < len(self.breaks) else None
-            if (lo is None or lo <= x) and (hi is None or x <= hi):
-                return x
+            if (i == 0 or _cmp(bs[i - 1], x) <= 0) and (i == len(bs) or _cmp(x, bs[i]) <= 0):
+                return _quad(x)
         raise AssertionError("increasing bijection must attain every value")
 
     def __mul__(self, other: "PPMap") -> "PPMap":
@@ -299,9 +359,9 @@ class PPMap(GroupElement):
         """
         if not isinstance(other, PPMap):
             return NotImplemented
-        obreaks, omaps = other.breaks, other.maps
-        sbreaks, smaps = self.breaks, self.maps
-        images = [m(x) for m, x in zip(omaps, obreaks)]
+        obreaks, omaps = other._breaks, other.maps
+        sbreaks, smaps = self._breaks, self.maps
+        images = [_apply(m.v, x) for m, x in zip(omaps, obreaks)]
         cuts, maps = [], []
         j = k = 0
         while j < len(obreaks) or k < len(sbreaks):
@@ -311,13 +371,13 @@ class PPMap(GroupElement):
             elif j == len(obreaks):
                 order = 1
             else:
-                order = images[j]._cmp(sbreaks[k])
+                order = _cmp(images[j], sbreaks[k])
             if order <= 0:
                 cuts.append(obreaks[j])
                 j += 1
             else:
                 # sbreaks[k] lies inside the image of other's j-th cell
-                cuts.append(omaps[j].inverse()(sbreaks[k]))
+                cuts.append(_apply(_adjugate(omaps[j].v), sbreaks[k]))
             if order >= 0:
                 k += 1
         maps.append(smaps[k] * omaps[j])
@@ -326,27 +386,24 @@ class PPMap(GroupElement):
     def inverse(self) -> "PPMap":
         """Increasing breaks have increasing images, the inverse's breaks."""
         return object.__new__(PPMap)._set(
-            [m(x) for m, x in zip(self.maps, self.breaks)],
+            [_apply(m.v, x) for m, x in zip(self.maps, self._breaks)],
             [m.inverse() for m in self.maps],
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PPMap):
             return NotImplemented
-        return self.breaks == other.breaks and self.maps == other.maps
+        return self._breaks == other._breaks and self.maps == other.maps
 
     def __hash__(self):
-        return hash((self.breaks, self.maps))
+        return hash((self._breaks, self.maps))
 
     def is_identity(self) -> bool:
-        return not self.breaks and self.maps[0] == _IDENTITY
+        return not self._breaks and self.maps[0].v == _IDENTITY_V
 
     def __repr__(self):
-        bits = []
-        for i, m in enumerate(self.maps):
-            lo = self.breaks[i - 1] if i > 0 else "-inf"
-            bits.append(f"[{lo}: {m}]")
-        return "PPMap(" + ", ".join(bits) + ")"
+        lows = ("-inf",) + self.breaks
+        return "PPMap(" + ", ".join(f"[{lo}: {m}]" for lo, m in zip(lows, self.maps)) + ")"
 
     def to_json(self) -> dict:
         return {
@@ -447,11 +504,16 @@ def interval_compression_witness(
     Breadth-first over distinct group elements, each kept once by ``==``,
     so words that merely respell an already-seen element are skipped.
     Returns None when no word of length at most max_len works; the empty
-    word is returned when I1 already sits inside I2.  Raises BudgetError
-    once the search has seen more elements than GERMLAB_BUDGET allows.
+    word is returned when I1 already sits inside I2.  Raises ValueError for
+    a negative max_len or a reversed interval, and BudgetError once the
+    search has seen more elements than GERMLAB_BUDGET allows.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     i1 = tuple(QuadExt.coerce(v) for v in i1)
     i2 = tuple(QuadExt.coerce(v) for v in i2)
+    if i2[1] < i2[0]:
+        raise ValueError("empty interval")
     ident = PPMap.identity()
     if interval_inside(image_interval(ident, i1), i2):
         return ""

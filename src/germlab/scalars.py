@@ -39,6 +39,13 @@ def _json_str(n: int) -> str:
     return str(Decimal(n))
 
 
+def _fraction_str(x: Fraction) -> str:
+    """str(x), for numerators and denominators of any length."""
+    if x.denominator == 1:
+        return _json_str(x.numerator)
+    return f"{_json_str(x.numerator)}/{_json_str(x.denominator)}"
+
+
 def reduced(num: int, exp: int) -> tuple[int, int]:
     """num / 2**exp for exp >= 0 in lowest terms: (0, 0), exp == 0 or num odd."""
     if not num:
@@ -194,13 +201,13 @@ class Dyadic:
 
     def __repr__(self):
         if self.exp == 0:
-            return f"Dyadic({self.num})"
-        return f"Dyadic({self.num}/2^{self.exp})"
+            return f"Dyadic({_json_str(self.num)})"
+        return f"Dyadic({_json_str(self.num)}/2^{self.exp})"
 
     def __str__(self):
         if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.exp}"
+            return _json_str(self.num)
+        return f"{_json_str(self.num)}/{_json_str(1 << self.exp)}"
 
     def to_json(self) -> dict:
         # numerators are serialized as decimal strings so arbitrarily deep
@@ -347,8 +354,8 @@ class QuadExt:
 
     def __repr__(self):
         if self.b == 0:
-            return f"QuadExt({self.a})"
-        return f"QuadExt({self.a} + {self.b}*sqrt2)"
+            return f"QuadExt({_fraction_str(self.a)})"
+        return f"QuadExt({_fraction_str(self.a)} + {_fraction_str(self.b)}*sqrt2)"
 
     def to_json(self) -> dict:
         return {

@@ -127,10 +127,13 @@ def test_chabauty_rejects_bad_spec(capsys):
     ("compress", "--arcs", "0:1/0", "--beta", "0", "--alpha", "1/2"),
     ("chabauty", "--group", "F", "--h", "support:0:1/0", "--k", "whole", "--radius", "1"),
     ("compress-proj", "--i1", "1/0,1", "--i2", "0,1", "--max-len", "2"),
+    ("compress-proj", "--i1", "0,3", "--i2", "0,1", "--max-len", "-1"),
+    ("compress-proj", "--i1", "0,1", "--i2", "2,1", "--max-len", "2"),
     ("neumann", "--n", "-1", "--r", "2"),
     ("neumann", "--n", "3", "--r", "-1"),
 ], ids=["eval-zero-denominator", "compress-zero-denominator",
         "chabauty-zero-denominator", "compress-proj-zero-denominator",
+        "compress-proj-negative-max-len", "compress-proj-reversed-i2",
         "neumann-negative-n", "neumann-negative-r"])
 def test_bad_numbers_exit_2_with_a_message(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlab.projline import (
@@ -17,6 +17,7 @@ from germlab.projline import (
     LM_C,
     Mobius,
     PPMap,
+    _sign,
     bn_image,
     image_interval,
     interval_compression_witness,
@@ -238,6 +239,16 @@ def test_witness_not_found():
     assert interval_compression_witness((0, 1), (5, 9), 2) is None
 
 
+@pytest.mark.parametrize("i1, i2, max_len, want", [
+    ((0, 3), (0, 1), -1, "max_len must be nonnegative"),
+    ((1, 0), (0, 1), 2, "empty interval"),
+    ((0, 1), (2, 1), 2, "empty interval"),
+], ids=["negative-max-len", "reversed-i1", "reversed-i2"])
+def test_witness_rejects_bad_input(i1, i2, max_len, want):
+    with pytest.raises(ValueError, match=want):
+        interval_compression_witness(i1, i2, max_len)
+
+
 def test_witness_is_the_first_word_in_letter_order():
     # the search tries a, b, c, A, B, C at each step: aBBa works too
     i1, i2 = (Fraction(-1, 3), Fraction(2, 3)), (1, Fraction(5, 3))
@@ -426,3 +437,175 @@ def test_irrational_conjugates_compose_pointwise():
             x = rand_scalar(rng)
             assert h(x) == f(g(x))
             assert h.preimage_point(h(x)) == x
+
+
+# -- integer breaks against the QuadExt kernel ---------------------------------
+
+
+class _OraclePPMap:
+    """The piecewise-projective map as germlab stored it before integer
+    breaks: QuadExt breaks and _OracleMobius pieces, ordered through
+    QuadExt.  Products cut at other's breaks and the preimages of self's,
+    then pick each cell's pieces at a sample point inside the cell."""
+
+    def __init__(self, breaks, maps):
+        keep = [i for i in range(len(breaks)) if maps[i] != maps[i + 1]]
+        self.breaks = [QuadExt.coerce(breaks[i]) for i in keep]
+        self.maps = [maps[i] for i in keep] + maps[-1:]
+
+    def piece_at(self, x):
+        x = QuadExt.coerce(x)
+        return next((m for m, b in zip(self.maps, self.breaks) if x <= b), self.maps[-1])
+
+    def __call__(self, x):
+        return INF if x == INF else self.piece_at(x)(x)
+
+    def preimage_point(self, y):
+        bounds = [None] + self.breaks + [None]
+        for m, lo, hi in zip(self.maps, bounds, bounds[1:]):
+            x = m.inverse()(y)
+            if x != INF and (lo is None or lo <= x) and (hi is None or x <= hi):
+                return x
+        raise AssertionError("no preimage")
+
+    def __mul__(self, other):
+        cuts = sorted(set(other.breaks) | {other.preimage_point(b) for b in self.breaks})
+        if not cuts:
+            samples = [QuadExt(0)]
+        else:
+            samples = ([cuts[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+                       + [cuts[-1] + 1])
+        return _OraclePPMap(
+            cuts, [self.piece_at(other(x)) * other.piece_at(x) for x in samples])
+
+    def inverse(self):
+        return _OraclePPMap([m(b) for m, b in zip(self.maps, self.breaks)],
+                            [m.inverse() for m in self.maps])
+
+    def __eq__(self, other):
+        return self.breaks == other.breaks and self.maps == other.maps
+
+
+def _oracle_gens():
+    one = _OracleMobius(1, 0, 0, 1)
+    shift = _OracleMobius(1, 1, 0, 1)
+    gens = {
+        "a": _OraclePPMap([], [shift]),
+        "b": _OraclePPMap([0, Fraction(1, 2), 1],
+                          [one, _OracleMobius(1, 0, -1, 1), _OracleMobius(3, -1, 1, 0), shift]),
+        "c": _OraclePPMap([0, 1], [one, _OracleMobius(2, 0, 1, 1), one]),
+    }
+    gens.update({x.upper(): g.inverse() for x, g in list(gens.items())})
+    return gens
+
+
+_ORACLE_LETTER = _oracle_gens()
+# t -> sqrt2 t, which moves every break but 0 off Q
+_SCALE = PPMap([], [Mobius.affine(SQRT2, 0)])
+_ORACLE_SCALE = _OraclePPMap([], [_OracleMobius(SQRT2, 0, 0, 1)])
+
+
+@st.composite
+def _pairs(draw):
+    """One element in both kernels: a word of length 0..8, conjugated by
+    t -> sqrt2 t or not."""
+    word = draw(st.text("abcABC", max_size=8))
+    g, o = PPMap.identity(), _OraclePPMap([], [_OracleMobius(1, 0, 0, 1)])
+    for ch in word:
+        g, o = g * LETTER[ch], o * _ORACLE_LETTER[ch]
+    if draw(st.booleans()):
+        g = _SCALE * g * _SCALE.inverse()
+        o = _ORACLE_SCALE * o * _ORACLE_SCALE.inverse()
+    return g, o
+
+
+def _same(g, o):
+    return (list(g.breaks) == o.breaks
+            and [_entries(m) for m in g.maps] == [_entries(m) for m in o.maps])
+
+
+def _probes(o, extra):
+    """Each break, a point just off it on both sides, and the extra points."""
+    near = [b + d for b in o.breaks for d in (Fraction(-1, 7), Fraction(1, 7))]
+    return o.breaks + near + extra
+
+
+# the oracle product samples every cell through QuadExt: fewer examples
+@settings(max_examples=50)
+@given(_pairs(), _pairs())
+def test_ppmap_product_and_inverse_match_oracle(left, right):
+    (f, o), (g, u) = left, right
+    assert _same(f, o) and _same(g, u)
+    assert _same(f * g, o * u)
+    assert _same(f.inverse(), o.inverse())
+    assert (f * g).inverse() == g.inverse() * f.inverse()
+
+
+@settings(max_examples=50)
+@given(_pairs(), st.lists(_QUAD, max_size=4))
+def test_ppmap_evaluation_matches_oracle(pair, points):
+    g, o = pair
+    assert g(INF) == o(INF) == INF
+    for x in _probes(o, points):
+        assert g(x) == o(x)
+        assert _entries(g.piece_at(x)) == _entries(o.piece_at(x))
+        assert g.preimage_point(x) == o.preimage_point(x)
+        assert g.preimage_point(g(x)) == x
+
+
+@settings(max_examples=50)
+@given(_pairs(), _pairs())
+def test_ppmap_equality_classes_match_oracle(left, right):
+    (f, o), (g, u) = left, right
+    assert (f == g) == (o == u)
+    if f == g:
+        assert hash(f) == hash(g)
+    # a respelling of f: the same element, so the same hash
+    again = f * g * g.inverse()
+    assert again == f and hash(again) == hash(f)
+
+
+# near-cancelling a + b sqrt2: 3 - 2 sqrt2 ~ 0.17, -7 + 5 sqrt2 ~ 0.071,
+# 17 - 12 sqrt2 ~ 0.029, and their negatives
+@pytest.mark.parametrize("a, b, want", [(3, -2, 1), (-7, 5, 1), (17, -12, 1), (0, 0, 0)])
+def test_integer_sign_of_near_cancelling_pairs(a, b, want):
+    assert _sign(a, b) == want and _sign(-a, -b) == -want
+    assert QuadExt(Fraction(a, 12), Fraction(b, 12)).sign() == want
+
+
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
+def test_integer_sign_matches_quadext(a, b):
+    assert _sign(a, b) == QuadExt(a, b).sign()
+
+
+def test_products_inverses_and_equality_build_no_quadext(monkeypatch):
+    import fractions
+    rng = random.Random(14)
+    f, g = (word_to_element("".join(rng.choice("abcABC") for _ in range(8))) for _ in range(2))
+    built = []
+    init, new = QuadExt.__init__, fractions.Fraction.__new__
+
+    def counting_init(self, *args):
+        built.append("QuadExt")
+        init(self, *args)
+
+    def counting_new(cls, *args, **kwargs):
+        built.append("Fraction")
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(QuadExt, "__init__", counting_init)
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    h = f * g
+    inv = f.inverse()
+    same = f == g
+    hashes = hash(f), hash(h), hash(inv)
+    monkeypatch.undo()
+    assert built == []
+    assert h * g.inverse() == f and (f * inv).is_identity() and not same
+    assert hashes == (hash(f), hash(h), hash(inv))
+
+
+def test_identity_factor_returns_the_other_mobius():
+    m = Mobius(2, 0, 1, 1)
+    assert Mobius.identity() * m is m
+    assert m * Mobius.identity() is m

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,22 @@ def test_json_keeps_integers_past_the_str_digit_limit():
     # the identity left of big/3, t -> 2t - big/3 right of it
     g = PPMap([q.a], [Mobius.identity(), Mobius.affine(2, -q.a)])
     assert PPMap.from_json(json.loads(json.dumps(g.to_json()))) == g
+
+
+def test_repr_keeps_integers_past_the_str_digit_limit():
+    big = 10 ** 9999 + 1
+    digits = "1" + "0" * 9998 + "1"
+    assert repr(Dyadic(big)) == "Dyadic(%s)" % digits
+    assert str(Dyadic(big, 3)) == digits + "/8"
+    assert repr(QuadExt(Fraction(big, 3), 1)) == "QuadExt(%s/3 + 1*sqrt2)" % digits
+    # a rotation by big / 2**k, whose 2**k also passes the limit
+    d = Dyadic(big, big.bit_length())
+    assert repr(rotation(d)) == "PLMap([0: 2^0 t + %s/%s])" % (digits, Decimal(1 << d.exp))
+    g = PPMap([Fraction(big, 3)], [Mobius.identity(), Mobius.affine(2, Fraction(-big, 3))])
+    assert repr(g) == (
+        "PPMap([-inf: Mobius(QuadExt(1), QuadExt(0), QuadExt(0), QuadExt(1))], "
+        "[QuadExt(%s/3): Mobius(QuadExt(1), QuadExt(-%s/6), QuadExt(0), QuadExt(1/2))])"
+        % (digits, digits))
 
 
 def test_dyadic_hash_consistent():
