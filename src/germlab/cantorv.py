@@ -14,6 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional
 
+from .chabauty import MarkedGroup
 from .kernel import GroupElement
 
 GERM_FIXES = "fixes_neighbourhood"
@@ -487,6 +488,7 @@ GEN_PI0 = PrefixMap([("00", "01"), ("01", "00"), ("1", "1")])
 # rotation; GEN_PI0 is the cylinder transposition that leaves the order
 # topology, so the four together reach the full prefix-exchange group.
 STANDARD_GENERATORS = (GEN_VA, GEN_VB, GEN_VC, GEN_PI0)
+V_GROUP = MarkedGroup({"a": GEN_VA, "b": GEN_VB, "c": GEN_VC, "p": GEN_PI0})
 
 
 def prefix_translate(g: PrefixMap, w: str) -> PrefixMap:

@@ -135,12 +135,22 @@ class BallTruncation:
         return element in self._index
 
 
-def ball(group, radius, budget=None):
+def walk(group, radius, order, budget=None, index=None):
+    """Breadth-first walk of the radius ball: yields each new (element, word)
+    in ball order, the identity first, trying the labels of order in turn.
+
+    The walk grows index, a fresh dict unless one is passed in, to
+    {element: first word}; a walk that would pass the budget raises
+    BudgetError.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative, got %d" % radius)
     limit = element_budget(budget)
-    letters = sorted(group.gens.items())
-    index = {group.identity: ""}
+    letters = [(label, group.gens[label]) for label in order]
+    if index is None:
+        index = {}
+    index[group.identity] = ""
+    yield group.identity, ""
     frontier = [(group.identity, "")]
     for filling in range(1, radius + 1):
         nxt = []
@@ -155,8 +165,15 @@ def ball(group, radius, budget=None):
                         " with %d elements" % (limit, filling, radius, len(index))
                     )
                 index[candidate] = word = base + label
+                yield candidate, word
                 nxt.append((candidate, word))
         frontier = nxt
+
+
+def ball(group, radius, budget=None):
+    index = {}
+    for _ in walk(group, radius, sorted(group.gens), budget, index):
+        pass
     return object.__new__(BallTruncation)._set(radius, index)
 
 

@@ -11,12 +11,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .cantorv import GEN_PI0, GEN_VA, GEN_VB, GEN_VC
-from .cantorv import Cylinders, EventuallyPeriodic, compress_v
-from .chabauty import BudgetError, MarkedGroup, SubgroupSpec
-from .chabauty import disagreements, neumann_sweep
+from .cantorv import V_GROUP, Cylinders, EventuallyPeriodic, compress_v
+from .chabauty import BudgetError, SubgroupSpec, disagreements, neumann_sweep
 from .fullgroups import quasi_isometry_check, schreier_patch
-from .plcircle import GEN_A, GEN_B, GEN_C, ArcSet, compress, in_derived_F
+from .plcircle import F_GROUP, T_GROUP, ArcSet, compress, in_derived_F
 from .projline import interval_compression_witness
 from .scalars import Dyadic
 from .suites import (
@@ -29,6 +27,8 @@ from .suites import (
     run_suite,
 )
 from .treesgff import PermGroupPair, alternating_perms, cyclic_perms
+
+_GROUPS = {"F": F_GROUP, "T": T_GROUP, "V": V_GROUP}
 
 
 def _print_json(data, out=None):
@@ -61,7 +61,7 @@ def _parse_fraction_pair(text):
 
 
 def _spell_word(group_name, word):
-    group = _marked_group(group_name)
+    group = _GROUPS[group_name]
     bad = set(word) - set(group.gens)
     if bad:
         raise ValueError(
@@ -79,7 +79,9 @@ def _parse_spec(text, group_name):
     if text == "trivial":
         return SubgroupSpec.trivial()
     if text.startswith("conj:"):
-        _, word, rest = text.split(":", 2)
+        word, _, rest = text[len("conj:"):].partition(":")
+        if not _:
+            raise ValueError(f"conjugate spec {text!r} must look like conj:WORD:SPEC")
         return SubgroupSpec.conjugate(
             _parse_spec(rest, group_name), _spell_word(group_name, word)
         )
@@ -101,16 +103,6 @@ def _parse_spec(text, group_name):
         "cannot parse subgroup spec %r; expected whole, trivial, "
         "support:..., germ:..., or conj:word:..." % text
     )
-
-
-def _marked_group(name):
-    if name == "F":
-        return MarkedGroup({"a": GEN_A, "b": GEN_B})
-    if name == "T":
-        return MarkedGroup({"a": GEN_A, "b": GEN_B, "c": GEN_C})
-    if name == "V":
-        return MarkedGroup({"a": GEN_VA, "b": GEN_VB, "c": GEN_VC, "p": GEN_PI0})
-    raise ValueError("unknown group %r" % name)
 
 
 def _read_config_file(path):
@@ -181,7 +173,7 @@ def _cmd_compress_proj(args):
 
 
 def _cmd_chabauty(args):
-    group = _marked_group(args.group)
+    group = _GROUPS[args.group]
     h_spec = _parse_spec(args.h, args.group)
     k_spec = _parse_spec(args.k, args.group)
     words = list(disagreements(h_spec, k_spec, group, args.radius))
@@ -261,7 +253,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a generator word at a point")
-    p.add_argument("--group", required=True, choices=["F", "T", "V"])
+    p.add_argument("--group", required=True, choices=_GROUPS)
     p.add_argument("--word", required=True,
                    help="generator letters, capitals for inverses")
     p.add_argument("--at", help="dyadic point for F and T, e.g. 3/8")
@@ -285,7 +277,7 @@ def build_parser():
 
     p = sub.add_parser("chabauty",
                        help="agreement radius of two subgroup truncations")
-    p.add_argument("--group", required=True, choices=["F", "T", "V"])
+    p.add_argument("--group", required=True, choices=_GROUPS)
     p.add_argument("--h", required=True, help="subgroup spec (see below)")
     p.add_argument("--k", required=True, help="subgroup spec: whole | trivial | "
                    "support:REGION | germ:POINT[;POINT] | conj:WORD:SPEC "

@@ -31,6 +31,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chabauty import MarkedGroup
 from .kernel import GroupElement
 from .scalars import Dyadic, ZERO, reduced
 
@@ -394,6 +395,8 @@ GEN_B = PLMap(
     ]
 )
 GEN_C = PLMap([(ZERO, -1, _d(3, 2)), (_d(1, 1), 1, ZERO), (_d(3, 2), 0, _d(3, 2))])
+F_GROUP = MarkedGroup({"a": GEN_A, "b": GEN_B})
+T_GROUP = MarkedGroup({"a": GEN_A, "b": GEN_B, "c": GEN_C})
 
 
 def is_in_F(f: PLMap) -> bool:

@@ -11,7 +11,8 @@ matrix held as eight integers in projective normal form, so compose and
 inverse never divide.  Each break is a primitive triple (x0, x1, d), the
 point (x0 + x1 sqrt2) / d with d > 0, so equal points have equal triples;
 a matrix sends a triple to a triple with one gcd (``_apply``), and two
-points are ordered by the sign of an element of Z[sqrt 2] (``_sign``).
+points are ordered by the sign of an element of Z[sqrt 2]
+(``scalars.quad_sign``).
 Products, inverses, equality and hashing build no Fraction and no QuadExt.
 
 QuadExt is only the public view: the constructor takes QuadExt, Fraction
@@ -25,9 +26,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-from .chabauty import BudgetError, element_budget
+from .chabauty import MarkedGroup, walk
 from .kernel import GroupElement
-from .scalars import QuadExt
+from .scalars import QuadExt, quad_sign
 
 Scalar = Union[QuadExt, Fraction, int]
 
@@ -85,21 +86,11 @@ def _mobius(v: tuple) -> "Mobius":
     return m
 
 
-def _sign(a: int, b: int) -> int:
-    """The sign of a + b sqrt2: that of the larger term in absolute value,
-    found by comparing a^2 with 2 b^2, which differ unless a = b = 0."""
-    if not b:
-        return (a > 0) - (a < 0)
-    if a * a > 2 * b * b:
-        return 1 if a > 0 else -1
-    return 1 if b > 0 else -1
-
-
 def _cmp(x: tuple, y: tuple) -> int:
     """The order of two points (x0 + x1 sqrt2) / d with d > 0."""
     x0, x1, d = x
     y0, y1, e = y
-    return _sign(x0 * e - y0 * d, x1 * e - y1 * d)
+    return quad_sign(x0 * e - y0 * d, x1 * e - y1 * d)
 
 
 def _apply(v: tuple, x: Optional[tuple]) -> Optional[tuple]:
@@ -177,8 +168,8 @@ class Mobius:
         den = lcm(*(x.denominator for x in parts))
         m = _normal([x.numerator * (den // x.denominator) for x in parts])
         p0, p1, q0, q1, r0, r1, s0, s1 = m.v
-        if _sign(p0 * s0 + 2 * p1 * s1 - q0 * r0 - 2 * q1 * r1,
-                 p0 * s1 + p1 * s0 - q0 * r1 - q1 * r0) <= 0:
+        if quad_sign(p0 * s0 + 2 * p1 * s1 - q0 * r0 - 2 * q1 * r1,
+                     p0 * s1 + p1 * s0 - q0 * r1 - q1 * r0) <= 0:
             raise ValueError("determinant must be positive")
         object.__setattr__(self, "v", m.v)
         object.__setattr__(self, "_entries", None)
@@ -452,6 +443,7 @@ def lodha_moore_gens() -> tuple[PPMap, PPMap, PPMap]:
 
 
 LM_A, LM_B, LM_C = lodha_moore_gens()
+LM_GROUP = MarkedGroup({"a": LM_A, "b": LM_B, "c": LM_C})
 
 
 def image_interval(
@@ -484,16 +476,6 @@ def bn_image(n: int) -> tuple[QuadExt, QuadExt]:
     return image_interval(g, (0, 1))
 
 
-_LETTERS = (
-    ("a", LM_A),
-    ("b", LM_B),
-    ("c", LM_C),
-    ("A", LM_A.inverse()),
-    ("B", LM_B.inverse()),
-    ("C", LM_C.inverse()),
-)
-
-
 def interval_compression_witness(
     i1: tuple[Scalar, Scalar],
     i2: tuple[Scalar, Scalar],
@@ -501,12 +483,12 @@ def interval_compression_witness(
 ) -> Optional[str]:
     """Shortest word w in a, b, c (capitals for inverses) with w(I1) inside I2.
 
-    Breadth-first over distinct group elements, each kept once by ``==``,
-    so words that merely respell an already-seen element are skipped.
-    Returns None when no word of length at most max_len works; the empty
-    word is returned when I1 already sits inside I2.  Raises ValueError for
-    a negative max_len or a reversed interval, and BudgetError once the
-    search has seen more elements than GERMLAB_BUDGET allows.
+    The first word of the ball walk over LM_GROUP, letters in the order
+    a b c A B C, that works, so words that merely respell an already-seen
+    element are skipped.  Returns None when no word of length at most
+    max_len works; the empty word is returned when I1 already sits inside
+    I2.  Raises ValueError for a negative max_len or a reversed interval,
+    and BudgetError once the walk would pass GERMLAB_BUDGET.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -514,24 +496,7 @@ def interval_compression_witness(
     i2 = tuple(QuadExt.coerce(v) for v in i2)
     if i2[1] < i2[0]:
         raise ValueError("empty interval")
-    ident = PPMap.identity()
-    if interval_inside(image_interval(ident, i1), i2):
-        return ""
-    limit = element_budget()
-    seen = {ident}
-    frontier = [("", ident)]
-    for _ in range(max_len):
-        nxt = []
-        for word, elem in frontier:
-            for letter, gen in _LETTERS:
-                cand = elem * gen
-                if cand in seen:
-                    continue
-                if len(seen) >= limit:
-                    raise BudgetError("search exceeds the %d-element budget" % limit)
-                seen.add(cand)
-                if interval_inside(image_interval(cand, i1), i2):
-                    return word + letter
-                nxt.append((word + letter, cand))
-        frontier = nxt
+    for element, word in walk(LM_GROUP, max_len, "abcABC"):
+        if interval_inside(image_interval(element, i1), i2):
+            return word
     return None

@@ -224,12 +224,17 @@ class Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)
-HALF = Dyadic(1, 1)
 
 
-def dyadic(num: int, exp: int = 0) -> Dyadic:
-    return Dyadic(num, exp)
+def quad_sign(a, b) -> int:
+    """The sign of a + b sqrt2 for rational a, b: that of the larger term in
+    absolute value, found by comparing a^2 with 2 b^2, which differ unless
+    a = b = 0."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if a * a > 2 * b * b:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
 
 QuadLike = Union[int, Fraction, "QuadExt"]
@@ -305,21 +310,7 @@ class QuadExt:
     # -- order ------------------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| versus |b| sqrt2, squared
-        lhs = a * a
-        rhs = 2 * b * b
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return quad_sign(self.a, self.b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (QuadExt, int, Fraction)):
@@ -330,7 +321,7 @@ class QuadExt:
     def _cmp(self, other: QuadLike) -> int:
         o = QuadExt.coerce(other)
         if self.b or o.b:
-            return (self - o).sign()
+            return quad_sign(self.a - o.a, self.b - o.b)
         a, c = self.a, o.a
         return (a > c) - (a < c)
 

@@ -20,17 +20,13 @@ from .cantorv import (
     Cylinders,
     EventuallyPeriodic,
     GEN_VA,
-    GEN_VB,
-    GEN_VC,
-    GEN_PI0,
-    PrefixMap,
+    V_GROUP,
     compress_v,
     germ_class,
     rigid_stabilizer_v,
     rule_fixed_point,
 )
 from .chabauty import (
-    MarkedGroup,
     SubgroupSpec,
     conjugate_net_probe,
     disjoint_open_search,
@@ -47,13 +43,15 @@ from .plcircle import (
     GEN_A,
     GEN_B,
     GEN_C,
+    F_GROUP,
+    T_GROUP,
     compress,
     expanding_conjugator,
     identity,
     in_derived_F,
     rigid_stabilizer_gens,
 )
-from .projline import LM_A, LM_B, LM_C, bn_image
+from .projline import LM_GROUP, bn_image
 from .scalars import Dyadic, QuadExt
 from .treesgff import (
     PermGroupPair,
@@ -114,34 +112,6 @@ class SuiteReport:
 
 # -- shared samplers ---------------------------------------------------------
 
-_PL_GENS = {
-    "a": GEN_A,
-    "b": GEN_B,
-    "c": GEN_C,
-    "A": GEN_A.inverse(),
-    "B": GEN_B.inverse(),
-    "C": GEN_C.inverse(),
-}
-_V_GENS = {
-    "a": GEN_VA,
-    "b": GEN_VB,
-    "c": GEN_VC,
-    "p": GEN_PI0,
-    "A": GEN_VA.inverse(),
-    "B": GEN_VB.inverse(),
-    "C": GEN_VC.inverse(),
-    "P": GEN_PI0.inverse(),
-}
-_LM_GENS = {
-    "a": LM_A,
-    "b": LM_B,
-    "c": LM_C,
-    "A": LM_A.inverse(),
-    "B": LM_B.inverse(),
-    "C": LM_C.inverse(),
-}
-
-
 def _rand_word(rng, letters, max_len):
     return "".join(rng.choice(letters) for _ in range(rng.randrange(1, max_len + 1)))
 
@@ -199,22 +169,6 @@ def _rand_tree_word(rng, pair, n):
     return g
 
 
-def _vertices_below(v, depth, degree):
-    """Reduced-word extensions of v by at most depth further edges."""
-    out = [v]
-    frontier = [v]
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            for c in range(degree):
-                if u and u[-1] == c:
-                    continue
-                nxt.append(u + (c,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 # -- suite bodies ------------------------------------------------------------
 
 def _suite_pl_axioms(config):
@@ -222,8 +176,8 @@ def _suite_pl_axioms(config):
 
     def composition(rng):
         for _ in range(words):
-            f = spell(_PL_GENS, _rand_word(rng, "abcABC", length))
-            g = spell(_PL_GENS, _rand_word(rng, "abcABC", length))
+            f = spell(T_GROUP.gens, _rand_word(rng, "abcABC", length))
+            g = spell(T_GROUP.gens, _rand_word(rng, "abcABC", length))
             x = _rand_dyadic(rng, 6)
             if (f * g)(x) != f(g(x)):
                 _fail(at=str(x))
@@ -232,9 +186,9 @@ def _suite_pl_axioms(config):
     def laws(rng):
         ident = identity()
         for _ in range(words):
-            f = spell(_PL_GENS, _rand_word(rng, "abcABC", length))
-            g = spell(_PL_GENS, _rand_word(rng, "abcABC", length))
-            h = spell(_PL_GENS, _rand_word(rng, "abcABC", length))
+            f = spell(T_GROUP.gens, _rand_word(rng, "abcABC", length))
+            g = spell(T_GROUP.gens, _rand_word(rng, "abcABC", length))
+            h = spell(T_GROUP.gens, _rand_word(rng, "abcABC", length))
             if (f * g) * h != f * (g * h):
                 _fail(law="associativity")
             if f * f.inverse() != ident or ident * f != f:
@@ -258,8 +212,8 @@ def _suite_germ_ff(config):
 
     def commutators(rng):
         for _ in range(count):
-            f = spell(_PL_GENS, _rand_word(rng, "abAB", length))
-            g = spell(_PL_GENS, _rand_word(rng, "abAB", length))
+            f = spell(T_GROUP.gens, _rand_word(rng, "abAB", length))
+            g = spell(T_GROUP.gens, _rand_word(rng, "abAB", length))
             comm = f * g * f.inverse() * g.inverse()
             if not in_derived_F(comm):
                 _fail(germ="nontrivial")
@@ -331,21 +285,20 @@ def _suite_compress(config):
 
 def _suite_chabauty_net(config):
     radius, net_len = config["radius"], config["net"]
-    group = MarkedGroup({"a": GEN_A, "b": GEN_B})
     half = ArcSet.of((Dyadic(1, 2), Dyadic(1, 1)))
     h_spec = SubgroupSpec.support_inside(half)
     limit = SubgroupSpec.identity_germ_at(Dyadic(0))
 
     def stabilization(rng):
         net = [expanding_conjugator(n) for n in range(1, net_len + 1)]
-        report = conjugate_net_probe(group, h_spec, net, limit, radius)
+        report = conjugate_net_probe(F_GROUP, h_spec, net, limit, radius)
         if report["stabilizes_at"] is None:
             _fail(report=report)
         return report
 
     def frozen_index(rng):
         net = [expanding_conjugator(n) for n in range(1, net_len + 1)]
-        report = conjugate_net_probe(group, h_spec, net, limit, 3)
+        report = conjugate_net_probe(F_GROUP, h_spec, net, limit, 3)
         # regression constant: the radius-3 truncations agree from the start
         if report["stabilizes_at"] != 1:
             _fail(report=report)
@@ -354,7 +307,7 @@ def _suite_chabauty_net(config):
     def control(rng):
         net = [expanding_conjugator(n) for n in (1, 2, 3)]
         report = conjugate_net_probe(
-            group, h_spec, net, SubgroupSpec.whole_group(), radius
+            F_GROUP, h_spec, net, SubgroupSpec.whole_group(), radius
         )
         if report["stabilizes_at"] is not None:
             _fail(report=report)
@@ -386,15 +339,13 @@ def _suite_neumann(config):
 
 def _suite_micro_support(config):
     instances, length = config["instances"], config["length"]
-    group = MarkedGroup({"a": GEN_A, "b": GEN_B})
 
     def arc_instances(rng):
         regions, w = disjoint_open_search([GEN_A], Dyadic(7, 3))
         lo, hi = regions[0].arcs[0]
         gens = rigid_stabilizer_gens(lo, hi)
         for _ in range(instances):
-            gamma = group.identity
-            delta = group.identity
+            gamma = delta = F_GROUP.identity
             for _ in range(rng.randrange(1, length)):
                 gamma = gamma * rng.choice(gens) ** rng.choice((-1, 1))
                 delta = delta * rng.choice(gens) ** rng.choice((-1, 1))
@@ -439,7 +390,7 @@ def _suite_v_germs(config):
         for _ in range(samples * 50):
             if seen >= samples:
                 break
-            g = spell(_V_GENS, _rand_word(rng, "abcpABCP", 5))
+            g = spell(V_GROUP.gens, _rand_word(rng, "abcpABCP", 5))
             if g.is_identity():
                 continue
             for v, z in g.rules:
@@ -462,7 +413,7 @@ def _suite_v_germs(config):
         for _ in range(samples * 50):
             if checked >= samples:
                 break
-            g = spell(_V_GENS, _rand_word(rng, "abcpABCP", 5))
+            g = spell(V_GROUP.gens, _rand_word(rng, "abcpABCP", 5))
             pre = _rand_word(rng, "01", 3)
             per = _rand_word(rng, "01", 3)
             x = EventuallyPeriodic(pre, per)
@@ -512,7 +463,7 @@ def make_elliptic_check(pair, ray, count):
             if verdict[0] != "fixes_half_tree":
                 _fail(at=format_vertex(m), verdict=list(verdict))
             far = verdict[1][1]
-            for v in _vertices_below(far, 2, pair.degree):
+            for v in tree_ball(pair.degree, 2, far):
                 if g.act_on(v) != v:
                     _fail(at=format_vertex(m), moved=format_vertex(v))
         return {"elements": count}
@@ -522,6 +473,9 @@ def make_elliptic_check(pair, ray, count):
 
 def make_level_check(pair, ray, depth, max_dist):
     _require_nonnegative(depth=depth, max_dist=max_dist)
+    if depth >= len(ray):
+        # the ball would hold the whole ray prefix, which has no level
+        raise ValueError("depth must be below the ray length %d, got %d" % (len(ray), depth))
 
     def witnesses(rng):
         levels = level_pairs(tree_ball(pair.degree, depth), ray, max_dist)
@@ -608,7 +562,7 @@ def _suite_proj_bn(config):
 
     def continuity(rng):
         for _ in range(words):
-            g = spell(_LM_GENS, _rand_word(rng, "abcABC", length))
+            g = spell(LM_GROUP.gens, _rand_word(rng, "abcABC", length))
             for i, x in enumerate(g.breaks):
                 if g.maps[i](x) != g.maps[i + 1](x):
                     _fail(at=repr(x))

@@ -149,8 +149,10 @@ def neighbour(v: Vertex, color: int) -> Vertex:
 def is_reduced(v: Vertex) -> bool:
     return all(v[i] != v[i + 1] for i in range(len(v) - 1))
 
-def ball(degree: int, radius: int) -> list[Vertex]:
-    out, frontier = [()], [()]
+def ball(degree: int, radius: int, start: Vertex = ()) -> list[Vertex]:
+    """start and its reduced-word extensions by at most radius further
+    colors, breadth first; from the root that is the radius ball."""
+    out, frontier = [start], [start]
     for _ in range(radius):
         frontier = [v + (c,) for v in frontier for c in range(degree) if not v or v[-1] != c]
         out.extend(frontier)

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from germlab.cantorv import Cylinders, EventuallyPeriodic, compress_v, rigid_stabilizer_v
+from germlab.cantorv import V_GROUP, Cylinders, EventuallyPeriodic, compress_v, rigid_stabilizer_v
 from germlab.chabauty import (
     MarkedGroup,
     SubgroupSpec,
@@ -32,19 +32,17 @@ from germlab.plcircle import (
     ArcSet,
     GEN_A,
     GEN_B,
+    T_GROUP,
     compress,
     expanding_conjugator,
     identity,
     in_derived_F,
     rigid_stabilizer_gens,
 )
-from germlab.projline import LM_A, LM_B, LM_C, PPMap, bn_image
+from germlab.projline import LM_A, LM_B, LM_C, LM_GROUP, PPMap, bn_image
 from germlab.scalars import Dyadic, QuadExt
 from germlab.suites import (
-    _LM_GENS,
-    _PL_GENS,
     _TREE_PAIR,
-    _V_GENS,
     available_suites,
     make_cocycle_check,
     make_elliptic_check,
@@ -117,11 +115,11 @@ def test_criterion_01_group_laws():
     start = time.monotonic()
     rng = random.Random(101)
 
-    _law_battery(rng, lambda r: spell(_PL_GENS, _word(r, "abAB", 10)), identity())
-    _law_battery(rng, lambda r: spell(_PL_GENS, _word(r, "abcABC", 10)), identity())
-    _law_battery(rng, lambda r: spell(_V_GENS, _word(r, "abcpABCP", 10)),
-                 spell(_V_GENS, "aA"))
-    _law_battery(rng, lambda r: spell(_LM_GENS, _word(r, "abcABC", 10)),
+    _law_battery(rng, lambda r: spell(T_GROUP.gens, _word(r, "abAB", 10)), identity())
+    _law_battery(rng, lambda r: spell(T_GROUP.gens, _word(r, "abcABC", 10)), identity())
+    _law_battery(rng, lambda r: spell(V_GROUP.gens, _word(r, "abcpABCP", 10)),
+                 spell(V_GROUP.gens, "aA"))
+    _law_battery(rng, lambda r: spell(LM_GROUP.gens, _word(r, "abcABC", 10)),
                  PPMap.identity())
 
     def tree_word(r):
@@ -148,8 +146,8 @@ def test_criterion_01_group_laws():
 def test_criterion_02_derived_germs():
     rng = random.Random(102)
     for _ in range(200):
-        f = spell(_PL_GENS, _word(rng, "abAB", 6))
-        g = spell(_PL_GENS, _word(rng, "abAB", 6))
+        f = spell(T_GROUP.gens, _word(rng, "abAB", 6))
+        g = spell(T_GROUP.gens, _word(rng, "abAB", 6))
         assert in_derived_F(f * g * f.inverse() * g.inverse())
     assert not in_derived_F(GEN_A)
     assert not in_derived_F(GEN_B)
@@ -186,7 +184,7 @@ def test_criterion_04_micro_support():
     while done < 80:
         attempts += 1
         assert attempts < 2000
-        g_ell = spell(_PL_GENS, _word(rng, "abAB", 4))
+        g_ell = spell(T_GROUP.gens, _word(rng, "abAB", 4))
         z = Dyadic(rng.randrange(1, 32), 5)
         if g_ell.is_identity() or g_ell(z) == z:
             continue
@@ -208,7 +206,7 @@ def test_criterion_04_micro_support():
     while done < 20:
         attempts += 1
         assert attempts < 2000
-        g_ell = spell(_V_GENS, _word(rng, "abcpABCP", 3))
+        g_ell = spell(V_GROUP.gens, _word(rng, "abcpABCP", 3))
         x = EventuallyPeriodic(_word(rng, "01", 2), _word(rng, "01", 2))
         if g_ell.is_identity() or g_ell(x) == x:
             continue
@@ -274,7 +272,7 @@ def test_criterion_09_projective_images():
         for i, x in enumerate(g.breaks):
             assert g.maps[i](x) == g.maps[i + 1](x)
     for _ in range(300):
-        g = spell(_LM_GENS, _word(rng, "abcABC", 10))
+        g = spell(LM_GROUP.gens, _word(rng, "abcABC", 10))
         for i, x in enumerate(g.breaks):
             assert g.maps[i](x) == g.maps[i + 1](x)
     zero = QuadExt.coerce(0)

@@ -8,10 +8,15 @@ own slow run.
 
 import ast
 import importlib
+import inspect
 import pathlib
+from fractions import Fraction
 
+from germlab import chabauty
 from germlab.cantorv import Cylinders
 from germlab.fullgroups import Clopen, FullGroupElement, gamma_tv
+from germlab.plcircle import F_GROUP
+from germlab.scalars import Dyadic, QuadExt
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,6 +37,30 @@ def _traced_spans():
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPAN_METRICS":
             return [span for _, span, _ in ast.literal_eval(node.value)]
     raise AssertionError("layers.py has no SPAN_METRICS")
+
+
+def _module_attributes():
+    """(file, module, attr) for each `module.attr` read in perfbench, where
+    module came from `from germlab import module`."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "germlab"
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                yield path.name, node.value.id, node.attr
+
+
+def _counted():
+    """(owner expression, attribute) of each layers.COUNTED entry."""
+    tree = ast.parse((PERFBENCH / "layers.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "COUNTED":
+            return [(ast.unparse(owner), ast.literal_eval(attr)) for owner, attr, _ in
+                    (entry.elts for entry in node.value.elts)]
+    raise AssertionError("layers.py has no COUNTED")
 
 
 def test_perfbench_imports_resolve():
@@ -66,3 +95,43 @@ def test_full_group_tables_are_shift_piece_pairs():
             assert type(shift) is int and isinstance(piece, Cylinders)
             assert all(isinstance(w, str) for w in piece.words)
     assert (g * g.inverse()).is_identity()
+
+
+def test_perfbench_module_attributes_resolve():
+    found = set()
+    for source, module, attr in _module_attributes():
+        assert hasattr(importlib.import_module("germlab." + module), attr), (source, module, attr)
+        found.add("%s.%s" % (module, attr))
+    assert {"chabauty.BudgetError", "scalars.Dyadic", "scalars.QuadExt"} <= found
+    assert issubclass(chabauty.BudgetError, Exception)
+
+
+def test_counted_constructors_are_defined_on_their_classes():
+    counted = _counted()
+    assert ("scalars.Dyadic", "__init__") in counted and ("scalars.QuadExt", "__init__") in counted
+    for owner, attr in counted:
+        module, name = owner.split(".")
+        cls = getattr(importlib.import_module("germlab." + module), name)
+        # the tracer replaces the class's own entry, so it must not be inherited
+        assert attr in vars(cls), owner
+
+
+def test_scalar_rows_run():
+    # the fixed rows time x + y, x < y, p * q and q.sign on these inputs
+    for cls, attr in ((Dyadic, "__add__"), (Dyadic, "__lt__"), (QuadExt, "__mul__"),
+                      (QuadExt, "sign")):
+        assert attr in vars(cls), (cls.__name__, attr)
+    x, y = Dyadic(3, 5), Dyadic(7, 6)
+    p, q = QuadExt(Fraction(1, 3), 2), QuadExt(5, Fraction(-7, 2))
+    assert x + y == Fraction(3, 32) + Fraction(7, 64) and x < y
+    assert p * q == QuadExt(Fraction(5, 3) - 14, Fraction(-7, 6) + 10)
+    assert q.sign() == 1
+
+
+def test_ball_takes_the_group_and_radius_first():
+    # layers.ball_hook reads args[0].gens, args[1] and the result's words
+    group, radius, *_ = inspect.signature(chabauty.ball).parameters.values()
+    assert (group.name, radius.name) == ("group", "radius")
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in (group, radius))
+    built = chabauty.ball(F_GROUP, 2)
+    assert len(built) == len(built.words) == 17 and set(F_GROUP.gens) == set("abAB")

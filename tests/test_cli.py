@@ -8,8 +8,7 @@ import pytest
 
 import germlab.chabauty as chabauty
 from germlab.cli import main
-from germlab.projline import image_interval, interval_inside
-from germlab.suites import _LM_GENS, spell
+from germlab.projline import LM_GROUP, image_interval, interval_inside
 
 
 def run(capsys, *argv):
@@ -65,7 +64,7 @@ def test_compress_proj_finds_short_word(capsys):
                        "--i2", "1/3,1/2", "--max-len", "6")
     assert code == 0
     word = json.loads(out)["word"]
-    g = spell(_LM_GENS, word)
+    g = LM_GROUP.spell(word)
     assert interval_inside(image_interval(g, (0, 1)), (Fraction(1, 3), Fraction(1, 2)))
 
 
@@ -122,6 +121,14 @@ def test_chabauty_rejects_bad_spec(capsys):
     assert code == 2 and "cannot parse subgroup spec" in err
 
 
+@pytest.mark.parametrize("spec", ["conj:a", "conj:"])
+def test_chabauty_conjugate_spec_needs_an_inner_spec(capsys, spec):
+    code, out, err = run(capsys, "chabauty", "--group", "F",
+                         "--h", spec, "--k", "trivial", "--radius", "1")
+    assert code == 2 and out == ""
+    assert err == "error: conjugate spec %r must look like conj:WORD:SPEC\n" % spec
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--group", "F", "--word", "a", "--at", "1/0"),
     ("compress", "--arcs", "0:1/0", "--beta", "0", "--alpha", "1/2"),
@@ -131,10 +138,13 @@ def test_chabauty_rejects_bad_spec(capsys):
     ("compress-proj", "--i1", "0,1", "--i2", "2,1", "--max-len", "2"),
     ("neumann", "--n", "-1", "--r", "2"),
     ("neumann", "--n", "3", "--r", "-1"),
+    ("tree-verify", "--suite", "levels", "--depth", "8"),
+    ("verify", "gff-levels", "--set", "depth=8"),
 ], ids=["eval-zero-denominator", "compress-zero-denominator",
         "chabauty-zero-denominator", "compress-proj-zero-denominator",
         "compress-proj-negative-max-len", "compress-proj-reversed-i2",
-        "neumann-negative-n", "neumann-negative-r"])
+        "neumann-negative-n", "neumann-negative-r",
+        "tree-verify-depth-past-the-ray", "verify-depth-past-the-ray"])
 def test_bad_numbers_exit_2_with_a_message(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from germlab.chabauty import BudgetError, element_budget
 from germlab.projline import (
     INF,
     LM_A,
@@ -17,14 +19,13 @@ from germlab.projline import (
     LM_C,
     Mobius,
     PPMap,
-    _sign,
     bn_image,
     image_interval,
     interval_compression_witness,
     interval_inside,
     lodha_moore_gens,
 )
-from germlab.scalars import SQRT2, QuadExt
+from germlab.scalars import SQRT2, QuadExt, quad_sign
 
 _SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -254,6 +255,65 @@ def test_witness_is_the_first_word_in_letter_order():
     i1, i2 = (Fraction(-1, 3), Fraction(2, 3)), (1, Fraction(5, 3))
     assert interval_compression_witness(i1, i2, 6) == "aBaB"
     assert interval_inside(image_interval(word_to_element("aBBa"), i1), i2)
+
+
+def _oracle_witness(i1, i2, max_len):
+    """The witness search as a loop of its own: breadth first over distinct
+    elements, letters a b c A B C, the budget checked before each new one."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    i1 = tuple(QuadExt.coerce(v) for v in i1)
+    i2 = tuple(QuadExt.coerce(v) for v in i2)
+    if i2[1] < i2[0]:
+        raise ValueError("empty interval")
+    ident = PPMap.identity()
+    if interval_inside(image_interval(ident, i1), i2):
+        return ""
+    limit = element_budget()
+    seen = {ident}
+    frontier = [("", ident)]
+    for _ in range(max_len):
+        nxt = []
+        for word, elem in frontier:
+            for letter in "abcABC":
+                cand = elem * LETTER[letter]
+                if cand in seen:
+                    continue
+                if len(seen) >= limit:
+                    raise BudgetError("search exceeds the %d-element budget" % limit)
+                seen.add(cand)
+                if interval_inside(image_interval(cand, i1), i2):
+                    return word + letter
+                nxt.append((word + letter, cand))
+        frontier = nxt
+    return None
+
+
+def _outcome(search, i1, i2, max_len):
+    try:
+        return search(i1, i2, max_len)
+    except BudgetError:
+        return BudgetError
+
+
+_ENDS = [Fraction(-1), Fraction(-1, 3), 0, Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 3), 4]
+_INTERVALS = list(itertools.combinations(_ENDS, 2))
+# every 19th of the 784 interval pairs, and the letter-order example; the
+# whole grid takes ~20 s per search at max_len 5
+_WITNESS_GRID = list(itertools.product(_INTERVALS, repeat=2))[::19] + [
+    ((Fraction(-1, 3), Fraction(2, 3)), (1, Fraction(5, 3)))]
+
+
+@pytest.mark.parametrize("budget", [None, "5", "20", "60"])
+def test_witness_matches_the_breadth_first_oracle(budget, monkeypatch):
+    if budget is None:
+        monkeypatch.delenv("GERMLAB_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("GERMLAB_BUDGET", budget)
+    for i1, i2 in _WITNESS_GRID:
+        for max_len in range(6):
+            want = _outcome(_oracle_witness, i1, i2, max_len)
+            assert _outcome(interval_compression_witness, i1, i2, max_len) == want, (i1, i2, max_len)
 
 
 def test_json_roundtrip():
@@ -569,13 +629,13 @@ def test_ppmap_equality_classes_match_oracle(left, right):
 # 17 - 12 sqrt2 ~ 0.029, and their negatives
 @pytest.mark.parametrize("a, b, want", [(3, -2, 1), (-7, 5, 1), (17, -12, 1), (0, 0, 0)])
 def test_integer_sign_of_near_cancelling_pairs(a, b, want):
-    assert _sign(a, b) == want and _sign(-a, -b) == -want
+    assert quad_sign(a, b) == want and quad_sign(-a, -b) == -want
     assert QuadExt(Fraction(a, 12), Fraction(b, 12)).sign() == want
 
 
 @given(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
 def test_integer_sign_matches_quadext(a, b):
-    assert _sign(a, b) == QuadExt(a, b).sign()
+    assert quad_sign(a, b) == QuadExt(a, b).sign()
 
 
 def test_products_inverses_and_equality_build_no_quadext(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from germlab.plcircle import PLMap, rotation
 from germlab.projline import Mobius, PPMap
-from germlab.scalars import Dyadic, QuadExt, SQRT2
+from germlab.scalars import Dyadic, QuadExt, SQRT2, quad_sign
 
 
 def bracket_sqrt2(bits: int) -> tuple[Fraction, Fraction]:
@@ -289,6 +289,43 @@ def test_quadext_order_against_interval_oracle(x, y):
     assert (x < y) == (sign < 0) and (x > y) == (sign > 0)
     assert (x <= y) == (sign <= 0) and (x >= y) == (sign >= 0)
     assert (x == y) == (sign == 0)
+
+
+def _case_sign(a, b):
+    """The sign of a + b sqrt2 by cases on the signs of a and b, as
+    QuadExt.sign once computed it."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: |a| versus |b| sqrt2, squared
+    lhs = a * a
+    rhs = 2 * b * b
+    if a > 0:  # b < 0
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
+# 3 - 2 sqrt2 ~ 0.17, -7 + 5 sqrt2 ~ 0.071, 17/12 - sqrt2 ~ 0.0025
+@pytest.mark.parametrize("a, b", [(3, -2), (-7, 5), (Fraction(17, 12), -1), (0, 0), (0, 1)])
+def test_quad_sign_of_near_cancelling_pairs_matches_the_cases(a, b):
+    for x, y in ((a, b), (-a, -b), (b, a), (a, -b)):
+        assert quad_sign(x, y) == _case_sign(x, y) == QuadExt(x, y).sign()
+
+
+@given(_FRACTIONS, _FRACTIONS)
+def test_quad_sign_matches_the_cases(a, b):
+    assert quad_sign(a, b) == _case_sign(a, b) == QuadExt(a, b).sign()
+
+
+@given(_QUADS, _QUADS)
+def test_quadext_order_matches_the_cases(x, y):
+    want = _case_sign(x.a - y.a, x.b - y.b)
+    assert ((x > y) - (x < y)) == want and (x == y) == (want == 0)
 
 
 @pytest.mark.parametrize("exp", [400, 401, 1000, 20000])

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
+from germlab.plcircle import T_GROUP
 from germlab.suites import (
-    _PL_GENS,
     _TREE_PAIR,
     available_suites,
     make_cocycle_check,
@@ -176,10 +176,10 @@ def test_compress_failure_witnesses_are_pinned(monkeypatch):
 
 
 def test_spell_words():
-    assert spell(_PL_GENS, "aA").is_identity()
-    assert spell(_PL_GENS, "ab") == _PL_GENS["a"] * _PL_GENS["b"]
+    assert spell(T_GROUP.gens, "aA").is_identity()
+    assert spell(T_GROUP.gens, "ab") == T_GROUP.gens["a"] * T_GROUP.gens["b"]
     with pytest.raises(ValueError, match="unknown generator letter"):
-        spell(_PL_GENS, "ax")
+        spell(T_GROUP.gens, "ax")
 
 
 def test_check_factories_run_standalone():
@@ -198,6 +198,17 @@ def test_check_factories_run_standalone():
 def test_level_check_counts_are_pinned(depth, want):
     ray = (0, 1) * 4
     assert make_level_check(_TREE_PAIR, ray, depth, 4)(random.Random(0)) == want
+
+
+def test_level_check_needs_a_ray_longer_than_the_depth():
+    # a depth-6 ball holds the whole ray prefix (0, 1, 0, 1, 0, 1), which has no level
+    ray = (0, 1) * 3
+    make_level_check(_TREE_PAIR, ray, 5, 100)
+    for depth in (6, 7):
+        with pytest.raises(ValueError, match="depth must be below the ray length 6, got %d" % depth):
+            make_level_check(_TREE_PAIR, ray, depth, 4)
+    with pytest.raises(ValueError, match="below the ray length 8, got 8"):
+        run_suite("gff-levels", {"depth": 8})
 
 
 def test_seed_changes_report_but_not_validity():

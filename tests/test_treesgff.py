@@ -34,6 +34,32 @@ from germlab.treesgff import (
 )
 
 PAIR = PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
+
+
+def _vertices_below(v, depth, degree):
+    """Reduced-word extensions of v by at most depth further edges."""
+    out = [v]
+    frontier = [v]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            for c in range(degree):
+                if u and u[-1] == c:
+                    continue
+                nxt.append(u + (c,))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_ball_from_a_start_matches_the_extension_loop(degree):
+    for start in [(), (0,), (2,), (1, 0), (0, 1, 2), (2, 1, 0, 1)]:
+        for radius in range(4):
+            want = _vertices_below(start, radius, degree)
+            assert ball(degree, radius, start) == want
+            if not start:
+                assert ball(degree, radius) == want
 XI = (0, 1, 0, 1, 0, 1, 0, 1)
 # the Klein four-group acts freely and transitively on four colors
 KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
