@@ -22,10 +22,6 @@ GERM_ISOLATED = "isolated_fixed_point"
 GERM_MOVES = "moves_x"
 
 
-class NeedsRefinement(ValueError):
-    """Raised when a cylinder is too coarse to land inside a single rule."""
-
-
 def _check_word(w: str) -> str:
     if not isinstance(w, str) or w.strip("01"):
         raise ValueError(f"not a binary word: {w!r}")
@@ -405,13 +401,6 @@ class PrefixMap(GroupElement):
         v, z = self.rule_at(x)
         tail = x.shift(len(v))
         return EventuallyPeriodic(z + tail.preperiod, tail.period)
-
-    def evaluate_on(self, c: str) -> str:
-        """Image word of the cylinder C_c when c refines a single rule."""
-        v, z = meeting(self.rules, _check_word(c))[0]
-        if len(v) > len(c):
-            raise NeedsRefinement(f"cylinder {c!r} spans several rules")
-        return z + c[len(v):]
 
     def image_words(self, w: str) -> list[str]:
         """The image of C_w as a list of cylinder words (any coarseness)."""

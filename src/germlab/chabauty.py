@@ -20,14 +20,14 @@ DEFAULT_BUDGET = 200_000
 class BudgetError(RuntimeError):
     """Raised when a computation would pass the element budget.
 
-    The budget bounds the elements a ball or search enumerates and the
-    steps a loop over a finite group takes.
+    The budget bounds the elements a ball or search enumerates, the vertex
+    pairs a level check compares and the steps a loop over a finite group
+    takes.
     """
 
 
-def element_budget(budget=None):
-    if budget is not None:
-        return budget
+def element_budget():
+    """The limit: GERMLAB_BUDGET, else DEFAULT_BUDGET."""
     text = os.environ.get("GERMLAB_BUDGET", str(DEFAULT_BUDGET))
     try:
         return int(text)
@@ -135,17 +135,17 @@ class BallTruncation:
         return element in self._index
 
 
-def walk(group, radius, order, budget=None, index=None):
+def walk(group, radius, order, index=None):
     """Breadth-first walk of the radius ball: yields each new (element, word)
     in ball order, the identity first, trying the labels of order in turn.
 
     The walk grows index, a fresh dict unless one is passed in, to
-    {element: first word}; a walk that would pass the budget raises
+    {element: first word}; a walk that would pass GERMLAB_BUDGET raises
     BudgetError.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative, got %d" % radius)
-    limit = element_budget(budget)
+    limit = element_budget()
     letters = [(label, group.gens[label]) for label in order]
     if index is None:
         index = {}
@@ -170,9 +170,9 @@ def walk(group, radius, order, budget=None, index=None):
         frontier = nxt
 
 
-def ball(group, radius, budget=None):
+def ball(group, radius):
     index = {}
-    for _ in walk(group, radius, sorted(group.gens), budget, index):
+    for _ in walk(group, radius, sorted(group.gens), index):
         pass
     return object.__new__(BallTruncation)._set(radius, index)
 
@@ -214,8 +214,8 @@ class SubgroupSpec:
         return cls("germ", tuple(points))
 
     @classmethod
-    def generated(cls, elements, radius, budget=None):
-        return cls("generated", (tuple(elements), radius, budget))
+    def generated(cls, elements, radius):
+        return cls("generated", (tuple(elements), radius))
 
     @classmethod
     def conjugate(cls, spec, g):
@@ -228,9 +228,9 @@ class SubgroupSpec:
         if spec.kind == "germ":
             return cls("germ", tuple(g(p) for p in spec.data))
         if spec.kind == "generated":
-            elements, radius, budget = spec.data
+            elements, radius = spec.data
             inv = g.inverse()
-            return cls.generated([g * s * inv for s in elements], radius, budget)
+            return cls.generated([g * s * inv for s in elements], radius)
         raise ValueError("unknown spec kind %r" % spec.kind)
 
     def contains(self, element):
@@ -245,36 +245,36 @@ class SubgroupSpec:
             return all(germ_trivial_at(p) for p in self.data)
         if self.kind == "generated":
             if self._members is None:
-                elements, radius, budget = self.data
+                elements, radius = self.data
                 labels = {chr(ord("a") + i): g for i, g in enumerate(elements)}
-                members = ball(MarkedGroup(labels), radius, budget)
+                members = ball(MarkedGroup(labels), radius)
                 object.__setattr__(self, "_members", members)
             return element in self._members
         raise ValueError("unknown spec kind %r" % self.kind)
 
 
-def disagreements(h_spec, k_spec, group, radius, budget=None):
+def disagreements(h_spec, k_spec, group, radius):
     """Words of the radius ball, in ball order, on which the two specs differ."""
-    for element, word in ball(group, radius, budget)._index.items():
+    for element, word in ball(group, radius)._index.items():
         if h_spec.contains(element) != k_spec.contains(element):
             yield word
 
 
-def chabauty_agree_radius(h_spec, k_spec, group, r_max, budget=None):
+def chabauty_agree_radius(h_spec, k_spec, group, r_max):
     """Largest r <= r_max at which the two truncations coincide."""
     return min(
-        (len(w) - 1 for w in disagreements(h_spec, k_spec, group, r_max, budget)),
+        (len(w) - 1 for w in disagreements(h_spec, k_spec, group, r_max)),
         default=r_max,
     )
 
 
-def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius, budget=None):
+def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius):
     """Compare conjugate truncations against a predicted limit, in net order.
 
     Reports the least position after which every later conjugate matches the
     predicted limit on the radius ball, or None when the net never settles.
     """
-    full = ball(group, radius, budget)
+    full = ball(group, radius)
 
     def kept(spec):
         return frozenset(el for el in full._index if spec.contains(el))
@@ -294,13 +294,13 @@ def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius, bud
     }
 
 
-def accumulation_probe(h_spec, group, forbidden, search_radius, budget=None):
+def accumulation_probe(h_spec, group, forbidden, search_radius):
     """Search for a conjugator pulling every element of P out of H.
 
     A witness g has gPg^-1 disjoint from H; exhausting the ball without one
     is finite-scale evidence that every conjugate of P meets H.
     """
-    full = ball(group, search_radius, budget)
+    full = ball(group, search_radius)
     for p in forbidden:
         if p.is_identity():
             raise ValueError("the forbidden set must not contain the identity")

@@ -11,9 +11,9 @@ different slopes.  A closed arc set is its maximal arcs (``ArcSet``).
 
 Every product and conjugate is one merge of two increasing piece lists
 over one exponent (``_merge``), and inversion swaps the two coordinates.
-The constructions (expanding conjugators, maps through points, rigid
-stabilizers and the compressor) build their break lists from greedy
-standard subdivisions in integers (``_chain``).
+The constructions (expanding conjugators, rigid stabilizers and the
+compressor) build their break lists from greedy standard subdivisions in
+integers (``_chain``).
 
 Dyadics stay at the boundary.  A map reads and writes pieces (left,
 slope_exp, intercept), F(t) = 2**slope_exp * t + intercept: the
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .chabauty import MarkedGroup
 from .kernel import GroupElement
@@ -161,12 +159,6 @@ class PLMap(GroupElement):
         v, d = self._lift(x.num, x.exp)
         return Dyadic(v & ((1 << d) - 1), d)
 
-    def eval_lift_inverse(self, y: Dyadic) -> Dyadic:
-        """Preimage of y under the periodic lift.  The inverse's canonical
-        lift exceeds this one by 1 when F(0) > 0."""
-        value = self.inverse().eval_lift(y)
-        return value - 1 if self._y[0] else value
-
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "PLMap") -> "PLMap":
@@ -277,8 +269,14 @@ class PLMap(GroupElement):
         return True
 
     def germ_trivial_at(self, x: Dyadic) -> bool:
-        data = germ_data(self, x)
-        return data.left_identity and data.right_identity
+        """Is the map the identity near the circle point x?  Both one-sided
+        pieces at x must fix it: at a break the left one is the previous
+        piece, and at 0 the last one."""
+        x = Dyadic.coerce(x)
+        d = max(self._e, x.exp)
+        t, pe = x.num << (d - x.exp) & ((1 << d) - 1), d - self._e
+        i = bisect.bisect_right(self._x, t >> pe) - 1
+        return self._fixes(i) and self._fixes(i - 1 if self._x[i] << pe == t else i)
 
     def to_json(self) -> dict:
         return {
@@ -374,11 +372,6 @@ def identity() -> PLMap:
     return _plmap(0, [0], [0], [0])
 
 
-def rotation(d: Dyadic) -> PLMap:
-    """Rigid rotation x -> x + d."""
-    return PLMap([(ZERO, 0, Dyadic.coerce(d).frac())])
-
-
 def _d(num: int, exp: int = 0) -> Dyadic:
     return Dyadic(num, exp)
 
@@ -404,32 +397,10 @@ def is_in_F(f: PLMap) -> bool:
     return f._y[0] == 0
 
 
-@dataclass(frozen=True)
-class GermData:
-    left_slope_exp: int
-    left_identity: bool
-    right_slope_exp: int
-    right_identity: bool
-
-
-def germ_data(f: PLMap, x: Dyadic) -> GermData:
-    """One-sided germs of f at the circle point x."""
-    x = Dyadic.coerce(x)
-    d = max(f._e, x.exp)
-    t, pe = x.num << (d - x.exp) & ((1 << d) - 1), d - f._e
-    i = bisect.bisect_right(f._x, t >> pe) - 1
-    # at a break the left germ is the previous piece's (the last one's at 0)
-    li = i - 1 if f._x[i] << pe == t else i
-    return GermData(f._s[li], f._fixes(li), f._s[i], f._fixes(i))
-
-
 def in_derived_F(f: PLMap) -> bool:
     """Maps fixing a whole circle neighbourhood of 0; equals the derived group
     of the point-0 stabilizer."""
-    if not is_in_F(f):
-        return False
-    g = germ_data(f, ZERO)
-    return g.left_identity and g.right_identity
+    return is_in_F(f) and f.germ_trivial_at(ZERO)
 
 
 # -- closed arc sets -------------------------------------------------------
@@ -583,11 +554,6 @@ class ArcSet:
         t, one = x.num << (d - x.exp) & ((1 << d) - 1), 1 << d
         return any(lo <= t <= hi or t + one <= hi for lo, hi in self._at(d))
 
-    def contains_fraction(self, x: Fraction) -> bool:
-        p, q = x.numerator % x.denominator, x.denominator
-        one = 1 << self._e
-        return any(lo * q <= p * one <= hi * q or (p + q) * one <= hi * q for lo, hi in self._a)
-
     def subset_of(self, other: "ArcSet") -> bool:
         if other.is_full():
             return True
@@ -631,12 +597,6 @@ class ArcSet:
     def preimage(self, f: PLMap) -> "ArcSet":
         return self.image(f.inverse())
 
-    def complement_components(self) -> list[tuple[Dyadic, Dyadic]]:
-        """Open gaps as (start, lifted_end); the empty set gives [(0, 1)], the
-        open arc (0, 1), which leaves out the point 0."""
-        e = self._e
-        return [(Dyadic(s, e), Dyadic(t, e)) for s, t in self._gaps()]
-
 
 def _arcset(e: int, arcs: Iterable[tuple[int, int]]) -> ArcSet:
     """The union of closed arcs (lo, hi) over 2**e, with 0 <= hi - lo <= 1."""
@@ -646,41 +606,6 @@ def _arcset(e: int, arcs: Iterable[tuple[int, int]]) -> ArcSet:
 
 
 PLMap.region_type = ArcSet
-
-
-# -- fixed sets and supports -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SupportData:
-    fixed_arcs: ArcSet
-    fixed_points: tuple[Fraction, ...]
-    support: ArcSet
-
-
-def support_fix(f: PLMap) -> SupportData:
-    """Exact fixed-point data: maximal fixed arcs, isolated fixed points
-    (rational, possibly non-dyadic), and the closure of the moved set."""
-    e, xs = f._e, f._x
-    one = 1 << e
-    fixed: list[tuple[int, int]] = []
-    points: set[Fraction] = set()
-    for i, (x, right, y, s) in enumerate(zip(xs, xs[1:] + (one,), f._y, f._s)):
-        if s == 0:
-            if f._fixes(i):
-                fixed.append((x, right))
-            continue
-        # F(t) = t + k at t = n / 2**e: y + 2**s (n - x) = n + k 2**e, times 2**a
-        a, b = max(0, -s), max(0, s)
-        sign = 1 if s > 0 else -1
-        den = sign * ((1 << b) - (1 << a))
-        for k in (0, one):
-            num = sign * (((k - y) << a) + (x << b))
-            if x * den <= num <= right * den:
-                points.add(Fraction(num, den << e) % 1)
-    arcs = _arcset(e, fixed)
-    isolated = tuple(sorted(p for p in points if not arcs.contains_fraction(p)))
-    return SupportData(arcs, isolated, f.support())
 
 
 # -- constructions -------------------------------------------------------------
@@ -739,39 +664,6 @@ def _chain(w: int, points: Sequence[tuple[int, int]]) -> tuple[int, list[int], l
         x += 1 << (jx + k)
         y += 1 << (jy + k)
     return w + k, xs, ys, ss
-
-
-def standard_subdivision(p: Dyadic, q: Dyadic) -> list[tuple[Dyadic, int]]:
-    """Greedy partition of [p, q] into standard intervals [m/2^k, (m+1)/2^k].
-
-    Returns (start, k) pairs; each piece has length 2**-k.
-    """
-    w, (a, b) = _ints(Dyadic.coerce(p), Dyadic.coerce(q))
-    if not a < b:
-        raise ValueError("empty interval")
-    out = []
-    for j in _standard(a, b, w):
-        out.append((Dyadic(a, w), w - j))
-        a += 1 << j
-    return out
-
-
-def interval_map_pieces(p: Dyadic, q: Dyadic, r: Dyadic, s: Dyadic) -> list[Piece]:
-    """Pieces of the increasing 2-power-slope PL bijection [p, q] -> [r, s]
-    built cell by cell on standard subdivisions, equal slopes merged."""
-    w, (p, q, r, s) = _ints(*map(Dyadic.coerce, (p, q, r, s)))
-    w, xs, ys, ss = _chain(w, [(p, r), (q, s)])
-    keys = (_piece_key(x, y, slope, w) for x, y, slope in zip(xs, ys, ss))
-    return [(Dyadic(*left), slope, Dyadic(*c)) for left, slope, c in keys]
-
-
-def pl_map_through_points(points: Sequence[tuple[Dyadic, Dyadic]]) -> PLMap:
-    """The circle map built cellwise through (x_i, y_i), x_0 = y_0 = 0, x_m = y_m = 1."""
-    w, ints = _ints(*(Dyadic.coerce(v) for point in points for v in point))
-    pts = list(zip(ints[::2], ints[1::2]))
-    if pts[0] != (0, 0) or pts[-1] != (1 << w, 1 << w):
-        raise ValueError("point chain must run from (0,0) to (1,1)")
-    return _plmap(*_chain(w, pts))
 
 
 def expanding_conjugator(n: int) -> PLMap:

@@ -319,9 +319,6 @@ class PPMap(GroupElement):
                 hi = mid
         return lo
 
-    def piece_at(self, x: Scalar) -> Mobius:
-        return self.maps[self._cell(_triple(x))]
-
     def __call__(self, x):
         if isinstance(x, _Infinity):
             return INF

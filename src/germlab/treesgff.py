@@ -186,7 +186,7 @@ class TreeAut(GroupElement):
     stays put.  Products and inverses walk the prefix tree they need.
     """
 
-    __slots__ = ("pair", "base_image", "portrait", "_at")
+    __slots__ = ("pair", "base_image", "_at")
 
     def __init__(self, pair: PermGroupPair, base_image: Vertex, portrait: dict):
         base_image = tuple(base_image)
@@ -218,10 +218,15 @@ class TreeAut(GroupElement):
                 del at[v]
             else:
                 kept_child.add(v[:-1])
-        portrait = {v: perms[i] for v, i in at.items()}
-        for name, value in zip(self.__slots__, (pair, base_image, portrait, at)):
+        for name, value in zip(self.__slots__, (pair, base_image, at)):
             object.__setattr__(self, name, value)
         return self
+
+    @property
+    def portrait(self) -> dict:
+        """{vertex: permutation}, built from the numbered portrait on each read."""
+        perms = self.pair.perms
+        return {v: perms[i] for v, i in self._at.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeAut is immutable")
@@ -323,7 +328,7 @@ class TreeAut(GroupElement):
         return hash((self.base_image, frozenset(self._at.items())))
 
     def is_identity(self) -> bool:
-        return not self.base_image and self.portrait == {(): perm_identity(self.pair.degree)}
+        return not self.base_image and self._at == {(): self.pair.index[perm_identity(self.pair.degree)]}
 
     def __repr__(self):
         bits = ", ".join(
@@ -331,11 +336,11 @@ class TreeAut(GroupElement):
         return f"TreeAut(base->{format_vertex(self.base_image) or 'o'}, {bits})"
 
     def to_json(self) -> dict:
+        portrait = self.portrait
         return {
             "base_image": format_vertex(self.base_image),
-            "default": list(self.portrait[()]),
-            "exceptions": {
-                format_vertex(v): list(p) for v, p in sorted(self.portrait.items()) if v},
+            "default": list(portrait[()]),
+            "exceptions": {format_vertex(v): list(p) for v, p in sorted(portrait.items()) if v},
         }
 
     @staticmethod
@@ -430,23 +435,30 @@ def level_pairs(vertices: Iterable[Vertex], xi_prefix: Vertex, max_dist: int) ->
     vertex off the ray is pushed to its parent; every push that reaches the
     ray at a given level reaches the same ray vertex, so those share the
     key None, and the ray prefix need not reach past the vertices.
+
+    A bucket of k vertices makes k(k-1)/2 pairs; when their sum passes
+    GERMLAB_BUDGET, BudgetError is raised before any pair is made.
     """
     xi, half = tuple(xi_prefix), max_dist // 2
     levels: dict[int, list] = {}
+    buckets: dict[tuple, list] = {}
     for v in vertices:
         v = tuple(v)
         push = v[:len(v) - half] if len(v) - half > common_prefix_len(v, xi) else None
-        levels.setdefault(busemann_level(v, xi), []).append((v, push))
+        level = busemann_level(v, xi)
+        bucket = buckets.setdefault((level, push), [])
+        bucket.append(v)
+        levels.setdefault(level, []).append((v, bucket))
+    count = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
+    if count > (limit := element_budget()):
+        raise BudgetError(f"{count} level pairs exceed the {limit}-element budget")
     return {level: _bucket_pairs(same) for level, same in levels.items()}
 
 
 def _bucket_pairs(keyed: list):
-    """The pairs (v, w) of equal keys from [(v, key), ...], in list order."""
-    buckets: dict = {}
-    for v, key in keyed:
-        buckets.setdefault(key, []).append(v)
-    for v, key in keyed:
-        later = buckets[key]
+    """The pairs (v, w) from [(v, v's bucket), ...], in list order, each w
+    after v in v's bucket."""
+    for v, later in keyed:
         later.pop(0)  # v itself, first of what is left of its bucket
         for w in later:
             yield v, w

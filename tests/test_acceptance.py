@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from germlab.cantorv import V_GROUP, Cylinders, EventuallyPeriodic, compress_v, rigid_stabilizer_v
 from germlab.chabauty import (
-    MarkedGroup,
     SubgroupSpec,
     ball,
     conjugate_net_probe,
@@ -30,6 +29,7 @@ from germlab.fullgroups import (
 )
 from germlab.plcircle import (
     ArcSet,
+    F_GROUP,
     GEN_A,
     GEN_B,
     T_GROUP,
@@ -52,7 +52,7 @@ from germlab.suites import (
 )
 from germlab.treesgff import TreeAut, halftree_permuter, perm_identity
 
-F = MarkedGroup({"a": GEN_A, "b": GEN_B})
+F = F_GROUP
 RAY = (0, 1, 0, 1, 0, 1, 0, 1)
 
 

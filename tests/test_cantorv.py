@@ -13,7 +13,6 @@ from germlab.cantorv import (
     GERM_FIXES,
     GERM_ISOLATED,
     GERM_MOVES,
-    NeedsRefinement,
     PrefixMap,
     SWAP,
     ZERO_SEQ,
@@ -123,17 +122,11 @@ def refined(rng, f):
     return PrefixMap(rules)
 
 
-def test_evaluate_on():
-    assert GEN_VA.evaluate_on("00") == "0"
-    assert GEN_VA.evaluate_on("001") == "01"
-    assert GEN_VA.evaluate_on("1") == "11"
-    with pytest.raises(NeedsRefinement):
-        GEN_VA.evaluate_on("0")
-    with pytest.raises(NeedsRefinement):
-        GEN_VA.evaluate_on("")
-
-
 def test_image_words_handles_coarse_cylinders():
+    # a cylinder inside one rule has one image word
+    assert GEN_VA.image_words("00") == ["0"]
+    assert GEN_VA.image_words("001") == ["01"]
+    assert GEN_VA.image_words("1") == ["11"]
     assert GEN_VA.image_words("0") == ["0", "10"]
     assert Cylinders(GEN_VA.image_words("")).is_full()
     rng = random.Random(903)

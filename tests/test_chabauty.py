@@ -8,9 +8,9 @@ from germlab.cantorv import (
     GEN_PI0,
     GEN_VA,
     GEN_VB,
-    GEN_VC,
     ONE_SEQ,
     ZERO_SEQ,
+    V_GROUP,
     Cylinders,
     EventuallyPeriodic,
     PrefixMap,
@@ -36,6 +36,7 @@ from germlab.chabauty import (
 )
 from germlab.fullgroups import FullGroupElement, gamma_tv
 from germlab.plcircle import (
+    F_GROUP,
     GEN_A,
     GEN_B,
     ArcSet,
@@ -44,12 +45,11 @@ from germlab.plcircle import (
     expanding_conjugator,
     in_derived_F,
     rigid_stabilizer_gens,
-    support_fix,
 )
-from germlab.projline import LM_A, LM_B, LM_C, PPMap
+from germlab.projline import LM_GROUP, PPMap
 from germlab.scalars import Dyadic
 
-F = MarkedGroup({"a": GEN_A, "b": GEN_B})
+F = F_GROUP
 QUARTER_HALF = ArcSet.of((Fraction(1, 4), Fraction(1, 2)))
 SUPP_H = SubgroupSpec.support_inside(QUARTER_HALF)
 GERM_LIMIT = SubgroupSpec.identity_germ_at(Dyadic(0))
@@ -76,9 +76,8 @@ def test_marked_group_validation():
 # (marked group, kernel, ball sizes at radius 0, 1, ...)
 BALL_SIZES = {
     "F": (F, PLMap, [1, 5, 17, 53, 161]),
-    "V": (MarkedGroup({"a": GEN_VA, "b": GEN_VB, "c": GEN_VC, "p": GEN_PI0}),
-          PrefixMap, [1, 8, 44, 209, 951]),
-    "LM": (MarkedGroup({"a": LM_A, "b": LM_B, "c": LM_C}), PPMap, [1, 7, 37, 187]),
+    "V": (V_GROUP, PrefixMap, [1, 8, 44, 209, 951]),
+    "LM": (LM_GROUP, PPMap, [1, 7, 37, 187]),
     # three involutions
     "full": (MarkedGroup({"a": gamma_tv(1, Cylinders.of("00")),
                           "b": gamma_tv(2, Cylinders.of("01")),
@@ -106,15 +105,17 @@ def test_ball_words_spell_their_elements():
         assert len(word) <= 3
 
 
-def test_ball_budget():
+def test_ball_budget(monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "10")
     with pytest.raises(BudgetError):
-        ball(F, 3, budget=10)
+        ball(F, 3)
 
 
-def test_ball_budget_error_names_radius_and_size():
+def test_ball_budget_error_names_radius_and_size(monkeypatch):
     # F's ball has 5 elements at radius 1 and 17 at radius 2
+    monkeypatch.setenv("GERMLAB_BUDGET", "10")
     with pytest.raises(BudgetError, match=r"10-element budget at radius 2 of 3, with 10 elements"):
-        ball(F, 3, budget=10)
+        ball(F, 3)
 
 
 def test_ball_budget_env(monkeypatch):
@@ -136,7 +137,7 @@ def test_trunc_support_cross_check():
     kept = chabauty_trunc(SUPP_H, F, 3)
     assert kept.words == ("",)
     for element in chabauty_trunc(SUPP_H, F, 4).elements:
-        assert support_fix(element).support.subset_of(QUARTER_HALF)
+        assert element.support().subset_of(QUARTER_HALF)
 
 
 def test_trunc_germ_matches_derived_subgroup():
@@ -234,7 +235,7 @@ def test_pushforward_matches_element_conjugation_on_F():
 
 
 def test_pushforward_matches_element_conjugation_on_V():
-    group = MarkedGroup({"a": GEN_VA, "b": GEN_VB, "c": GEN_VC, "p": GEN_PI0})
+    group = V_GROUP
     specs = [
         SubgroupSpec.whole_group(),
         SubgroupSpec.trivial(),
@@ -389,8 +390,9 @@ def test_generated_spec_builds_its_ball_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_generated_spec_budget_fails_on_first_contains():
-    spec = SubgroupSpec.generated([GEN_A, GEN_B], 3, budget=5)
+def test_generated_spec_budget_fails_on_first_contains(monkeypatch):
+    monkeypatch.setenv("GERMLAB_BUDGET", "5")
+    spec = SubgroupSpec.generated([GEN_A, GEN_B], 3)
     for _ in range(2):
         with pytest.raises(BudgetError):
             spec.contains(GEN_A)

@@ -20,16 +20,10 @@ from germlab.plcircle import (
     compress,
     conjugate_into_interval,
     expanding_conjugator,
-    germ_data,
     identity,
     in_derived_F,
-    interval_map_pieces,
     is_in_F,
-    pl_map_through_points,
     rigid_stabilizer_gens,
-    rotation,
-    standard_subdivision,
-    support_fix,
 )
 from germlab.chabauty import equal_on
 from germlab.scalars import Dyadic
@@ -120,7 +114,7 @@ def test_inverse_pointwise_and_group_laws():
 
 
 def test_rotation_and_membership():
-    r = rotation(D(1, 1))
+    r = PLMap([(0, 0, D(1, 1))])
     assert r(D(0)) == D(1, 1)
     assert r(D(3, 2)) == D(1, 2)  # 3/4 + 1/2 wraps to 1/4
     assert (r * r).is_identity()
@@ -130,16 +124,13 @@ def test_rotation_and_membership():
     assert is_in_F(GEN_A * GEN_B)
 
 
-def test_germ_data_at_zero():
-    g = germ_data(GEN_A, D(0))
-    assert g.right_slope_exp == -1 and not g.right_identity
-    assert g.left_slope_exp == 1 and not g.left_identity
-    g = germ_data(GEN_B, D(0))
-    assert g.right_identity  # B is the identity on [0, 1/2]
-    assert g.left_slope_exp == 1 and not g.left_identity
-    # interior point of an identity piece
-    g = germ_data(GEN_B, D(1, 2))
-    assert g.left_identity and g.right_identity
+def test_germ_triviality_at_zero():
+    assert not GEN_A.germ_trivial_at(D(0))
+    # B is the identity on [0, 1/2] but doubles just left of 0
+    assert not GEN_B.germ_trivial_at(D(0))
+    # interior point and right end of B's identity piece
+    assert GEN_B.germ_trivial_at(D(1, 2))
+    assert not GEN_B.germ_trivial_at(D(1, 1))
 
 
 def test_in_derived_subgroup():
@@ -163,29 +154,10 @@ def rand_word_f(rng, n):
     return w
 
 
-def test_support_fix_generator():
-    data = support_fix(GEN_A)
-    assert data.fixed_arcs.is_empty()
-    assert data.fixed_points == (0,)
-    assert data.support.is_full()
-
-
-def test_support_fix_partial_identity():
-    data = support_fix(GEN_B)
-    # fixed on [0, 1/2]; the only other fixed point is 1 == 0, inside the arc
-    assert data.fixed_arcs == ArcSet.of((D(0), D(1, 1)))
-    assert data.fixed_points == ()
-    assert data.support == ArcSet.of((D(1, 1), D(1)))
-
-
-def test_support_fix_nondyadic_point():
-    # slope-4 piece crossing the diagonal at a non-dyadic rational
-    f = pl_map_through_points([(D(0), D(0)), (D(1, 2), D(1, 3)), (D(1), D(1))])
-    data = support_fix(f)
-    assert data.fixed_arcs.is_empty()
-    pts = set(data.fixed_points)
-    assert 0 in pts
-    assert any(p.denominator % 2 == 1 and p.denominator > 1 for p in pts if p != 0) or pts == {0}
+def test_support_of_generators():
+    assert GEN_A.support().is_full()
+    # B is the identity on [0, 1/2]
+    assert GEN_B.support() == ArcSet.of((D(1, 1), D(1)))
 
 
 def test_arcset_semantics():
@@ -206,7 +178,7 @@ def test_arcset_semantics():
 def test_arcset_image():
     u = ArcSet.of((D(1, 2), D(1, 1)))
     assert u.image(GEN_A) == ArcSet.of((D(1, 3), D(1, 2)))
-    r = rotation(D(3, 2))
+    r = PLMap([(0, 0, D(3, 2))])
     assert u.image(r) == ArcSet.of((D(0), D(1, 2)))
     v = ArcSet.of((D(1, 3), D(3, 3)))
     assert v.image(r) == ArcSet.of((D(7, 3), D(1)), (D(0), D(1, 3)))
@@ -214,38 +186,6 @@ def test_arcset_image():
     for _ in range(30):
         f = rand_word(rng, 4)
         assert u.image(f).image(f.inverse()) == u
-
-
-def test_interval_map_pieces_bijection():
-    rng = random.Random(31)
-    for _ in range(40):
-        p = rand_dyadic(rng, 5)
-        q = p + D(rng.randrange(1, 40), 5) * D(1, 1)
-        if q > D(1):
-            continue
-        r = rand_dyadic(rng, 5)
-        s = r + D(rng.randrange(1, 40), 6)
-        pieces = interval_map_pieces(p, q, r, s)
-        left0, s0, c0 = pieces[0]
-        assert left0 == p
-        assert left0.ldexp(s0) + c0 == r
-        # continuity and final value
-        cur = r
-        for i, (l, se, c) in enumerate(pieces):
-            right = pieces[i + 1][0] if i + 1 < len(pieces) else q
-            assert l.ldexp(se) + c == cur
-            cur = right.ldexp(se) + c
-        assert cur == s
-
-
-def test_standard_subdivision_covers():
-    parts = standard_subdivision(D(1, 3), D(1))
-    cur = D(1, 3)
-    for start, k in parts:
-        assert start == cur
-        assert (start.ldexp(k)).is_integer()
-        cur = cur + D(1, k)
-    assert cur == D(1)
 
 
 def test_rigid_stabilizer_supported_and_faithful():
@@ -256,7 +196,7 @@ def test_rigid_stabilizer_supported_and_faithful():
     for g in (g1, g2):
         assert is_in_F(g)
         assert g.identity_on(outside)
-        assert support_fix(g).support.subset_of(inside)
+        assert g.support().subset_of(inside)
         assert not g.is_identity()
     # conjugation preserves the defining relations
     def comm(x, y):
@@ -444,14 +384,14 @@ class _OraclePLMap:
     def __eq__(self, other):
         return self.pieces == other.pieces
 
-    def germ_data(self, x):
+    def germ_trivial_at(self, x):
         x = x.frac()
         _, r_s, r_c = self.pieces[self.piece_index(x)]
         if x == D(0):
             _, l_s, l_c = self.pieces[-1]
         else:
             _, l_s, l_c = self.pieces[max(bisect.bisect_left(self.lefts, x) - 1, 0)]
-        return l_s, l_s == 0 and l_c.is_integer(), r_s, r_s == 0 and r_c.is_integer()
+        return l_s == 0 and l_c.is_integer() and r_s == 0 and r_c.is_integer()
 
     def identity_on(self, region):
         for lo, hi in region.arcs:
@@ -463,31 +403,18 @@ class _OraclePLMap:
                 return False
         return True
 
-    def support_fix(self):
-        fixed, points = [], set()
+    def support(self):
+        """What the identity pieces leave of [0, 1], as closed arcs."""
+        arcs, cur = [], D(0)
         for i, (left, s, c) in enumerate(self.pieces):
             right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else D(1)
-            if s == 0:
-                if c.is_integer():
-                    fixed.append((left, right))
-                continue
-            for k in (0, 1):
-                t = (Fraction(k) - c.as_fraction()) / (Fraction(2) ** s - 1)
-                if left.as_fraction() <= t <= right.as_fraction():
-                    points.add(t % 1)
-        arcs = ArcSet(fixed)
-        isolated = tuple(sorted(p for p in points if not arcs.contains_fraction(p)))
-        if arcs.is_empty():
-            return arcs, isolated, ArcSet.full()
-        if arcs.is_full():
-            return arcs, isolated, ArcSet.empty()
-        support = []
-        for s, e in arcs.complement_components():
-            if e <= D(1):
-                support.append((s, e))
-            else:
-                support.extend([(s, D(1)), (D(0), e - 1)])
-        return arcs, isolated, ArcSet(support)
+            if s == 0 and c.is_integer():
+                if cur < left:
+                    arcs.append((cur, left))
+                cur = right
+        if cur < D(1):
+            arcs.append((cur, D(1)))
+        return ArcSet(arcs)
 
 
 def _pair(g):
@@ -556,17 +483,11 @@ def test_germs_and_fixed_sets_match_oracle(word, points, arc_ends):
     f, o = word
     breaks = [left for left, _, _ in f.pieces]
     for x in points + breaks:
-        g = germ_data(f, x)
-        assert (g.left_slope_exp, g.left_identity, g.right_slope_exp, g.right_identity) == (
-            o.germ_data(x))
+        assert f.germ_trivial_at(x) == o.germ_trivial_at(x)
     arc_ends = sorted(arc_ends + breaks[:2])
     region = ArcSet(list(zip(arc_ends[::2], arc_ends[1::2])))
     assert f.identity_on(region) == o.identity_on(region)
-    fixed_arcs, fixed_points, support = o.support_fix()
-    data = support_fix(f)
-    assert data.fixed_arcs.arcs == fixed_arcs.arcs
-    assert data.fixed_points == fixed_points
-    assert data.support.arcs == support.arcs == f.support().arcs
+    assert f.support().arcs == o.support().arcs
 
 
 def _fraction_lift(pieces, t):
@@ -575,20 +496,6 @@ def _fraction_lift(pieces, t):
     x = t - k
     left, s, c = [p for p in pieces if p[0].as_fraction() <= x][-1]
     return Fraction(2) ** s * x + c.as_fraction() + k
-
-
-def _fraction_lift_inverse(pieces, y):
-    """The t with F(t) = y, by searching the pieces, in Fraction arithmetic."""
-    c0 = pieces[0][2].as_fraction()
-    k = (y - c0).numerator // (y - c0).denominator
-    y0 = y - k
-    ends = [p[0].as_fraction() for p in pieces[1:]] + [Fraction(1)]
-    for (left, s, c), right in zip(pieces, ends):
-        lo = Fraction(2) ** s * left.as_fraction() + c.as_fraction()
-        hi = Fraction(2) ** s * right + c.as_fraction()
-        if lo <= y0 < hi:
-            return (y0 - c.as_fraction()) / Fraction(2) ** s + k
-    raise AssertionError("no piece takes the value")
 
 
 @given(_ANY_WORDS, st.lists(_POINTS, min_size=1, max_size=6))
@@ -601,8 +508,6 @@ def test_evaluation_matches_fraction_arithmetic(word, points):
         value = f.eval_lift(t)
         assert value.as_fraction() == _fraction_lift(pieces, t.as_fraction())
         assert f(t).as_fraction() == _fraction_lift(pieces, t.as_fraction()) % 1
-        assert f.eval_lift_inverse(t).as_fraction() == _fraction_lift_inverse(pieces, t.as_fraction())
-        assert f.eval_lift_inverse(value) == t
 
 
 def test_random_t_word_prefixes_match_oracle():
@@ -846,7 +751,12 @@ class _OracleBuild:
 
     @staticmethod
     def pick_gap(region):
-        s, e = region.complement_components()[0]
+        # the gap after the first maximal arc, up to the next one (or the
+        # first one again, a turn later)
+        arcs = region.glued()
+        end = arcs[0][1]
+        s = end.frac()
+        e = s + (arcs[1][0] if len(arcs) > 1 else arcs[0][0] + 1) - end
         if s < D(1) < e:
             width = e - 1
             return width.ldexp(-2), width.half()
@@ -875,39 +785,11 @@ _F_LETTER_WORDS = st.one_of(
     st.lists(st.sampled_from("abAB"), max_size=8).map(lambda w: _word("".join(w))))
 
 
-def _merged(pieces):
-    """Continuous pieces with neighbours of equal slope joined."""
-    out = []
-    for piece in pieces:
-        if not out or out[-1][1] != piece[1]:
-            out.append(piece)
-    return out
-
-
-@given(_dyadic_pairs(14, 2), _dyadic_pairs(14, 2))
-def test_subdivisions_and_interval_maps_match_oracle(dom, ran):
-    (p, q), (r, s) = dom, ran
-    assert standard_subdivision(p, q) == _OracleBuild.standard_subdivision(p, q)
-    assert interval_map_pieces(p, q, r, s) == _merged(_OracleBuild.interval_map_pieces(p, q, r, s))
-
-
 @given(_F_LETTER_WORDS, _dyadic_pairs(14, 2))
 def test_conjugate_into_interval_matches_oracle(f, interval):
     a, b = interval
     assert pl_key(conjugate_into_interval(f, a, b)) == (
         pl_key(_OracleBuild.conjugate_into_interval(f, a, b)))
-
-
-@given(st.integers(1, 14).flatmap(lambda d: st.tuples(
-    st.lists(st.integers(1, (1 << d) - 1), max_size=4, unique=True),
-    st.lists(st.integers(1, (1 << d) - 1), max_size=4, unique=True), st.just(d))))
-def test_maps_through_points_match_oracle(chain):
-    xs, ys, d = chain
-    n = min(len(xs), len(ys))
-    points = [(D(0), D(0))] + [(D(x, d), D(y, d)) for x, y in zip(sorted(xs)[:n], sorted(ys)[:n])]
-    points.append((D(1), D(1)))
-    assert pl_key(pl_map_through_points(points)) == (
-        pl_key(_OracleBuild.through_points(points)))
 
 
 def test_expanding_conjugators_match_oracle():
@@ -1022,12 +904,6 @@ def test_arcset_operations_match_point_oracle(left, right):
     assert a.subset_of(b) == (ma <= mb)
     assert a.disjoint_from(b) == (not ma & mb)
     assert a.is_empty() == (not ma) and a.is_full() == (len(ma) == 32)
-    gaps = a.complement_components()
-    if not ma:
-        assert gaps == [(D(0), D(1))]  # the whole circle, by convention
-        return
-    outside = {k for k in range(32) for s, e in gaps if s < D(k, 5) < e or s < D(k + 32, 5) < e}
-    assert outside == set(range(32)) - ma
 
 
 @given(_ARC_LISTS, st.lists(st.sampled_from("abcABC"), max_size=3))
@@ -1101,7 +977,6 @@ def test_regions_and_constructions_build_no_dyadic(monkeypatch):
     f.support()
     f.identity_on(region)
     f.germ_trivial_at(x)
-    support_fix(f)
     hash(region)
     region == other
     region.subset_of(other)

@@ -608,7 +608,6 @@ def test_ppmap_evaluation_matches_oracle(pair, points):
     assert g(INF) == o(INF) == INF
     for x in _probes(o, points):
         assert g(x) == o(x)
-        assert _entries(g.piece_at(x)) == _entries(o.piece_at(x))
         assert g.preimage_point(x) == o.preimage_point(x)
         assert g.preimage_point(g(x)) == x
 

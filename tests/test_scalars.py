@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from germlab.plcircle import PLMap, rotation
+from germlab.plcircle import PLMap
 from germlab.projline import Mobius, PPMap
 from germlab.scalars import Dyadic, QuadExt, SQRT2, quad_sign
 
@@ -147,7 +147,7 @@ def test_json_keeps_integers_past_the_str_digit_limit():
     q = QuadExt(Fraction(big, 3), Fraction(-5, big))
     assert q.to_json()["b"][1] == d.to_json()["num"]
     assert QuadExt.from_json(json.loads(json.dumps(q.to_json()))) == q
-    f = rotation(d)
+    f = PLMap([(0, 0, d)])
     assert PLMap.from_json(json.loads(json.dumps(f.to_json()))) == f
     # the identity left of big/3, t -> 2t - big/3 right of it
     g = PPMap([q.a], [Mobius.identity(), Mobius.affine(2, -q.a)])
@@ -162,7 +162,7 @@ def test_repr_keeps_integers_past_the_str_digit_limit():
     assert repr(QuadExt(Fraction(big, 3), 1)) == "QuadExt(%s/3 + 1*sqrt2)" % digits
     # a rotation by big / 2**k, whose 2**k also passes the limit
     d = Dyadic(big, big.bit_length())
-    assert repr(rotation(d)) == "PLMap([0: 2^0 t + %s/%s])" % (digits, Decimal(1 << d.exp))
+    assert repr(PLMap([(0, 0, d)])) == "PLMap([0: 2^0 t + %s/%s])" % (digits, Decimal(1 << d.exp))
     g = PPMap([Fraction(big, 3)], [Mobius.identity(), Mobius.affine(2, Fraction(-big, 3))])
     assert repr(g) == (
         "PPMap([-inf: Mobius(QuadExt(1), QuadExt(0), QuadExt(0), QuadExt(1))], "

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "germlab"
@@ -27,3 +30,13 @@ def test_elements_are_their_own_keys():
         or (isinstance(node, ast.Attribute) and node.attr == "canonical_key")
     ]
     assert not found, found
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast and dis: about half of a fresh
+    # process's `import germlab.cli`, which setup_s pays on every run
+    code = "import sys, germlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

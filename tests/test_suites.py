@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import germlab.suites as suites
 from germlab.plcircle import T_GROUP
 from germlab.suites import (
     _TREE_PAIR,
@@ -198,6 +199,26 @@ def test_check_factories_run_standalone():
 def test_level_check_counts_are_pinned(depth, want):
     ray = (0, 1) * 4
     assert make_level_check(_TREE_PAIR, ray, depth, 4)(random.Random(0)) == want
+
+
+def test_level_check_obeys_budget(monkeypatch):
+    # at max_dist 4 the depth-4 ball has 3,132 level pairs and the depth-3
+    # ball 732; the tree pair was built at import, under the default budget
+    monkeypatch.setenv("GERMLAB_BUDGET", "1000")
+    witnessed = []
+    original = suites.level_transitivity_witness
+
+    def counting(*args):
+        witnessed.append(args[2:4])
+        return original(*args)
+
+    monkeypatch.setattr(suites, "level_transitivity_witness", counting)
+    [check] = run_suite("gff-levels", {"depth": 4}).checks
+    assert check["status"] == "fail" and witnessed == []
+    assert check["witness"] == {
+        "error": "BudgetError: 3132 level pairs exceed the 1000-element budget"}
+    [check] = run_suite("gff-levels", {"depth": 3}).checks
+    assert check["status"] == "pass" and check["witness"]["pairs"] == len(witnessed) == 732
 
 
 def test_level_check_needs_a_ray_longer_than_the_depth():
