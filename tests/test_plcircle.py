@@ -154,9 +154,23 @@ def rand_word_f(rng, n):
     return w
 
 
-def test_support_of_generators():
+def test_support_fix_generator():
     assert GEN_A.support().is_full()
-    # B is the identity on [0, 1/2]
+    # 0 is the only fixed point, and no arc is fixed pointwise
+    assert GEN_A(D(0)) == D(0)
+    for k in range(1, 64):
+        x = D(k, 6)
+        assert GEN_A(x) != x
+        assert not GEN_A.identity_on(ArcSet.of((x, x + D(1, 6))))
+
+
+def test_support_fix_partial_identity():
+    # fixed on [0, 1/2]; the only other fixed point is 1 == 0, inside the arc
+    assert GEN_B.identity_on(ArcSet.of((D(0), D(1, 1))))
+    assert not GEN_B.identity_on(ArcSet.of((D(0), D(3, 2))))
+    for k in range(33, 64):
+        x = D(k, 6)
+        assert GEN_B(x) != x
     assert GEN_B.support() == ArcSet.of((D(1, 1), D(1)))
 
 
