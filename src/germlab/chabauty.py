@@ -13,6 +13,7 @@ exactly elsewhere.
 
 import os
 from itertools import combinations
+from math import comb
 
 DEFAULT_BUDGET = 200_000
 
@@ -320,6 +321,8 @@ def accumulation_probe(h_spec, group, forbidden, search_radius):
 class FiniteGroup:
     """A finite group as a multiplication table over 0..n-1.
 
+    A set of elements is also an n-bit mask, bit x for element x, so a
+    union of cosets is an OR and a cover test compares with 2**n - 1.
     The n**3 associativity check and the 2**(n-1) subgroup candidates obey
     GERMLAB_BUDGET: past it they raise BudgetError before looping.
     """
@@ -363,13 +366,29 @@ class FiniteGroup:
     def mul(self, a, b):
         return self.table[a][b]
 
-    def is_subgroup(self, elements):
-        subset = set(elements)
-        if self.identity not in subset:
-            return False
-        return all(self.mul(a, b) in subset for a in subset for b in subset)
+    def _mask(self, elements):
+        """The mask of a set of elements."""
+        bits = 0
+        for x in elements:
+            if not 0 <= x < len(self.table):
+                raise ValueError("element %r is not in 0..%d" % (x, len(self.table) - 1))
+            bits |= 1 << x
+        return bits
 
-    def subgroups(self):
+    def _closed(self, bits):
+        """Whether the mask holds the identity and each product of two of its
+        elements."""
+        members = _members(bits)
+        rows = self.table
+        return bits >> self.identity & 1 == 1 and all(
+            bits >> rows[a][b] & 1 for a in members for b in members)
+
+    def is_subgroup(self, elements):
+        return self._closed(self._mask(elements))
+
+    def _subgroup_masks(self):
+        """The masks of all subgroups, by size and then by their other
+        elements in lexicographic order."""
         n = len(self.table)
         rest = [x for x in range(n) if x != self.identity]
         limit = element_budget()
@@ -380,13 +399,24 @@ class FiniteGroup:
         found = []
         for size in range(len(rest) + 1):
             for extra in combinations(rest, size):
-                candidate = frozenset((self.identity,) + extra)
-                if self.is_subgroup(candidate):
-                    found.append(candidate)
+                bits = self._mask((self.identity,) + extra)
+                if self._closed(bits):
+                    found.append(bits)
         return found
 
-    def coset(self, subgroup, rep):
-        return frozenset(self.mul(rep, s) for s in subgroup)
+    def subgroups(self):
+        return [frozenset(_members(bits)) for bits in self._subgroup_masks()]
+
+    def _coset_mask(self, bits, rep):
+        row, out = self.table[rep], 0
+        for s in _members(bits):
+            out |= 1 << row[s]
+        return out
+
+
+def _members(bits):
+    """The elements of a mask, in increasing order."""
+    return [x for x in range(bits.bit_length()) if bits >> x & 1]
 
 
 def cyclic_group(n):
@@ -400,20 +430,33 @@ def neumann_check(group, cover):
     exactly cover the group.  A minimum index above the number of cosets
     raises RuntimeError.
     """
-    covered = set()
-    indices = []
-    for subgroup, rep in cover:
-        elements = frozenset(subgroup)
-        if not group.is_subgroup(elements):
-            raise ValueError("cover lists a non-subgroup")
-        covered |= group.coset(elements, rep)
-        indices.append(len(group) // len(elements))
-    if covered != set(range(len(group))):
+    closed = {}
+    return _min_index(len(group), [_coset_entry(group, group._mask(subgroup), rep, closed)
+                                   for subgroup, rep in cover])
+
+
+def _coset_entry(group, bits, rep, closed):
+    """(coset mask, subgroup index) of rep times the subgroup with mask bits;
+    closed caches each mask's closure verdict."""
+    verdict = closed.get(bits)
+    if verdict is None:
+        verdict = closed[bits] = group._closed(bits)
+    if not verdict:
+        raise ValueError("cover lists a non-subgroup")
+    return group._coset_mask(bits, rep), len(group) // bits.bit_count()
+
+
+def _min_index(n, cosets):
+    """neumann_check on (coset mask, subgroup index) pairs."""
+    covered = 0
+    for bits, _ in cosets:
+        covered |= bits
+    if covered != (1 << n) - 1:
         raise ValueError("not a cover: union misses elements")
-    best = min(indices)
-    if best > len(cover):
+    best = min(index for _, index in cosets)
+    if best > len(cosets):
         raise RuntimeError(
-            "a cover by %d cosets has minimal index %d" % (len(cover), best)
+            "a cover by %d cosets has minimal index %d" % (len(cosets), best)
         )
     return best
 
@@ -422,31 +465,40 @@ def neumann_sweep(n_max, r_max):
     """Exhaustive coset-cover check over all cyclic groups of order <= n_max.
 
     Every set of at most r_max distinct cosets whose union is the whole group
-    is validated and passed through neumann_check; the worst minimal index
-    seen is reported.
+    is validated as neumann_check validates a cover, and the worst minimal
+    index seen is reported.  The sets are counted first: when the sum of
+    comb(cosets, r) over every order and r passes GERMLAB_BUDGET,
+    BudgetError is raised before any set is tried.
     """
     if n_max < 0 or r_max < 0:
         raise ValueError("n_max and r_max must be nonnegative, got %d and %d" % (n_max, r_max))
-    covers_checked = 0
-    max_min_index = 0
+    limit = element_budget()
+    tables, count = [], 0
     for n in range(1, n_max + 1):
         group = cyclic_group(n)
-        cosets = []
-        seen = set()
-        for subgroup in group.subgroups():
+        closed, cosets = {}, {}
+        for bits in group._subgroup_masks():
             for rep in range(n):
-                c = group.coset(subgroup, rep)
-                if (subgroup, c) not in seen:
-                    seen.add((subgroup, c))
-                    cosets.append((subgroup, min(c)))
+                coset, index = _coset_entry(group, bits, rep, closed)
+                cosets.setdefault(coset, index)
+        count += sum(comb(len(cosets), r) for r in range(1, r_max + 1))
+        if count > limit:
+            raise BudgetError(
+                "%d coset sets in groups of order up to %d exceed the %d-element budget"
+                % (count, n, limit))
+        tables.append((n, list(cosets.items())))
+    covers_checked = 0
+    max_min_index = 0
+    for n, cosets in tables:
+        whole = (1 << n) - 1
         for r in range(1, r_max + 1):
             for chosen in combinations(cosets, r):
-                union = set()
-                for subgroup, rep in chosen:
-                    union |= group.coset(subgroup, rep)
-                if union != set(range(n)):
+                union = 0
+                for bits, _ in chosen:
+                    union |= bits
+                if union != whole:
                     continue
-                best = neumann_check(group, list(chosen))
+                best = _min_index(n, chosen)
                 covers_checked += 1
                 if best > max_min_index:
                     max_min_index = best

@@ -5,7 +5,6 @@ progress lines go to stderr so redirected output stays byte-stable.  The
 GERMLAB_BUDGET environment variable caps ball enumeration sizes.
 """
 
-import argparse
 import json
 import random
 import sys
@@ -244,6 +243,9 @@ def _cmd_replay(args):
 
 
 def build_parser():
+    # imported here, so that importing the module does not load argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="germlab",
         description="Exact-arithmetic checks for groups acting on the circle, "

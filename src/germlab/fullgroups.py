@@ -218,12 +218,17 @@ class SchreierPatch:
         # x + n lies in C_w when n = w - x mod 2^|w|, reading the digits as
         # 2-adic integers: one arithmetic progression per word
         low = word_to_int(x.digits(u.max_length()))
-        vertices = tuple(sorted(
-            n for w in u.words for n in range(
-                (word_to_int(w) - low + radius) % (1 << len(w)) - radius,
-                radius + 1, 1 << len(w))))
-        edges = tuple((a, b) for i, a in enumerate(vertices)
-                      for b in vertices[i + 1 : bisect_right(vertices, a + 3 * s_bound)])
+        lines = [range((word_to_int(w) - low + radius) % (1 << len(w)) - radius,
+                       radius + 1, 1 << len(w)) for w in u.words]
+        limit = element_budget()
+        if (size := sum(map(len, lines))) > limit:
+            raise BudgetError("%d vertices exceed the %d-element budget" % (size, limit))
+        vertices = tuple(sorted(n for line in lines for n in line))
+        # vertex i is joined to the ones after it, up to ends[i]
+        ends = [bisect_right(vertices, a + 3 * s_bound) for a in vertices]
+        if (joined := sum(ends) - size * (size + 1) // 2) > limit:
+            raise BudgetError("%d edges exceed the %d-element budget" % (joined, limit))
+        edges = tuple((a, b) for i, a in enumerate(vertices) for b in vertices[i + 1 : ends[i]])
         for name, value in zip(self.__slots__, (u, x, radius, s_bound, vertices, edges)):
             object.__setattr__(self, name, value)
 
@@ -248,14 +253,16 @@ class SchreierPatch:
         return tuple(n for n in self.vertices if abs(n) <= bound)
 
     def one_density_holds(self, margin=None):
-        """Every group element in the window is one S-step from a vertex."""
-        line, s, bound = self.vertices, self.s_bound, self._bound(margin)
-        for m in range(-bound, bound + 1):
-            # the least vertex at or right of m - s is the one to try
-            i = bisect_left(line, m - s)
-            if i == len(line) or line[i] > m + s:
-                return False
-        return True
+        """Every group element in the window is one S-step from a vertex:
+        the vertices' [v - s, v + s] leave no gap in [-bound, bound]."""
+        s, bound = self.s_bound, self._bound(margin)
+        # the least element of the window not yet within s of a vertex
+        gap = -bound
+        for v in self.vertices:
+            if gap > bound or v - s > gap:
+                break
+            gap = max(gap, v + s + 1)
+        return gap > bound
 
     def to_dot(self):
         lines = ["graph schreier_patch {"]
@@ -297,24 +304,45 @@ def quasi_isometry_check(patch, margin=None):
     the maximal ratio d/delta reached, as an exact fraction string.  The
     interior is a run of consecutive vertices, so shortest paths between
     them stay inside it, and one sweep from each gives every delta.
+
+    The vertices repeat with period P = 2^(longest word of u): with m
+    interior vertices per period, vertex i + m is vertex i moved by P, and
+    its sweep is vertex i's cut short at the end of the interior.  So only
+    the first m vertices are swept, in O(m n) steps for n interior
+    vertices, and the other rows are translated in the same order.  The
+    sweep steps and then the violating pairs are counted against
+    GERMLAB_BUDGET before either is made.
     """
     inner, s = patch.interior(margin), patch.s_bound
-    violations = []
+    n, limit, period = len(inner), element_budget(), 1 << patch.u.max_length()
+    m = bisect_left(inner, inner[0] + period) if inner else 0
+    if (steps := m * n - m * (m - 1) // 2) > limit:
+        raise BudgetError("%d sweep steps exceed the %d-element budget" % (steps, limit))
     top, bottom = 0, 1
-    for i, y in enumerate(inner):
+    rows = []  # per swept vertex: (offset, violation) in offset order
+    for i in range(m):
+        y = inner[i]
         dist = _sweep(inner[i:], 3 * s)
-        for z, delta in zip(inner[i + 1 :], dist[1:]):
-            d = -(-(z - y) // s)
+        row = []
+        for t in range(1, len(dist)):
+            delta, d = dist[t], -(-(inner[i + t] - y) // s)
             if not delta <= d <= 3 * delta:
-                violations.append({"pair": [y, z], "ambient": d, "graph": delta})
+                row.append((t, {"ambient": d, "graph": delta}))
             elif d * bottom > top * delta:
                 top, bottom = d, delta
-        violations += ({"pair": [y, z], "reason": "disconnected"}
-                       for z in inner[i + len(dist) :])
+        row += ((t, {"reason": "disconnected"}) for t in range(len(dist), n - i))
+        rows.append(row)
+    # vertex i's row is vertex i % m's, cut at its own length n - i
+    offsets = [[t for t, _ in row] for row in rows]
+    kept = [bisect_left(offsets[i % m], n - i) for i in range(n)]
+    if (count := sum(kept)) > limit:
+        raise BudgetError("%d violating pairs exceed the %d-element budget" % (count, limit))
+    violations = [{"pair": [y, inner[i + t]], **found}
+                  for i, y in enumerate(inner) for t, found in rows[i % m][:kept[i]]]
     max_ratio = Fraction(top, bottom)
     return {
-        "interior_vertices": len(inner),
-        "pairs": len(inner) * (len(inner) - 1) // 2,
+        "interior_vertices": n,
+        "pairs": n * (n - 1) // 2,
         "violations": violations,
         "max_ratio": "%d/%d" % (max_ratio.numerator, max_ratio.denominator),
         "one_dense": patch.one_density_holds(margin),

@@ -27,6 +27,7 @@ from .cantorv import (
     rule_fixed_point,
 )
 from .chabauty import (
+    BudgetError,
     SubgroupSpec,
     conjugate_net_probe,
     disjoint_open_search,
@@ -66,6 +67,7 @@ from .treesgff import (
     level_pairs,
     level_transitivity_witness,
     perm_identity,
+    word_image,
 )
 
 
@@ -150,7 +152,7 @@ def _rand_tree_element(rng, pair):
         return TreeAut.constant(pair, rng.choice(sorted(pair.small)))
     if kind == 1:
         v = _rand_tree_vertex(rng, 3, pair.degree)
-        return TreeAut(pair, v, {(): perm_identity(pair.degree)})
+        return TreeAut.constant(pair, perm_identity(pair.degree), v)
     m = _rand_tree_vertex(rng, 3, pair.degree)
     colors = list(range(pair.degree))
     rng.shuffle(colors)
@@ -160,13 +162,13 @@ def _rand_tree_element(rng, pair):
 
 
 def _rand_tree_word(rng, pair, n):
-    g = TreeAut.identity(pair)
+    g = None
     for _ in range(n):
         h = _rand_tree_element(rng, pair)
         if rng.random() < 0.5:
             h = h.inverse()
-        g = g * h
-    return g
+        g = h if g is None else g * h
+    return TreeAut.identity(pair) if g is None else g
 
 
 # -- suite bodies ------------------------------------------------------------
@@ -445,7 +447,9 @@ def make_cocycle_check(pair, count, depth):
             bad = cocycle_failure(g, h, g * h, depth)
             if bad is not None:
                 _fail(vertex=format_vertex(bad))
-        return {"pairs": count, "vertices": len(tree_ball(pair.degree, depth))}
+        # the ball holds degree * (degree - 1)^(k - 1) vertices at distance k > 0
+        vertices = 1 + sum(pair.degree * (pair.degree - 1) ** k for k in range(depth))
+        return {"pairs": count, "vertices": vertices}
 
     return cocycle
 
@@ -462,9 +466,9 @@ def make_elliptic_check(pair, ray, count):
             verdict = elliptic_germ_check(g, ray, len(ray))
             if verdict[0] != "fixes_half_tree":
                 _fail(at=format_vertex(m), verdict=list(verdict))
-            far = verdict[1][1]
-            for v in tree_ball(pair.degree, 2, far):
-                if g.act_on(v) != v:
+            near = tree_ball(pair.degree, 2, verdict[1][1])
+            for v, image in zip(near, g.images(near)):
+                if image != v:
                     _fail(at=format_vertex(m), moved=format_vertex(v))
         return {"elements": count}
 
@@ -484,10 +488,8 @@ def make_level_check(pair, ray, depth, max_dist):
         for pairs in levels.values():
             for v, w in pairs:
                 word = level_transitivity_witness(pair, ray, v, w, memo)
-                cur = v
-                for step in word:
-                    cur = step.act_on(cur)
-                if cur != w:
+                # the replay reads the images the witness kept in memo
+                if word_image(word, v, memo) != w:
                     _fail(source=format_vertex(v), target=format_vertex(w))
                 pairs_checked += 1
         return {"pairs": pairs_checked, "levels": len(levels)}
@@ -616,11 +618,16 @@ def resolve_config(name, config=None):
 
 
 def check_outcome(fn, rng):
-    """("pass", result) of one check body, or ("fail", witness or crash)."""
+    """("pass", result) of one check body, or ("fail", witness or crash).
+
+    A BudgetError is not a verdict on the check, so it propagates.
+    """
     try:
         return "pass", fn(rng)
     except CheckFailure as exc:
         return "fail", exc.witness
+    except BudgetError:
+        raise
     except Exception as exc:  # noqa: BLE001 - a crash is a failing check
         return "fail", {"error": f"{type(exc).__name__}: {exc}"}
 

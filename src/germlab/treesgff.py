@@ -22,7 +22,9 @@ factor in one walk, one step per portrait vertex.  The cocycle check
 stops its walk where no local permutation can change any more: below
 three portraits, along an edge that h carries downward.  Level pairs
 come from buckets: two vertices of one horosphere are within 2k of each
-other exactly when their k-th pushes toward the end agree.
+other exactly when their k-th pushes toward the end agree.  Level
+witnesses share one memo, which keeps each permuter's images, so a level
+check walks each (permuter, vertex) once.
 """
 
 from __future__ import annotations
@@ -238,9 +240,13 @@ class TreeAut(GroupElement):
     @staticmethod
     def constant(pair: PermGroupPair, perm: Perm, base_image: Vertex = ()) -> "TreeAut":
         """Local permutation perm everywhere; perm must act freely."""
-        if tuple(perm) not in pair.small:
+        perm, base_image = tuple(perm), tuple(base_image)
+        if perm not in pair.small:
             raise ValueError("constant portraits need a free-group value")
-        return TreeAut(pair, base_image, {(): tuple(perm)})
+        if not is_reduced(base_image):
+            raise ValueError("base image must be a reduced word")
+        # one entry is a valid portrait, with nothing to prune
+        return object.__new__(TreeAut)._settle(pair, base_image, {(): pair.index[perm]})
 
     def _root(self) -> tuple:
         return ((), self._at[()], True)
@@ -288,6 +294,12 @@ class TreeAut(GroupElement):
     def act_inv(self, v: Vertex) -> Vertex:
         """The unique u with act_on(u) = v, by walking the image geodesic."""
         return self._pull(v)[0]
+
+    def images(self, vertices: Iterable[Vertex]) -> list[Vertex]:
+        """act_on of each vertex, in order, from one walk over their prefixes."""
+        vertices = [tuple(v) for v in vertices]
+        walked = _grow({(): (self._root(), self.base_image)}, vertices, self._carry)
+        return [walked[v][1] for v in vertices]
 
     def __mul__(self, other: "TreeAut") -> "TreeAut":
         """Composition self o other (apply other first)."""
@@ -387,12 +399,18 @@ def halftree_permuter(pair: PermGroupPair, m: Vertex, fixed_color: int, perm: Pe
         raise ValueError("permutation outside the large group")
     if perm[fixed_color] != fixed_color:
         raise ValueError("permutation must fix the protected color")
-    portrait: dict[Vertex, Perm] = {m: perm}
+    if not is_reduced(m):
+        raise ValueError(f"not a reduced word: {m}")
+    # the chain up from m is prefix-closed and agrees with each parent by
+    # construction, so it is settled without the constructor's checks
+    at = {m: pair.index[perm]}
     img: Vertex = m
     for j in range(len(m), 0, -1):
-        portrait[m[:j - 1]] = pair.taking(m[j - 1], portrait[m[:j]][m[j - 1]])
-        img = neighbour(img, portrait[m[:j]][m[j - 1]])
-    return TreeAut(pair, img, portrait)
+        c = m[j - 1]
+        x = pair.perms[at[m[:j]]][c]
+        at[m[:j - 1]] = pair.take[c][x]
+        img = neighbour(img, x)
+    return object.__new__(TreeAut)._settle(pair, img, at)
 
 
 # -- Busemann bookkeeping for a fixed end -----------------------------------
@@ -498,19 +516,20 @@ def cocycle_failure(g: TreeAut, h: TreeAut, gh: TreeAut, radius: int) -> Optiona
     h(v), so all three walks only go down from there, where no local
     permutation changes: every check below v is the one that held at v.
     """
-    perms, mul, degree = g.pair.perms, g.pair.mul, g.pair.degree
+    perms, mul, colors = g.pair.perms, g.pair.mul, range(g.pair.degree)
+    h_step, gh_step, g_step = h._step, gh._step, g._step
     first = (radius + 1, None)
 
     def visit(hs, ghs, gs):
         nonlocal first
-        v = hs[0]
+        v, h_perm = hs[0], perms[hs[1]]
         if ghs[1] != mul[gs[1]][hs[1]]:
             first = min(first, (len(v), v))
         elif len(v) < min(radius, first[0]) and (
-                hs[2] or ghs[2] or gs[2] or gs[0][-1] != perms[hs[1]][v[-1]]):
-            for c in range(degree):
+                hs[2] or ghs[2] or gs[2] or gs[0][-1] != h_perm[v[-1]]):
+            for c in colors:
                 if not v or v[-1] != c:
-                    visit(h._step(hs, c), gh._step(ghs, c), g._step(gs, perms[hs[1]][c]))
+                    visit(h_step(hs, c), gh_step(ghs, c), g_step(gs, h_perm[c]))
 
     visit(h._root(), gh._root(), g._walk(h.base_image)[0])
     return first[1]
@@ -524,37 +543,72 @@ def level_transitivity_witness(pair: PermGroupPair, xi_prefix: Vertex, v: Vertex
     neighbour one level closer to the end, recurse, and finish with a
     single permuter at the shared neighbour, which swings the image onto
     w while keeping the end's direction pinned.  Calls for one pair and
-    one end may share a memo dict, which keeps the witness of every
-    pushed-up pair under (pv, pw) and every permuter under (pw, gamma,
-    perm), so each is built once.
+    one end may share a memo dict, so that each value is computed once.
+    It keeps the witness of every pushed-up pair under (pv, pw) and every
+    permuter under (pw, gamma, perm); under "placed", each vertex's
+    (level, push toward the end, color of that push); under "choices",
+    the permutation picked for each (gamma, c_cur, c_w); and under
+    "images", the permuters' images that word_image reads.
     """
     if not pair.two_transitive():
         raise ValueError("needs a 2-transitive large group")
     v, w, xi = tuple(v), tuple(w), tuple(xi_prefix)
-    if busemann_level(v, xi) != busemann_level(w, xi):
+    if memo is None:
+        memo = {}
+    placed = memo.setdefault("placed", {})
+    level, pv, _ = placed.get(v) or _place(placed, v, xi)
+    w_level, pw, _ = placed.get(w) or _place(placed, w, xi)
+    if w_level != level:
         raise ValueError("vertices on different horospheres")
     if v == w:
         return []
-    pv = neighbour(v, direction_toward(v, xi))
-    pw = neighbour(w, direction_toward(w, xi))
-    if memo is None:
-        memo = {}
-    if (pv, pw) not in memo:
-        # a tuple, as the word below grows
-        memo[pv, pw] = tuple(level_transitivity_witness(pair, xi, pv, pw, memo))
-    word = list(memo[pv, pw])
-    cur = reduce(lambda x, step: step.act_on(x), word, v)
+    word = memo.get((pv, pw))
+    if word is None:
+        # a tuple, so that the words built from it leave it alone
+        word = memo[pv, pw] = tuple(level_transitivity_witness(pair, xi, pv, pw, memo))
+    cur = word_image(word, v, memo) if word else v
     if cur == w:
-        return word
+        return list(word)
     # cur and w are distinct neighbours of pw one level below it
     c_cur = cur[-1] if len(cur) > len(pw) else pw[-1]
     c_w = w[-1] if len(w) > len(pw) else pw[-1]
-    gamma = direction_toward(pw, xi)
-    perm = (pair.find_large({gamma: gamma, c_cur: c_w, c_w: c_cur})
-            or pair.find_large({gamma: gamma, c_cur: c_w}))
+    gamma = (placed.get(pw) or _place(placed, pw, xi))[2]
+    choices = memo.setdefault("choices", {})
+    perm = choices.get((gamma, c_cur, c_w))
     if perm is None:
-        raise RuntimeError("2-transitivity must provide a permuter")
-    if (pw, gamma, perm) not in memo:
-        memo[pw, gamma, perm] = halftree_permuter(pair, pw, gamma, perm)
-    word.append(memo[pw, gamma, perm])
-    return word
+        perm = choices[gamma, c_cur, c_w] = (
+            pair.find_large({gamma: gamma, c_cur: c_w, c_w: c_cur})
+            or pair.find_large({gamma: gamma, c_cur: c_w}))
+        if perm is None:
+            raise RuntimeError("2-transitivity must provide a permuter")
+    permuter = memo.get((pw, gamma, perm))
+    if permuter is None:
+        permuter = memo[pw, gamma, perm] = halftree_permuter(pair, pw, gamma, perm)
+    return [*word, permuter]
+
+
+def _place(placed: dict, v: Vertex, xi: Vertex) -> tuple:
+    """Store and return v's (level, push toward the end, color of the push)."""
+    level, direction = busemann_level(v, xi), direction_toward(v, xi)
+    placed[v] = out = (level, neighbour(v, direction), direction)
+    return out
+
+
+def word_image(word: Iterable[TreeAut], v: Vertex, memo: dict) -> Vertex:
+    """v carried by the elements of word in turn, the first one first.
+
+    memo["images"] keeps each element's images by vertex, keyed by the
+    element's identity, so calls that share a memo walk each (element,
+    vertex) once.
+    """
+    v, images = tuple(v), memo.setdefault("images", {})
+    for g in word:
+        entry = images.get(id(g))
+        if entry is None:
+            # g stays beside its images, so its id names no other element
+            entry = images[id(g)] = (g, {})
+        image = entry[1].get(v)
+        if image is None:
+            image = entry[1][v] = g.act_on(v)
+        v = image
+    return v

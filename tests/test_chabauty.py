@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import germlab.chabauty as chabauty
 from germlab.cantorv import (
@@ -449,6 +452,129 @@ def test_neumann_sweep_small():
         "covers_checked": 137,
         "max_min_index": 3,
     }
+
+
+def test_neumann_sweep_counts_its_coset_sets_first(monkeypatch):
+    # sum of comb(cosets, r): 424 at the default (6, 3), 3,072 at C5's (8, 4)
+    for (n_max, r_max), count in (((6, 3), 424), ((8, 4), 3072)):
+        monkeypatch.setenv("GERMLAB_BUDGET", str(count))
+        assert neumann_sweep(n_max, r_max)["groups"] == n_max
+        monkeypatch.setenv("GERMLAB_BUDGET", str(count - 1))
+        with pytest.raises(BudgetError, match="^%d coset sets in groups of order up to %d"
+                           % (count, n_max)):
+            neumann_sweep(n_max, r_max)
+    # no cover is tried before the count passes the budget
+    monkeypatch.delenv("GERMLAB_BUDGET")
+    monkeypatch.setattr(chabauty, "_min_index", None)
+    with pytest.raises(BudgetError, match="^204892 coset sets in groups of order up to 14 "):
+        neumann_sweep(24, 5)
+
+
+# -- oracles: the frozenset coset code before the bitmasks --------------------
+
+
+def _oracle_is_subgroup(group, elements):
+    subset = set(elements)
+    return group.identity in subset and all(
+        group.mul(a, b) in subset for a in subset for b in subset)
+
+
+def _oracle_subgroups(group):
+    rest = [x for x in range(len(group)) if x != group.identity]
+    return [frozenset((group.identity,) + extra)
+            for size in range(len(rest) + 1) for extra in combinations(rest, size)
+            if _oracle_is_subgroup(group, (group.identity,) + extra)]
+
+
+def _oracle_coset(group, subgroup, rep):
+    return frozenset(group.mul(rep, s) for s in subgroup)
+
+
+def _oracle_neumann_check(group, cover):
+    covered, indices = set(), []
+    for subgroup, rep in cover:
+        elements = frozenset(subgroup)
+        if not _oracle_is_subgroup(group, elements):
+            raise ValueError("cover lists a non-subgroup")
+        covered |= _oracle_coset(group, elements, rep)
+        indices.append(len(group) // len(elements))
+    if covered != set(range(len(group))):
+        raise ValueError("not a cover: union misses elements")
+    best = min(indices)
+    if best > len(cover):
+        raise RuntimeError("a cover by %d cosets has minimal index %d" % (len(cover), best))
+    return best
+
+
+def _oracle_neumann_sweep(n_max, r_max):
+    covers_checked = max_min_index = 0
+    for n in range(1, n_max + 1):
+        group = cyclic_group(n)
+        cosets, seen = [], set()
+        for subgroup in _oracle_subgroups(group):
+            for rep in range(n):
+                c = _oracle_coset(group, subgroup, rep)
+                if (subgroup, c) not in seen:
+                    seen.add((subgroup, c))
+                    cosets.append((subgroup, min(c)))
+        for r in range(1, r_max + 1):
+            for chosen in combinations(cosets, r):
+                union = set()
+                for subgroup, rep in chosen:
+                    union |= _oracle_coset(group, subgroup, rep)
+                if union == set(range(n)):
+                    covers_checked += 1
+                    max_min_index = max(max_min_index, _oracle_neumann_check(group, chosen))
+    return {"groups": n_max, "r_max": r_max, "covers_checked": covers_checked,
+            "max_min_index": max_min_index}
+
+
+def _symmetric_group(k):
+    perms = sorted(permutations(range(k)))
+    return FiniteGroup([[perms.index(tuple(p[q[i]] for i in range(k))) for q in perms]
+                        for p in perms])
+
+
+KLEIN = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+SMALL_GROUPS = [cyclic_group(n) for n in range(1, 9)] + [KLEIN, _symmetric_group(3)]
+
+
+def test_neumann_sweep_matches_the_set_oracle():
+    for n_max in range(9):
+        for r_max in range(5):
+            assert neumann_sweep(n_max, r_max) == _oracle_neumann_sweep(n_max, r_max)
+
+
+def test_subgroups_match_the_set_oracle():
+    for group in SMALL_GROUPS:
+        assert group.subgroups() == _oracle_subgroups(group)
+        for bits in range(1 << len(group)):
+            subset = [x for x in range(len(group)) if bits >> x & 1]
+            assert group.is_subgroup(subset) == _oracle_is_subgroup(group, subset)
+            assert group._mask(subset) == bits
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data())
+def test_neumann_check_matches_the_set_oracle(data):
+    group = data.draw(st.sampled_from(SMALL_GROUPS))
+    n = len(group)
+    subgroups = group.subgroups()
+    # mostly true subgroups, so that covers turn up; sometimes any subset
+    subsets = st.one_of(st.sampled_from(subgroups), st.sets(st.integers(0, n - 1)))
+    cover = data.draw(st.lists(st.tuples(subsets, st.integers(0, n - 1)), max_size=6))
+    assert _outcome(neumann_check, group, cover) == _outcome(_oracle_neumann_check, group, cover)
+
+
+def test_neumann_check_rejects_elements_outside_the_group():
+    with pytest.raises(ValueError, match="not in 0..5"):
+        neumann_check(cyclic_group(6), [({0, 6}, 0)])
 
 
 def test_disjoint_search_single_arc():

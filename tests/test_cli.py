@@ -9,6 +9,7 @@ import pytest
 import germlab.chabauty as chabauty
 from germlab.cli import main
 from germlab.projline import LM_GROUP, image_interval, interval_inside
+from germlab.suites import _tree_pair
 
 
 def run(capsys, *argv):
@@ -250,6 +251,46 @@ def test_neumann_obeys_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "neumann", "--n", "6", "--r", "3")
     assert code == 2 and out == ""
     assert "budget" in err and "Traceback" not in err
+
+@pytest.mark.parametrize("argv, budget, message", [
+    # 204,892 coset sets by order 14; the loop over them would run for minutes
+    (("neumann", "--n", "24", "--r", "5"), None, "204892 coset sets"),
+    (("schreier", "--x", "0,1", "--radius", "20000"), "1000", "40001 vertices"),
+    (("tree-verify", "--suite", "levels", "--depth", "7"), None, "204732 level pairs"),
+], ids=["neumann", "schreier", "tree-verify-levels"])
+def test_commands_stop_at_the_budget_before_looping(tmp_path, argv, budget, message):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "GERMLAB_BUDGET"}
+    env["PYTHONPATH"] = src
+    if budget is not None:
+        env["GERMLAB_BUDGET"] = budget
+    dot = tmp_path / "patch.dot"
+    if argv[0] == "schreier":
+        argv += ("--out", str(dot))
+    done = subprocess.run([sys.executable, "-m", "germlab.cli", *argv], env=env,
+                          capture_output=True, text=True, cwd=tmp_path, timeout=2)
+    assert done.returncode == 2 and done.stdout == ""
+    assert message in done.stderr and "budget" in done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert not dot.exists()
+
+
+def test_verify_and_replay_exit_2_at_the_budget(capsys, monkeypatch, tmp_path):
+    # a budget stop is no verdict: no report, no record, exit 2; the tree
+    # pair's 60^2 compose table is built first, under the default budget
+    _tree_pair()
+    monkeypatch.setenv("GERMLAB_BUDGET", "1000")
+    code, out, err = run(capsys, "verify", "gff-levels", "--set", "depth=4")
+    assert code == 2 and out == ""
+    assert err == "error: 3132 level pairs exceed the 1000-element budget\n"
+    saved = tmp_path / "levels.json"
+    code, _, _ = run(capsys, "verify", "gff-levels", "--out", str(saved))
+    assert code == 0
+    monkeypatch.setenv("GERMLAB_BUDGET", "700")
+    code, out, err = run(capsys, "replay", str(saved), "level-witnesses")
+    assert code == 2 and out == ""
+    assert err == "error: 732 level pairs exceed the 700-element budget\n"
+
 
 def test_verify_writes_deterministic_report(capsys, tmp_path):
     first = tmp_path / "a.json"

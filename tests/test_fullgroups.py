@@ -3,11 +3,15 @@ import random
 import subprocess
 import sys
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import germlab.fullgroups as fullgroups
 from germlab.cantorv import ZERO_SEQ, EventuallyPeriodic, int_to_word, word_to_int
 from germlab.chabauty import BudgetError, MarkedGroup, SubgroupSpec, ball, disjoint_open_search
 from germlab.fullgroups import (
@@ -589,6 +593,118 @@ def test_patch_sweep_matches_bfs_oracle():
         assert report == oracle.quasi_isometry_check(margin)
         disconnected += any("reason" in v for v in report["violations"])
     assert disconnected >= 5
+
+
+def _quadratic_qi_check(patch, margin=None):
+    """The quasi-isometry check before the periodic sweep: one sweep from
+    every interior vertex, and 1-density by a bisection per window point."""
+    inner, s = patch.interior(margin), patch.s_bound
+    violations = []
+    top, bottom = 0, 1
+    for i, y in enumerate(inner):
+        dist = fullgroups._sweep(inner[i:], 3 * s)
+        for z, delta in zip(inner[i + 1:], dist[1:]):
+            d = -(-(z - y) // s)
+            if not delta <= d <= 3 * delta:
+                violations.append({"pair": [y, z], "ambient": d, "graph": delta})
+            elif d * bottom > top * delta:
+                top, bottom = d, delta
+        violations += ({"pair": [y, z], "reason": "disconnected"}
+                       for z in inner[i + len(dist):])
+    line, bound = patch.vertices, patch._bound(margin)
+    one_dense = True
+    for m in range(-bound, bound + 1):
+        i = bisect_left(line, m - s)
+        if i == len(line) or line[i] > m + s:
+            one_dense = False
+            break
+    max_ratio = Fraction(top, bottom)
+    return {
+        "interior_vertices": len(inner),
+        "pairs": len(inner) * (len(inner) - 1) // 2,
+        "violations": violations,
+        "max_ratio": "%d/%d" % (max_ratio.numerator, max_ratio.denominator),
+        "one_dense": one_dense,
+    }
+
+
+@st.composite
+def _patches(draw):
+    """A random patch and margin: any cylinder set, a base point in it,
+    s_bound 1 to 3, and margins that may empty the interior."""
+    u = Clopen(draw(st.lists(st.text("01", max_size=5), min_size=1, max_size=4)))
+    x = EventuallyPeriodic(draw(st.sampled_from(u.words)) + draw(st.text("01", max_size=3)),
+                           draw(st.sampled_from(["0", "1", "01", "110"])))
+    radius = draw(st.integers(1, 150))
+    patch = schreier_patch(u, draw(st.integers(1, 3)), x, radius)
+    return patch, draw(st.one_of(st.none(), st.integers(0, radius + 2)))
+
+
+@given(_patches())
+def test_periodic_qi_check_matches_the_quadratic_sweep(case):
+    patch, margin = case
+    # whole dicts: every violation, in the same order, and the same ratio
+    assert quasi_isometry_check(patch, margin) == _quadratic_qi_check(patch, margin)
+
+
+@pytest.mark.parametrize("word, s_bound, radius, margin", [
+    ("0000", 1, 200, 0),  # every pair disconnected: 300 violations
+    ("0000", 4, 300, 20),
+    ("011", 2, 257, None),
+    ("", 1, 90, 3),
+])
+def test_periodic_qi_check_matches_on_fixed_patches(word, s_bound, radius, margin):
+    patch = schreier_patch(Clopen.of(word), s_bound, EventuallyPeriodic.parse(word + ",0"), radius)
+    assert quasi_isometry_check(patch, margin) == _quadratic_qi_check(patch, margin)
+
+
+def test_qi_check_sweeps_one_period(monkeypatch):
+    swept = []
+    sweep = fullgroups._sweep
+
+    def counting(line, reach):
+        swept.append(line[0])
+        return sweep(line, reach)
+
+    monkeypatch.setattr(fullgroups, "_sweep", counting)
+    # C8's patches: one vertex per period, so one sweep each
+    for word, s_bound, radius in (("0", 1, 800), ("01", 2, 1600)):
+        patch = schreier_patch(Clopen.of(word), s_bound, EventuallyPeriodic.parse(word + ",0"), radius)
+        swept.clear()
+        report = quasi_isometry_check(patch)
+        assert report["interior_vertices"] >= 100 and swept == [patch.interior()[0]]
+    # C_0 | C_10 | C_110 holds seven of the eight residues mod 8
+    u = Clopen(["0", "10", "110"])
+    patch = schreier_patch(u, 1, EventuallyPeriodic.parse("0,0"), 100)
+    swept.clear()
+    quasi_isometry_check(patch)
+    assert swept == list(patch.interior()[:7])
+
+
+def test_patch_and_qi_check_obey_budget(monkeypatch):
+    x = EventuallyPeriodic.parse("0,0")
+    monkeypatch.setenv("GERMLAB_BUDGET", "100")
+    with pytest.raises(BudgetError, match="^101 vertices exceed the 100-element budget$"):
+        schreier_patch(Clopen.full(), 1, x, 50)
+    # 99 vertices and 291 edges, each vertex joined to the next three
+    monkeypatch.setenv("GERMLAB_BUDGET", "290")
+    with pytest.raises(BudgetError, match="^291 edges exceed the 290-element budget$"):
+        schreier_patch(Clopen.full(), 1, x, 49)
+    monkeypatch.setenv("GERMLAB_BUDGET", "291")
+    assert len(schreier_patch(Clopen.full(), 1, x, 49).edges) == 291
+    # a vertex every 16: 25 interior vertices, and all 300 pairs disconnected
+    sparse = schreier_patch(Clopen.of("0000"), 1, EventuallyPeriodic.parse("0000,0"), 200)
+    monkeypatch.setenv("GERMLAB_BUDGET", "299")
+    with pytest.raises(BudgetError, match="^300 violating pairs exceed the 299-element budget$"):
+        quasi_isometry_check(sparse, 0)
+    monkeypatch.setenv("GERMLAB_BUDGET", "300")
+    assert len(quasi_isometry_check(sparse, 0)["violations"]) == 300
+    # 63 of the 64 residues mod 64: 63 sweeps over 79 interior vertices
+    dense = Clopen(["%06d" % int(bin(k)[2:]) for k in range(1, 64)])
+    patch = schreier_patch(dense, 1, EventuallyPeriodic.parse("100000,0"), 40)
+    n = len(patch.interior(1))
+    with pytest.raises(BudgetError, match="^%d sweep steps exceed" % (63 * n - 63 * 62 // 2)):
+        quasi_isometry_check(patch, 1)
 
 
 def _oracle_table(table):

@@ -35,8 +35,10 @@ def test_elements_are_their_own_keys():
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # dataclasses pulls in inspect, ast and dis: about half of a fresh
     # process's `import germlab.cli` (0.017 s with them, 0.0095 s without, on
-    # a 2-vCPU host with Python 3.11), which perfbench's setup_s pays on every run
-    code = "import sys, germlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # a 2-vCPU host with Python 3.11), which perfbench's setup_s pays on every
+    # run; argparse is only needed once main() builds the parser
+    code = ("import sys, germlab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import germlab.suites as suites
+from germlab.chabauty import BudgetError
 from germlab.plcircle import T_GROUP
 from germlab.suites import (
     _TREE_PAIR,
@@ -213,10 +214,10 @@ def test_level_check_obeys_budget(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(suites, "level_transitivity_witness", counting)
-    [check] = run_suite("gff-levels", {"depth": 4}).checks
-    assert check["status"] == "fail" and witnessed == []
-    assert check["witness"] == {
-        "error": "BudgetError: 3132 level pairs exceed the 1000-element budget"}
+    # a budget stop is an error, not a failed check
+    with pytest.raises(BudgetError, match="^3132 level pairs exceed the 1000-element budget$"):
+        run_suite("gff-levels", {"depth": 4})
+    assert witnessed == []
     [check] = run_suite("gff-levels", {"depth": 3}).checks
     assert check["status"] == "pass" and check["witness"]["pairs"] == len(witnessed) == 732
 

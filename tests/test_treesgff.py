@@ -31,6 +31,7 @@ from germlab.treesgff import (
     parse_vertex,
     perm_compose,
     perm_identity,
+    word_image,
 )
 
 PAIR = PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
@@ -393,6 +394,42 @@ def test_halftree_permuter_action():
     assert g.act_on((0, 2, 1)) == (4,)
 
 
+def _checked_halftree(pair, m, fixed_color, perm):
+    """halftree_permuter through the public constructor and all its checks."""
+    portrait, img = {m: perm}, m
+    for j in range(len(m), 0, -1):
+        portrait[m[:j - 1]] = pair.taking(m[j - 1], portrait[m[:j]][m[j - 1]])
+        img = neighbour(img, portrait[m[:j]][m[j - 1]])
+    return TreeAut(pair, img, portrait)
+
+
+@given(st.data())
+def test_builders_match_the_checked_constructor(data):
+    pair = data.draw(st.sampled_from(PAIRS))
+    m = data.draw(_vertices(pair.degree))
+    color = data.draw(st.sampled_from([c for c in range(pair.degree) if pair.stabilizers[c]]))
+    perm = data.draw(st.sampled_from(pair.stabilizers[color] + (perm_identity(pair.degree),)))
+    g, want = halftree_permuter(pair, m, color, perm), _checked_halftree(pair, m, color, perm)
+    assert (g.base_image, g._at) == (want.base_image, want._at)
+    small = data.draw(st.sampled_from(sorted(pair.small)))
+    g, want = TreeAut.constant(pair, small, m), TreeAut(pair, m, {(): small})
+    assert (g.base_image, g._at) == (want.base_image, want._at)
+
+
+def test_builders_reject_what_the_constructor_rejects():
+    perm = PAIR.stabilizers[1][0]
+    with pytest.raises(ValueError, match="not a reduced word"):
+        halftree_permuter(PAIR, (0, 0), 1, perm)
+    with pytest.raises(ValueError, match="must fix the protected color"):
+        halftree_permuter(PAIR, (0,), 2, perm)
+    with pytest.raises(ValueError, match="outside the large group"):
+        halftree_permuter(PAIR, (0,), 0, (0, 2, 1, 3, 4))
+    with pytest.raises(ValueError, match="base image must be a reduced word"):
+        TreeAut.constant(PAIR, perm_identity(5), (2, 2))
+    with pytest.raises(ValueError, match="free-group value"):
+        TreeAut.constant(PAIR, perm)
+
+
 def test_busemann_levels_partition():
     for v in ball(5, 4):
         levels = [busemann_level(neighbour(v, c), XI) for c in range(5)]
@@ -527,10 +564,12 @@ def test_level_witness_memo_matches_fresh_witnesses():
         assert level_transitivity_witness(PAIR, XI, v, w, memo) == \
             level_transitivity_witness(PAIR, XI, v, w)
     # the memo keeps the pushed-up pairs, as tuples that the words extended
-    # from them leave alone, and the permuters under (vertex, color, perm)
-    words = {key: word for key, word in memo.items() if len(key) == 2}
+    # from them leave alone, the permuters under (vertex, color, perm), and
+    # three caches under their names
+    caches = {key: memo[key] for key in ("placed", "choices", "images")}
+    words = {key: word for key, word in memo.items() if len(key) == 2 and key not in caches}
     permuters = {key: g for key, g in memo.items() if len(key) == 3}
-    assert len(words) + len(permuters) == len(memo)
+    assert len(words) + len(permuters) + len(caches) == len(memo)
     assert all(isinstance(word, tuple) for word in words.values())
     pushed = {(neighbour(v, direction_toward(v, XI)), neighbour(w, direction_toward(w, XI)))
               for v, w in pairs}
@@ -540,6 +579,63 @@ def test_level_witness_memo_matches_fresh_witnesses():
     assert permuters
     for (pw, gamma, perm), g in permuters.items():
         assert g == halftree_permuter(PAIR, pw, gamma, perm)
+    # each vertex met: its level, its push toward the end and that push's color
+    for v, (level, push, color) in caches["placed"].items():
+        assert level == busemann_level(v, XI)
+        assert color == direction_toward(v, XI) and push == neighbour(v, color)
+    # each choice fixes gamma and sends c_cur to c_w, and names a permuter
+    for (gamma, c_cur, c_w), perm in caches["choices"].items():
+        assert perm[gamma] == gamma and perm[c_cur] == c_w
+        assert any(key[1:] == (gamma, perm) for key in permuters)
+    # the images belong to permuters of the memo, and agree with act_on
+    stored = {id(g) for g in permuters.values()}
+    assert caches["images"] and set(caches["images"]) <= stored
+    for key, (g, images) in caches["images"].items():
+        assert key == id(g)
+        for v, image in images.items():
+            assert image == g.act_on(v)
+
+
+def test_level_check_walks_each_element_once_per_vertex(monkeypatch):
+    calls = []
+    act_on = TreeAut.act_on
+
+    def counting(self, v):
+        calls.append((id(self), v))
+        return act_on(self, v)
+
+    monkeypatch.setattr(TreeAut, "act_on", counting)
+    memo = {}
+    for pairs in level_pairs(ball(PAIR.degree, 3), XI, 4).values():
+        for v, w in pairs:
+            assert word_image(level_transitivity_witness(PAIR, XI, v, w, memo), v, memo) == w
+    # the witnesses and the replays walked each (element, vertex) once
+    assert calls and len(calls) == len(set(calls))
+    assert len(calls) == sum(len(images) for _, images in memo["images"].values())
+
+
+def test_word_image_matches_act_on():
+    rng = random.Random(23)
+    memo = {}
+    words = [[rand_word(rng, 2) for _ in range(rng.randrange(4))] for _ in range(8)]
+    for _ in range(300):
+        word = rng.choice(words)
+        v = rand_vertex(rng, 5, PAIR.degree)
+        want = v
+        for g in word:
+            want = g.act_on(want)
+        assert word_image(word, v, memo) == want
+    assert word_image([], (1, 2), {}) == (1, 2)
+
+
+@given(st.data())
+def test_images_match_act_on(data):
+    pair = data.draw(st.sampled_from(PAIRS))
+    g, o = data.draw(_words(pair))
+    # any order, repeats, and sets that are not closed under prefixes
+    vertices = data.draw(st.lists(_vertices(pair.degree, 7), max_size=12))
+    assert g.images(vertices) == [g.act_on(v) for v in vertices] == [o.act_on(v) for v in vertices]
+    assert g.images(iter([list(v) for v in vertices])) == g.images(vertices)
 
 
 def test_vertex_formatting():
