@@ -2,7 +2,8 @@
 
 All numeric output is exact.  Reports print as canonical JSON on stdout;
 progress lines go to stderr so redirected output stays byte-stable.  The
-GERMLAB_BUDGET environment variable caps ball enumeration sizes.
+GERMLAB_BUDGET environment variable caps every enumeration that can blow
+up, and a command that passes it exits 2.
 """
 
 import json
@@ -250,7 +251,7 @@ def build_parser():
         prog="germlab",
         description="Exact-arithmetic checks for groups acting on the circle, "
         "the Cantor set, the line and trees.",
-        epilog="GERMLAB_BUDGET caps ball enumeration sizes (default 200000).",
+        epilog="GERMLAB_BUDGET caps every enumeration that can blow up (default 200000).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

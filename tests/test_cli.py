@@ -252,6 +252,7 @@ def test_neumann_obeys_budget(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert "budget" in err and "Traceback" not in err
 
+
 @pytest.mark.parametrize("argv, budget, message", [
     # 204,892 coset sets by order 14; the loop over them would run for minutes
     (("neumann", "--n", "24", "--r", "5"), None, "204892 coset sets"),
