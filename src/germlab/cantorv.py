@@ -304,19 +304,14 @@ class Cylinders:
         return "Cylinders(" + ", ".join(repr(w) for w in self.words) + ")"
 
 
-def _merged(rules) -> list[tuple[str, str]]:
-    """Rules with two complete prefix codes, sorted by domain word and with
-    every sibling pair merged."""
-    out: list[tuple[str, str]] = []
-    for v, z in sorted(rules):
-        # sibling rules u0 -> r0, u1 -> r1 are adjacent in domain order;
-        # merge them bottom-up into u -> r
-        while (out and v.endswith("1") and z.endswith("1")
-               and out[-1] == (v[:-1] + "0", z[:-1] + "0")):
-            out.pop()
-            v, z = v[:-1], z[:-1]
-        out.append((v, z))
-    return out
+def _push_merged(out: list[tuple[str, str]], v: str, z: str) -> None:
+    """Append the rule v -> z to rules out sorted by domain word, merging
+    it bottom-up with its sibling: u0 -> r0 then u1 -> r1 become u -> r."""
+    while (out and v.endswith("1") and z.endswith("1")
+           and out[-1] == (v[:-1] + "0", z[:-1] + "0")):
+        out.pop()
+        v, z = v[:-1], z[:-1]
+    out.append((v, z))
 
 
 class PrefixMap(GroupElement):
@@ -326,8 +321,9 @@ class PrefixMap(GroupElement):
     and range words each form a complete prefix code.  Stored fully
     reduced: no sibling pair (u0 -> r0, u1 -> r1) is left unmerged, and
     rules are sorted by domain word, so equality is structural.
-    ``__init__`` and ``from_json`` check the words and both codes; products,
-    complete by construction, only merge siblings, and inverses only sort.
+    ``__init__`` and ``from_json`` check the words and both codes.
+    Products are complete by construction and come out in domain order,
+    so they only merge siblings; inverses only sort.
     """
 
     __slots__ = ("rules",)
@@ -347,7 +343,10 @@ class PrefixMap(GroupElement):
         # a repeated range word starts the next one in sorted order
         if not complete_code(table.values()):
             raise ValueError("range words do not form a complete prefix code")
-        self._set(_merged(table.items()))
+        rules: list[tuple[str, str]] = []
+        for v, z in sorted(table.items()):
+            _push_merged(rules, v, z)
+        self._set(rules)
 
     def _set(self, rules) -> "PrefixMap":
         """Store sorted, reduced rules without __init__'s checks."""
@@ -364,14 +363,27 @@ class PrefixMap(GroupElement):
     # -- group structure ----------------------------------------------------
 
     def __mul__(self, other: "PrefixMap") -> "PrefixMap":
-        """Composition self o other (apply other first)."""
+        """Composition self o other (apply other first).
+
+        A rule p -> q over w takes v to q + the rest of w, and a rule under
+        w takes v + the rest of p to q.  Taken over other's rules v -> w in
+        order, these come out sorted by domain word, as the v's form a
+        prefix code.
+        """
         if not isinstance(other, PrefixMap):
             return NotImplemented
-        # a rule p -> q over w takes v to q + the rest of w, and a rule
-        # under w takes v + the rest of p to q; the other rest is empty
-        return object.__new__(PrefixMap)._set(_merged([
-            (v + p[len(w):], q + w[len(p):])
-            for v, w in other.rules for p, q in meeting(self.rules, w)]))
+        rules, out = self.rules, []
+        for v, w in other.rules:
+            # "2" sorts after every binary word, so the rule over w is the
+            # last one up to (w, "2") and the block under w ends at w + "2"
+            k = bisect_right(rules, (w, "2"))
+            if k and w.startswith(rules[k - 1][0]):
+                p, q = rules[k - 1]
+                _push_merged(out, v, q + w[len(p):])
+            else:
+                for p, q in rules[k : bisect_left(rules, (w + "2",), k)]:
+                    _push_merged(out, v + p[len(w):], q)
+        return object.__new__(PrefixMap)._set(out)
 
     def inverse(self) -> "PrefixMap":
         # a merge pair of the inverse would be one of self, swapped

@@ -136,27 +136,46 @@ class BallTruncation:
         return element in self._index
 
 
-def walk(group, radius, order, index=None):
+def walk(group, radius, order):
     """Breadth-first walk of the radius ball: yields each new (element, word)
     in ball order, the identity first, trying the labels of order in turn.
+    A walk that would pass GERMLAB_BUDGET raises BudgetError.
 
-    The walk grows index, a fresh dict unless one is passed in, to
-    {element: first word}; a walk that would pass GERMLAB_BUDGET raises
-    BudgetError.
+    While radius 2 is filled, the walk records each pair of a last letter M
+    and a label L whose product gen(M)gen(L) is already in the ball; from
+    radius 3 on it never tries L after a word ending in M.  The pairs cover
+    undoing the last letter, a second label for the same element and short
+    relations.  Skipping them yields the same elements and words.  Let
+    e = p gen(M) be on the frontier of radius r - 1 >= 2, so that
+    e gen(L) = p x with x = gen(M)gen(L), which is 1, some gen(N), or the
+    product gen(M')gen(L') of a pair tried before it at radius 2.  Then p x
+    is p; or p gen(N), tried while radius r - 1 was filled; or f gen(L')
+    for f = p gen(M'), where f is e itself with L' before L, or lies in the
+    radius r - 2 ball, or was found before e, so that f gen(L') was tried
+    before e gen(L).  By induction on walk order, each of those tries either
+    found p x or was skipped by the same rule, so every skipped product is
+    already in the ball.  This needs the walk to start from an empty ball.
     """
+    return _walk(group, radius, order, {})
+
+
+def _walk(group, radius, order, index):
+    """walk, growing index, which must start empty, to {element: first word}."""
     if radius < 0:
         raise ValueError("radius must be nonnegative, got %d" % radius)
     limit = element_budget()
     letters = [(label, group.gens[label]) for label in order]
-    if index is None:
-        index = {}
     index[group.identity] = ""
     yield group.identity, ""
     frontier = [(group.identity, "")]
+    # the labels still tried after each last letter, known once radius 2 is filled
+    after = {}
     for filling in range(1, radius + 1):
         nxt = []
         for element, base in frontier:
-            for label, gen in letters:
+            last = base[-1:]
+            fresh = []
+            for label, gen in after.get(last, letters):
                 candidate = element * gen
                 if candidate in index:
                     continue
@@ -165,15 +184,18 @@ def walk(group, radius, order, index=None):
                         "ball exceeds the %d-element budget at radius %d of %d,"
                         " with %d elements" % (limit, filling, radius, len(index))
                     )
+                fresh.append((label, gen))
                 index[candidate] = word = base + label
                 yield candidate, word
                 nxt.append((candidate, word))
+            if filling == 2:
+                after[last] = fresh
         frontier = nxt
 
 
 def ball(group, radius):
     index = {}
-    for _ in walk(group, radius, sorted(group.gens), index):
+    for _ in _walk(group, radius, sorted(group.gens), index):
         pass
     return object.__new__(BallTruncation)._set(radius, index)
 
@@ -184,16 +206,17 @@ def ball(group, radius):
 class SubgroupSpec:
     """A subgroup given by a decidable membership predicate.
 
-    A generated spec enumerates its ball on the first contains call and
-    keeps it for every later call.
+    On the first contains call a generated spec enumerates its ball, and a
+    support spec takes the closure of its region's complement; each keeps
+    that for every later call.
     """
 
-    __slots__ = ("kind", "data", "_members")
+    __slots__ = ("kind", "data", "_derived")
 
     def __init__(self, kind, data):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_members", None)
+        object.__setattr__(self, "_derived", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupSpec is immutable")
@@ -240,17 +263,22 @@ class SubgroupSpec:
         if self.kind == "trivial":
             return element.is_identity()
         if self.kind == "support":
-            return _protocol(element, "support")().subset_of(self.data)
+            # the region R is closed, so the support of g lies in R exactly
+            # when g is the identity on the closure of R's complement
+            _protocol(element, "support")  # a kernel without supports is a TypeError
+            if self._derived is None:
+                object.__setattr__(self, "_derived", self.data.complement())
+            return element.identity_on(self._derived)
         if self.kind == "germ":
             germ_trivial_at = _protocol(element, "germ_trivial_at")
             return all(germ_trivial_at(p) for p in self.data)
         if self.kind == "generated":
-            if self._members is None:
+            if self._derived is None:
                 elements, radius = self.data
                 labels = {chr(ord("a") + i): g for i, g in enumerate(elements)}
                 members = ball(MarkedGroup(labels), radius)
-                object.__setattr__(self, "_members", members)
-            return element in self._members
+                object.__setattr__(self, "_derived", members)
+            return element in self._derived
         raise ValueError("unknown spec kind %r" % self.kind)
 
 

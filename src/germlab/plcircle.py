@@ -582,6 +582,10 @@ class ArcSet:
                     return False
         return True
 
+    def complement(self) -> "ArcSet":
+        """The closure of the complement: the closed gaps."""
+        return _arcset(self._e, self._gaps())
+
     def union(self, other: "ArcSet") -> "ArcSet":
         d = max(self._e, other._e)
         return _arcset(d, [*self._at(d), *other._at(d)])

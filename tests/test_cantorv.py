@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from germlab.cantorv import (
     Cylinders,
@@ -18,6 +20,7 @@ from germlab.cantorv import (
     ZERO_SEQ,
     compress_v,
     germ_class,
+    meeting,
     prefix_translate,
     rigid_stabilizer_v,
     rule_fixed_point,
@@ -411,3 +414,53 @@ def test_prefix_map_checks_match_fraction_oracle():
     assert seen == {None, "a", "not", "duplicate", "domain", "range"}
     with pytest.raises(ValueError, match="at least one rule"):
         PrefixMap([])
+
+
+# -- oracle: the product as a sorted list of every meeting pair ----------------
+
+
+def _product_oracle(f, g):
+    """The rules of f o g as products were once computed: a rule p -> q of f
+    meeting the range word w of a rule v -> w of g gives one rule, and the
+    rules are sorted and then merged bottom-up."""
+    out = []
+    pairs = [(v + p[len(w):], q + w[len(p):]) for v, w in g.rules for p, q in meeting(f.rules, w)]
+    for v, z in sorted(pairs):
+        while out and v.endswith("1") and z.endswith("1") and out[-1] == (v[:-1] + "0", z[:-1] + "0"):
+            out.pop()
+            v, z = v[:-1], z[:-1]
+        out.append((v, z))
+    return tuple(out)
+
+
+@st.composite
+def prefix_maps(draw):
+    """A complete prefix map: two complete prefix codes of one size, grown by
+    splitting words, and paired by a permutation; no split is the identity."""
+    splits = draw(st.integers(0, 7))
+    codes = []
+    for _ in range(2):
+        words = [""]
+        for k in draw(st.lists(st.integers(0, 63), min_size=splits, max_size=splits)):
+            w = words.pop(k % len(words))
+            words += [w + "0", w + "1"]
+        codes.append(words)
+    domain, image = codes
+    order = draw(st.permutations(range(len(image))))
+    return PrefixMap(zip(domain, [image[k] for k in order]))
+
+
+# range words 000, 001, 01, 1 against domain words 0, 10, 110, 111
+DEEP = PrefixMap([("0", "000"), ("10", "001"), ("110", "01"), ("111", "1")])
+
+
+@given(prefix_maps(), prefix_maps())
+@example(PrefixMap.identity(), DEEP)
+@example(DEEP, PrefixMap.identity())
+@example(DEEP, GEN_VA)
+@example(GEN_VA, DEEP)
+@example(DEEP, DEEP.inverse())
+def test_product_matches_the_sorted_oracle(f, g):
+    product = f * g
+    assert product.rules == _product_oracle(f, g)
+    assert PrefixMap(product.rules) == product

@@ -36,12 +36,14 @@ from germlab.chabauty import (
     neumann_check,
     neumann_sweep,
     verify_micro_support,
+    walk,
 )
 from germlab.fullgroups import FullGroupElement, gamma_tv
 from germlab.plcircle import (
     F_GROUP,
     GEN_A,
     GEN_B,
+    T_GROUP,
     ArcSet,
     PLMap,
     conjugate_into_interval,
@@ -99,6 +101,61 @@ def test_ball_sizes_and_monotonicity():
         # afresh is found in it
         for element in balls[-1].elements:
             assert kernel.from_json(element.to_json()) in balls[-1], name
+
+
+def _walk_oracle(group, radius, order):
+    """The walk as it was before it skipped labels: every label after every
+    frontier element, as a list of (element, word) in walk order."""
+    index = {group.identity: ""}
+    frontier = [(group.identity, "")]
+    for _ in range(radius):
+        nxt = []
+        for element, base in frontier:
+            for label in order:
+                candidate = element * group.gens[label]
+                if candidate not in index:
+                    index[candidate] = base + label
+                    nxt.append((candidate, base + label))
+        frontier = nxt
+    return list(index.items())
+
+
+def test_walk_matches_the_walk_that_tries_every_label():
+    walks = [(F, 5), (T_GROUP, 4), (V_GROUP, 4), (LM_GROUP, 3), (BALL_SIZES["full"][0], 5)]
+    for group, radius in walks:
+        order = sorted(group.gens)
+        want = _walk_oracle(group, radius, order)
+        for r in range(radius + 1):
+            got = list(walk(group, r, order))
+            assert got == want[:len(got)] and len(got) == len(_walk_oracle(group, r, order))
+        assert list(ball(group, radius)._index.items()) == want
+    # the compression witness walks Lodha-Moore in its own label order
+    assert list(walk(LM_GROUP, 3, "abcABC")) == _walk_oracle(LM_GROUP, 3, "abcABC")
+
+
+def _counted_products(monkeypatch, kernel):
+    """A list that grows by one at each product of two kernel elements."""
+    calls = []
+    product = kernel.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return product(self, other)
+
+    monkeypatch.setattr(kernel, "__mul__", counting)
+    return calls
+
+
+def test_ball_skips_products_that_lead_back_into_the_ball(monkeypatch):
+    # trying every label takes 1,672 and 644 products
+    for group, kernel, radius, most in ((V_GROUP, PrefixMap, 4, 1112), (F, PLMap, 5, 488)):
+        calls = _counted_products(monkeypatch, kernel)
+        ball(group, radius)
+        first = len(calls)
+        assert first <= most
+        # nothing learned by one ball carries over to the next
+        ball(group, radius)
+        assert len(calls) == 2 * first
 
 
 def test_ball_words_spell_their_elements():
@@ -171,6 +228,33 @@ def test_trunc_over_prefix_kernel():
     germ_spec = SubgroupSpec.identity_germ_at(ZERO_SEQ)
     for element in chabauty_trunc(germ_spec, group, 2).elements:
         assert element(ZERO_SEQ) == ZERO_SEQ
+
+
+def test_support_specs_match_the_support_on_every_kernel():
+    half, eighth = Fraction(1, 2), Fraction(1, 8)
+    arcs = [ArcSet.empty(), ArcSet.full(), QUARTER_HALF, WRAP_ARC, ArcSet.of((0, 0)),
+            ArcSet.of((half, half)), ArcSet.of((half, 1)), ArcSet.of((0, eighth), (half, half)),
+            ArcSet.of((0, Fraction(1, 4)), (Fraction(3, 4), 1))]
+    pl = (list(ball(T_GROUP, 2).elements) + list(ball(F, 3).elements)
+          + list(rigid_stabilizer_gens(Dyadic(1, 2), Dyadic(1)))
+          + list(rigid_stabilizer_gens(Dyadic(1, 4), Dyadic(1, 2))))
+    clopens = [Cylinders.empty(), Cylinders.full(), Cylinders.of("1"), Cylinders.of("01"),
+               Cylinders.of("00", "11"), Cylinders.of("0", "101"), Cylinders.of("110")]
+    prefix = list(ball(V_GROUP, 2).elements) + list(rigid_stabilizer_v("01"))
+    full = list(ball(BALL_SIZES["full"][0], 3).elements)
+    full += [gamma_tv(1, Cylinders.of("110")), gamma_tv(2, Cylinders.of("000"))]
+    for regions, elements in ((arcs, pl), (clopens, prefix), (clopens, full)):
+        for region in regions:
+            spec = SubgroupSpec.support_inside(region)
+            verdicts = [g.support().subset_of(region) for g in elements]
+            assert [spec.contains(g) for g in elements] == verdicts
+            # specs pushed forward along an element answer alike
+            h = elements[-1]
+            pushed = SubgroupSpec.conjugate(spec, h)
+            for g in elements:
+                assert pushed.contains(g) == g.support().subset_of(region.image(h))
+        held = sum(SubgroupSpec.support_inside(r).contains(g) for r in regions for g in elements)
+        assert len(regions) < held < len(regions) * len(elements)
 
 
 def test_generated_spec_membership():

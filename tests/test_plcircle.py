@@ -25,6 +25,7 @@ from germlab.plcircle import (
     is_in_F,
     rigid_stabilizer_gens,
 )
+from germlab.cantorv import Cylinders
 from germlab.chabauty import equal_on
 from germlab.scalars import Dyadic
 
@@ -931,6 +932,30 @@ def test_arcset_images_match_point_oracle(arcs, letters):
         d = max((v.exp for v in ends), default=0) + 1
         for k in range(1 << d):
             assert image.contains_point(D(k, d)) == _holds(arcs, back(D(k, d)))
+
+
+@given(_ARC_LISTS)
+@example([(16, 16)])
+@example([(3, 3), (3, 9)])
+def test_arcset_complement_matches_point_oracle(arcs):
+    held = _members(arcs)
+    # k / 2**5 lies in the closure of the complement unless it and both its
+    # neighbours lie in the set: the open steps between grid points are
+    # inside the set exactly when both of their ends are
+    want = frozenset(k for k in range(32) if not {(k - 1) % 32, k, (k + 1) % 32} <= held)
+    assert _grid_points(_region(arcs).complement()) == want
+
+
+def test_arcset_complement_matches_cylinders_complement():
+    def arcs_of(words):
+        """The union of the standard arcs of binary words, first digit highest."""
+        return ArcSet([(D(int(w or "0", 2), len(w)), D(int(w or "0", 2) + 1, len(w)))
+                       for w in words])
+
+    words = [format(k, "03b") for k in range(8)]
+    for mask in range(1 << 8):
+        clopen = Cylinders(w for k, w in enumerate(words) if mask >> k & 1)
+        assert arcs_of(clopen.words).complement() == arcs_of(clopen.complement().words)
 
 
 def test_arcset_equality_folds_the_point_one_onto_zero():

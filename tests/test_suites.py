@@ -122,6 +122,33 @@ def test_empty_conjugator_net_fails_and_replays_to_failure():
     assert again == by_id["stabilization"]
 
 
+def test_chabauty_net_probes_each_radius_once(monkeypatch):
+    probes, conjugators = [], []
+    probe, conjugator = suites.conjugate_net_probe, suites.expanding_conjugator
+
+    def counting_probe(group, h_spec, net, limit, radius):
+        probes.append((len(net), radius))
+        return probe(group, h_spec, net, limit, radius)
+
+    def counting_conjugator(n):
+        conjugators.append(n)
+        return conjugator(n)
+
+    monkeypatch.setattr(suites, "conjugate_net_probe", counting_probe)
+    monkeypatch.setattr(suites, "expanding_conjugator", counting_conjugator)
+    for config, want in (({}, [(10, 3), (3, 3)]), ({"radius": 2}, [(10, 3), (3, 2), (10, 2)]),
+                         ({"net": 1}, [(1, 3), (3, 3)])):
+        report = run_suite("chabauty-net", config, seed=0)
+        assert probes == want
+        assert sorted(conjugators) == list(range(1, max(want[0][0], 3) + 1))
+        # a check replayed alone builds what it needs for itself
+        data = json.loads(report.to_bytes())
+        for check in report.checks:
+            assert replay(data, check["id"]) == check
+        probes.clear()
+        conjugators.clear()
+
+
 def test_crashing_check_becomes_fail_record():
     # radius 0 is rejected inside the patch builder; the crash must land
     # in the report as a failure, not escape the runner
