@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .chabauty import MarkedGroup
-from .kernel import GroupElement
+from .kernel import GroupElement, Immutable
 
 GERM_FIXES = "fixes_neighbourhood"
 GERM_ISOLATED = "isolated_fixed_point"
@@ -73,7 +73,7 @@ def complete_code(words: Iterable[str]) -> bool:
     return sum(1 << top - len(w) for w in ws) == 1 << top
 
 
-class EventuallyPeriodic:
+class EventuallyPeriodic(Immutable):
     """A binary sequence u p p p ...; stored in a canonical form.
 
     The period is primitive and the preperiod does not end with the last
@@ -97,9 +97,6 @@ class EventuallyPeriodic:
             p = p[-1] + p[:-1]
         object.__setattr__(self, "preperiod", u)
         object.__setattr__(self, "period", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EventuallyPeriodic is immutable")
 
     @staticmethod
     def parse(text: str) -> "EventuallyPeriodic":
@@ -170,7 +167,7 @@ ZERO_SEQ = EventuallyPeriodic("", "0")
 ONE_SEQ = EventuallyPeriodic("", "1")
 
 
-class Cylinders:
+class Cylinders(Immutable):
     """A clopen subset of the Cantor space: a reduced antichain of words.
 
     Any finite word list is accepted: words lying under another one are
@@ -198,9 +195,6 @@ class Cylinders:
                 out[-1] = out[-1][:-1]
         object.__setattr__(self, "words", tuple(out))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cylinders is immutable")
 
     @staticmethod
     def of(*words: str) -> "Cylinders":
@@ -352,9 +346,6 @@ class PrefixMap(GroupElement):
         """Store sorted, reduced rules without __init__'s checks."""
         object.__setattr__(self, "rules", tuple(rules))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrefixMap is immutable")
 
     @staticmethod
     def identity() -> "PrefixMap":

@@ -11,29 +11,11 @@ product a = (g f^-1 g^-1)(h f h^-1) whose defining identities are verified
 exactly elsewhere.
 """
 
-import os
 from itertools import combinations
 from math import comb
 
-DEFAULT_BUDGET = 200_000
-
-
-class BudgetError(RuntimeError):
-    """Raised when a computation would pass the element budget.
-
-    The budget bounds the elements a ball or search enumerates, the vertex
-    pairs a level check compares and the steps a loop over a finite group
-    takes.
-    """
-
-
-def element_budget():
-    """The limit: GERMLAB_BUDGET, else DEFAULT_BUDGET."""
-    text = os.environ.get("GERMLAB_BUDGET", str(DEFAULT_BUDGET))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("GERMLAB_BUDGET must be an integer, got %r" % text) from None
+# the budget names stay importable from this module
+from .kernel import DEFAULT_BUDGET, BudgetError, Immutable, check_budget, element_budget
 
 
 def _protocol(element, name):
@@ -66,7 +48,7 @@ def equal_on(left, right, region):
 # -- marked groups and balls -------------------------------------------------
 
 
-class MarkedGroup:
+class MarkedGroup(Immutable):
     """A kernel group with a labeled generating set.
 
     Lowercase letters name the generators; the matching uppercase letters
@@ -93,9 +75,6 @@ class MarkedGroup:
         object.__setattr__(self, "gens", table)
         object.__setattr__(self, "identity", identity)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkedGroup is immutable")
-
     def labels(self):
         return tuple(sorted(self.gens))
 
@@ -103,7 +82,7 @@ class MarkedGroup:
         return spell(self.gens, word)
 
 
-class BallTruncation:
+class BallTruncation(Immutable):
     """All distinct elements of word length <= radius, in discovery order,
     each with the first word that spells it."""
 
@@ -117,9 +96,6 @@ class BallTruncation:
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "_index", index)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BallTruncation is immutable")
 
     @property
     def elements(self):
@@ -203,7 +179,7 @@ def ball(group, radius):
 # -- subgroup predicates -------------------------------------------------------
 
 
-class SubgroupSpec:
+class SubgroupSpec(Immutable):
     """A subgroup given by a decidable membership predicate.
 
     On the first contains call a generated spec enumerates its ball, and a
@@ -217,9 +193,6 @@ class SubgroupSpec:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_derived", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubgroupSpec is immutable")
 
     @classmethod
     def whole_group(cls):
@@ -290,11 +263,9 @@ def disagreements(h_spec, k_spec, group, radius):
 
 
 def chabauty_agree_radius(h_spec, k_spec, group, r_max):
-    """Largest r <= r_max at which the two truncations coincide."""
-    return min(
-        (len(w) - 1 for w in disagreements(h_spec, k_spec, group, r_max)),
-        default=r_max,
-    )
+    """Largest r <= r_max at which the two truncations coincide.  The ball is
+    in word-length order, so the first disagreement decides it."""
+    return next((len(w) - 1 for w in disagreements(h_spec, k_spec, group, r_max)), r_max)
 
 
 def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius):
@@ -346,13 +317,13 @@ def accumulation_probe(h_spec, group, forbidden, search_radius):
 # -- finite coset covers -------------------------------------------------------
 
 
-class FiniteGroup:
+class FiniteGroup(Immutable):
     """A finite group as a multiplication table over 0..n-1.
 
     A set of elements is also an n-bit mask, bit x for element x, so a
     union of cosets is an OR and a cover test compares with 2**n - 1.
-    The n**3 associativity check and the 2**(n-1) subgroup candidates obey
-    GERMLAB_BUDGET: past it they raise BudgetError before looping.
+    The n**3 associativity check obeys GERMLAB_BUDGET: past it, it raises
+    BudgetError before looping.
     """
 
     __slots__ = ("table", "identity")
@@ -364,11 +335,7 @@ class FiniteGroup:
             raise ValueError("table must be square")
         if any(x < 0 or x >= n for row in rows for x in row):
             raise ValueError("entries must index elements")
-        limit = element_budget()
-        if n ** 3 > limit:
-            raise BudgetError(
-                "associativity check of a %d-element table exceeds the %d-step budget"
-                % (n, limit))
+        check_budget(n ** 3, "%d associativity steps of a %d-element table" % (n ** 3, n))
         identity = None
         for e in range(n):
             if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
@@ -385,14 +352,8 @@ class FiniteGroup:
         object.__setattr__(self, "table", rows)
         object.__setattr__(self, "identity", identity)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
-
     def __len__(self):
         return len(self.table)
-
-    def mul(self, a, b):
-        return self.table[a][b]
 
     def _mask(self, elements):
         """The mask of a set of elements."""
@@ -410,30 +371,6 @@ class FiniteGroup:
         rows = self.table
         return bits >> self.identity & 1 == 1 and all(
             bits >> rows[a][b] & 1 for a in members for b in members)
-
-    def is_subgroup(self, elements):
-        return self._closed(self._mask(elements))
-
-    def _subgroup_masks(self):
-        """The masks of all subgroups, by size and then by their other
-        elements in lexicographic order."""
-        n = len(self.table)
-        rest = [x for x in range(n) if x != self.identity]
-        limit = element_budget()
-        if 1 << len(rest) > limit:
-            raise BudgetError(
-                "subgroup search of a %d-element group exceeds the %d-step budget"
-                % (n, limit))
-        found = []
-        for size in range(len(rest) + 1):
-            for extra in combinations(rest, size):
-                bits = self._mask((self.identity,) + extra)
-                if self._closed(bits):
-                    found.append(bits)
-        return found
-
-    def subgroups(self):
-        return [frozenset(_members(bits)) for bits in self._subgroup_masks()]
 
     def _coset_mask(self, bits, rep):
         row, out = self.table[rep], 0
@@ -458,20 +395,13 @@ def neumann_check(group, cover):
     exactly cover the group.  A minimum index above the number of cosets
     raises RuntimeError.
     """
-    closed = {}
-    return _min_index(len(group), [_coset_entry(group, group._mask(subgroup), rep, closed)
-                                   for subgroup, rep in cover])
-
-
-def _coset_entry(group, bits, rep, closed):
-    """(coset mask, subgroup index) of rep times the subgroup with mask bits;
-    closed caches each mask's closure verdict."""
-    verdict = closed.get(bits)
-    if verdict is None:
-        verdict = closed[bits] = group._closed(bits)
-    if not verdict:
-        raise ValueError("cover lists a non-subgroup")
-    return group._coset_mask(bits, rep), len(group) // bits.bit_count()
+    cosets = []
+    for subgroup, rep in cover:
+        bits = group._mask(subgroup)
+        if not group._closed(bits):
+            raise ValueError("cover lists a non-subgroup")
+        cosets.append((group._coset_mask(bits, rep), len(group) // bits.bit_count()))
+    return _min_index(len(group), cosets)
 
 
 def _min_index(n, cosets):
@@ -494,27 +424,24 @@ def neumann_sweep(n_max, r_max):
 
     Every set of at most r_max distinct cosets whose union is the whole group
     is validated as neumann_check validates a cover, and the worst minimal
-    index seen is reported.  The sets are counted first: when the sum of
-    comb(cosets, r) over every order and r passes GERMLAB_BUDGET,
-    BudgetError is raised before any set is tried.
+    index seen is reported.  Z/n has one subgroup dZ/n, of index d, for
+    each d dividing n, and its cosets are its mask shifted by 0..d-1.  The
+    sets are counted first: when the sum of comb(cosets, r) over every
+    order and r passes GERMLAB_BUDGET, BudgetError is raised before any
+    set is tried.
     """
     if n_max < 0 or r_max < 0:
         raise ValueError("n_max and r_max must be nonnegative, got %d and %d" % (n_max, r_max))
-    limit = element_budget()
     tables, count = [], 0
     for n in range(1, n_max + 1):
-        group = cyclic_group(n)
-        closed, cosets = {}, {}
-        for bits in group._subgroup_masks():
-            for rep in range(n):
-                coset, index = _coset_entry(group, bits, rep, closed)
-                cosets.setdefault(coset, index)
+        cosets = []
+        for d in range(1, n + 1):
+            if n % d == 0:
+                bits = sum(1 << x for x in range(0, n, d))
+                cosets += [(bits << k, d) for k in range(d)]
         count += sum(comb(len(cosets), r) for r in range(1, r_max + 1))
-        if count > limit:
-            raise BudgetError(
-                "%d coset sets in groups of order up to %d exceed the %d-element budget"
-                % (count, n, limit))
-        tables.append((n, list(cosets.items())))
+        check_budget(count, "%d coset sets in groups of order up to %d" % (count, n))
+        tables.append((n, cosets))
     covers_checked = 0
     max_min_index = 0
     for n, cosets in tables:

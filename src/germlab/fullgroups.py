@@ -17,8 +17,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .cantorv import Cylinders, complete_code, meeting, translate_word, word_to_int
-from .chabauty import BudgetError, element_budget
-from .kernel import GroupElement
+from .kernel import GroupElement, Immutable, check_budget
 
 # callers that import the clopen type from this module
 Clopen = Cylinders
@@ -85,9 +84,6 @@ class FullGroupElement(GroupElement):
         object.__setattr__(self, "_cells", tuple(sorted(
             (w, shift) for shift, piece in table for w in piece.words)))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FullGroupElement is immutable")
 
     @classmethod
     def identity(cls):
@@ -187,10 +183,7 @@ def return_set(u, shift=0):
     if u.is_empty():
         raise ValueError("u must be nonempty")
     length = u.max_length()
-    limit = element_budget()
-    if 1 << length > limit:
-        raise BudgetError(
-            "2^%d residues exceed the %d-element budget" % (length, limit))
+    check_budget(1 << length, "2^%d residues" % length)
     targets = [(word_to_int(w), 1 << len(w)) for w in u.words]
     times = {
         min((w - r) % m for w, m in targets) + shift for r in range(1 << length)
@@ -198,7 +191,7 @@ def return_set(u, shift=0):
     return tuple(sorted(times))
 
 
-class SchreierPatch:
+class SchreierPatch(Immutable):
     """A finite window of the graph on {n : x + n in u}.
 
     Distances in the acting copy of Z are word-metric distances for the
@@ -220,20 +213,16 @@ class SchreierPatch:
         low = word_to_int(x.digits(u.max_length()))
         lines = [range((word_to_int(w) - low + radius) % (1 << len(w)) - radius,
                        radius + 1, 1 << len(w)) for w in u.words]
-        limit = element_budget()
-        if (size := sum(map(len, lines))) > limit:
-            raise BudgetError("%d vertices exceed the %d-element budget" % (size, limit))
+        size = sum(map(len, lines))
+        check_budget(size, "%d vertices" % size)
         vertices = tuple(sorted(n for line in lines for n in line))
         # vertex i is joined to the ones after it, up to ends[i]
         ends = [bisect_right(vertices, a + 3 * s_bound) for a in vertices]
-        if (joined := sum(ends) - size * (size + 1) // 2) > limit:
-            raise BudgetError("%d edges exceed the %d-element budget" % (joined, limit))
+        joined = sum(ends) - size * (size + 1) // 2
+        check_budget(joined, "%d edges" % joined)
         edges = tuple((a, b) for i, a in enumerate(vertices) for b in vertices[i + 1 : ends[i]])
         for name, value in zip(self.__slots__, (u, x, radius, s_bound, vertices, edges)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SchreierPatch is immutable")
 
     def graph_distances(self, source):
         """Graph distance from source to every vertex it reaches."""
@@ -314,10 +303,10 @@ def quasi_isometry_check(patch, margin=None):
     GERMLAB_BUDGET before either is made.
     """
     inner, s = patch.interior(margin), patch.s_bound
-    n, limit, period = len(inner), element_budget(), 1 << patch.u.max_length()
+    n, period = len(inner), 1 << patch.u.max_length()
     m = bisect_left(inner, inner[0] + period) if inner else 0
-    if (steps := m * n - m * (m - 1) // 2) > limit:
-        raise BudgetError("%d sweep steps exceed the %d-element budget" % (steps, limit))
+    steps = m * n - m * (m - 1) // 2
+    check_budget(steps, "%d sweep steps" % steps)
     top, bottom = 0, 1
     rows = []  # per swept vertex: (offset, violation) in offset order
     for i in range(m):
@@ -335,8 +324,8 @@ def quasi_isometry_check(patch, margin=None):
     # vertex i's row is vertex i % m's, cut at its own length n - i
     offsets = [[t for t, _ in row] for row in rows]
     kept = [bisect_left(offsets[i % m], n - i) for i in range(n)]
-    if (count := sum(kept)) > limit:
-        raise BudgetError("%d violating pairs exceed the %d-element budget" % (count, limit))
+    count = sum(kept)
+    check_budget(count, "%d violating pairs" % count)
     violations = [{"pair": [y, inner[i + t]], **found}
                   for i, y in enumerate(inner) for t, found in rows[i % m][:kept[i]]]
     max_ratio = Fraction(top, bottom)

@@ -30,7 +30,7 @@ import bisect
 from collections.abc import Iterable, Sequence
 
 from .chabauty import MarkedGroup
-from .kernel import GroupElement
+from .kernel import GroupElement, Immutable
 from .scalars import Dyadic, ZERO, reduced
 
 Piece = tuple[Dyadic, int, Dyadic]
@@ -121,9 +121,6 @@ class PLMap(GroupElement):
         object.__setattr__(self, "_x", tuple(xs))
         object.__setattr__(self, "_y", tuple(ys))
         object.__setattr__(self, "_s", tuple(ss))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PLMap is immutable")
 
     @property
     def pieces(self) -> "_Pieces":
@@ -406,7 +403,7 @@ def in_derived_F(f: PLMap) -> bool:
 # -- closed arc sets -------------------------------------------------------
 
 
-class ArcSet:
+class ArcSet(Immutable):
     """A finite union of closed arcs of the circle, stored once, canonically.
 
     The maximal arcs are integer pairs (lo, hi) over 2**_e, sorted by lo,
@@ -456,9 +453,6 @@ class ArcSet:
         k = (acc & -acc).bit_length() - 1
         object.__setattr__(self, "_e", e - k)
         object.__setattr__(self, "_a", tuple((lo >> k, hi >> k) for lo, hi in merged))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ArcSet is immutable")
 
     @staticmethod
     def of(*pairs) -> "ArcSet":

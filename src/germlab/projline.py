@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .chabauty import MarkedGroup, walk
-from .kernel import GroupElement
+from .kernel import GroupElement, Immutable
 from .scalars import QuadExt, quad_sign
 
 Scalar = Union[QuadExt, Fraction, int]
@@ -143,7 +143,7 @@ def _quad(t: Optional[tuple]):
     return QuadExt(Fraction(x0, d), Fraction(x1, d))
 
 
-class Mobius:
+class Mobius(Immutable):
     """A fractional-linear map t -> (p t + q) / (r t + s) with ps - qr > 0.
 
     The matrix is stored as the integer tuple
@@ -173,9 +173,6 @@ class Mobius:
             raise ValueError("determinant must be positive")
         object.__setattr__(self, "v", m.v)
         object.__setattr__(self, "_entries", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mobius is immutable")
 
     def _quads(self) -> tuple[QuadExt, QuadExt, QuadExt, QuadExt]:
         """(p, q, r, s) divided by the pivot, cached on first use."""
@@ -294,9 +291,6 @@ class PPMap(GroupElement):
         object.__setattr__(self, "_breaks", tuple([bs[i] for i in keep]))
         object.__setattr__(self, "maps", tuple([ms[i] for i in keep] + ms[-1:]))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PPMap is immutable")
 
     @property
     def breaks(self) -> tuple[QuadExt, ...]:

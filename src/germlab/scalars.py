@@ -12,6 +12,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
+from .kernel import Immutable
+
 # Python hashes a rational p/q as hash(p * q^-1) modulo the Mersenne prime
 # 2**N - 1, where 2**N == 1, so dividing by 2**exp is a shift by -exp mod N
 _HASH_BITS = sys.hash_info.modulus.bit_length()
@@ -57,7 +59,7 @@ def reduced(num: int, exp: int) -> tuple[int, int]:
     return num >> k, exp - k
 
 
-class Dyadic:
+class Dyadic(Immutable):
     """A dyadic rational num / 2**exp in canonical form.
 
     Canonical means exp == 0, or num is odd.  Dyadics are closed under
@@ -77,9 +79,6 @@ class Dyadic:
             num, exp = reduced(num, exp)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -240,7 +239,7 @@ def quad_sign(a, b) -> int:
 QuadLike = Union[int, Fraction, "QuadExt"]
 
 
-class QuadExt:
+class QuadExt(Immutable):
     """An element a + b*sqrt(2) of Q(sqrt 2) with a, b rational.
 
     The sign of a + b*sqrt(2) is decided by comparing a**2 with 2*b**2,
@@ -257,9 +256,6 @@ class QuadExt:
         # Fractions are immutable, so an exact Fraction is kept, not copied
         object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
         object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
 
     @staticmethod
     def coerce(value: QuadLike) -> "QuadExt":

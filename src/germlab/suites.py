@@ -125,17 +125,11 @@ def _rand_dyadic(rng, depth):
 _TREE_RAY = (0, 1, 0, 1, 0, 1, 0, 1)
 
 
+# the pair's tables obey GERMLAB_BUDGET, so they are built on first use
+# and a small or malformed budget cannot stop the import
 @lru_cache(maxsize=None)
 def _tree_pair():
     return PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
-
-
-def __getattr__(name):
-    # the pair's tables obey GERMLAB_BUDGET, so they are built on first use
-    # and a small or malformed budget cannot stop the import
-    if name == "_TREE_PAIR":
-        return _tree_pair()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _rand_tree_vertex(rng, max_len, degree):

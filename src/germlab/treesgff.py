@@ -34,8 +34,7 @@ from itertools import permutations
 from math import factorial
 from typing import Iterable, Optional
 
-from .chabauty import BudgetError, element_budget
-from .kernel import GroupElement
+from .kernel import GroupElement, Immutable, check_budget
 
 Perm = tuple[int, ...]
 Vertex = tuple[int, ...]
@@ -56,13 +55,12 @@ def cyclic_perms(d: int) -> frozenset[Perm]:
 def alternating_perms(d: int) -> frozenset[Perm]:
     """The even permutations of 0..d-1, filtered from all d! of them; raises
     BudgetError first when d! passes GERMLAB_BUDGET."""
-    if factorial(max(d, 0)) > (limit := element_budget()):
-        raise BudgetError(f"{d}! permutations exceed the {limit}-element budget")
+    check_budget(factorial(max(d, 0)), f"{d}! permutations")
     return frozenset(p for p in permutations(range(d))
                      if sum(p[j] > p[i] for i in range(d) for j in range(i)) % 2 == 0)
 
 
-class PermGroupPair:
+class PermGroupPair(Immutable):
     """A free transitive group inside a bigger one on the colors 0..d-1.
 
     The large group is numbered once, in sorted order: perms[i] is the i-th
@@ -79,8 +77,7 @@ class PermGroupPair:
     def __init__(self, degree: int, small: Iterable[Perm], large: Iterable[Perm]):
         small = frozenset(tuple(p) for p in small)
         large = frozenset(tuple(p) for p in large)
-        if len(large) ** 2 > (limit := element_budget()):
-            raise BudgetError(f"{len(large)}^2 compositions exceed the {limit}-element budget")
+        check_budget(len(large) ** 2, f"{len(large)}^2 compositions")
         ident = perm_identity(degree)
         for grp in (small, large):
             if ident not in grp:
@@ -115,9 +112,6 @@ class PermGroupPair:
             "_two_transitive": len({p[:2] for p in perms}) == degree * (degree - 1),
         }.items():
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PermGroupPair is immutable")
 
     def taking(self, color: int, image: int) -> Perm:
         """The unique free-group element sending color to image."""
@@ -229,9 +223,6 @@ class TreeAut(GroupElement):
         """{vertex: permutation}, built from the numbered portrait on each read."""
         perms = self.pair.perms
         return {v: perms[i] for v, i in self._at.items()}
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeAut is immutable")
 
     @staticmethod
     def identity(pair: PermGroupPair) -> "TreeAut":
@@ -468,8 +459,7 @@ def level_pairs(vertices: Iterable[Vertex], xi_prefix: Vertex, max_dist: int) ->
         bucket.append(v)
         levels.setdefault(level, []).append((v, bucket))
     count = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
-    if count > (limit := element_budget()):
-        raise BudgetError(f"{count} level pairs exceed the {limit}-element budget")
+    check_budget(count, f"{count} level pairs")
     return {level: _bucket_pairs(same) for level, same in levels.items()}
 
 

@@ -42,7 +42,7 @@ from germlab.plcircle import (
 from germlab.projline import LM_A, LM_B, LM_C, LM_GROUP, PPMap, bn_image
 from germlab.scalars import Dyadic, QuadExt
 from germlab.suites import (
-    _TREE_PAIR,
+    _tree_pair,
     available_suites,
     make_cocycle_check,
     make_elliptic_check,
@@ -84,7 +84,7 @@ def _tree_vertex(rng, max_len):
 
 
 def _tree_factor(rng):
-    pair = _TREE_PAIR
+    pair = _tree_pair()
     kind = rng.randrange(3)
     if kind == 0:
         return TreeAut.constant(pair, rng.choice(sorted(pair.small)))
@@ -123,13 +123,13 @@ def test_criterion_01_group_laws():
                  PPMap.identity())
 
     def tree_word(r):
-        g = TreeAut.identity(_TREE_PAIR)
+        g = TreeAut.identity(_tree_pair())
         for _ in range(r.randrange(1, 11)):
             h = _tree_factor(r)
             g = g * (h.inverse() if r.random() < 0.5 else h)
         return g
 
-    _law_battery(rng, tree_word, TreeAut.identity(_TREE_PAIR))
+    _law_battery(rng, tree_word, TreeAut.identity(_tree_pair()))
 
     gens = _fullgroup_gens()
 
@@ -247,9 +247,9 @@ def test_criterion_06_chabauty_net():
 
 def test_criterion_07_tree_cocycle():
     rng = random.Random(107)
-    assert make_cocycle_check(_TREE_PAIR, 500, 5)(rng)["pairs"] == 500
-    assert make_elliptic_check(_TREE_PAIR, RAY, 50)(rng)["elements"] == 50
-    out = make_level_check(_TREE_PAIR, RAY, 4, 4)(rng)
+    assert make_cocycle_check(_tree_pair(), 500, 5)(rng)["pairs"] == 500
+    assert make_elliptic_check(_tree_pair(), RAY, 50)(rng)["elements"] == 50
+    out = make_level_check(_tree_pair(), RAY, 4, 4)(rng)
     assert out["pairs"] > 1000
 
 

@@ -379,6 +379,34 @@ def test_agree_radius_symmetric_and_ultrametric():
                 assert left >= bound
 
 
+HALF_SUPPORT = SubgroupSpec.support_inside(ArcSet.of((Dyadic(1, 2), Dyadic(1, 1))))
+
+
+def test_agree_radius_matches_the_full_scan():
+    specs = [SUPP_H, HALF_SUPPORT, GERM_LIMIT, SubgroupSpec.identity_germ_at(Dyadic(1, 2)),
+             SubgroupSpec.trivial(), SubgroupSpec.whole_group()]
+    for group in (F, T_GROUP):
+        for h, k in combinations(specs, 2):
+            for r_max in range(5):
+                full_scan = min((len(w) - 1 for w in chabauty.disagreements(h, k, group, r_max)),
+                                default=r_max)
+                assert chabauty_agree_radius(h, k, group, r_max) == full_scan
+
+
+def test_agree_radius_stops_at_the_first_disagreement(monkeypatch):
+    # C6's pair on F: element 71 of the 161 in the radius-4 ball decides it
+    calls = []
+    contains = SubgroupSpec.contains
+
+    def counting(spec, element):
+        calls.append(element)
+        return contains(spec, element)
+
+    monkeypatch.setattr(SubgroupSpec, "contains", counting)
+    assert chabauty_agree_radius(HALF_SUPPORT, GERM_LIMIT, F, 4) == 3
+    assert len(calls) == 2 * 71
+
+
 def test_net_probe_radius_three_regression():
     net = [expanding_conjugator(n) for n in range(1, 11)]
     report = conjugate_net_probe(F, SUPP_H, net, GERM_LIMIT, 3)
@@ -486,28 +514,15 @@ def test_generated_spec_budget_fails_on_first_contains(monkeypatch):
 def test_finite_group_obeys_budget(monkeypatch):
     monkeypatch.setenv("GERMLAB_BUDGET", "100")
     assert len(cyclic_group(4)) == 4  # 64 associativity triples
-    with pytest.raises(BudgetError, match="associativity"):
-        cyclic_group(5)  # 125 triples
-    monkeypatch.delenv("GERMLAB_BUDGET")
-    group = cyclic_group(7)
-    monkeypatch.setenv("GERMLAB_BUDGET", "64")
-    assert len(cyclic_group(4).subgroups()) == 3
-    monkeypatch.setenv("GERMLAB_BUDGET", "63")
-    with pytest.raises(BudgetError, match="subgroup search"):
-        group.subgroups()  # 2**6 candidates
+    with pytest.raises(BudgetError, match="^125 associativity steps of a 5-element table"
+                                          " exceed the 100-element budget$"):
+        cyclic_group(5)
 
 def test_finite_group_validation():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])
     with pytest.raises(ValueError):
         FiniteGroup([[1, 0], [1, 0]])
-    group = cyclic_group(6)
-    assert sorted(sorted(s) for s in group.subgroups()) == [
-        [0],
-        [0, 1, 2, 3, 4, 5],
-        [0, 2, 4],
-        [0, 3],
-    ]
 
 
 def test_neumann_spec_example():
@@ -536,6 +551,13 @@ def test_neumann_sweep_small():
     }
 
 
+def test_neumann_sweep_builds_no_group_tables(monkeypatch):
+    # Z/n's cosets come from the divisors of n, so no table is checked
+    monkeypatch.setattr(chabauty, "FiniteGroup", None)
+    monkeypatch.setattr(chabauty, "cyclic_group", None)
+    assert neumann_sweep(6, 3)["covers_checked"] == 137
+
+
 def test_neumann_sweep_counts_its_coset_sets_first(monkeypatch):
     # sum of comb(cosets, r): 424 at the default (6, 3), 3,072 at C5's (8, 4)
     for (n_max, r_max), count in (((6, 3), 424), ((8, 4), 3072)):
@@ -558,7 +580,7 @@ def test_neumann_sweep_counts_its_coset_sets_first(monkeypatch):
 def _oracle_is_subgroup(group, elements):
     subset = set(elements)
     return group.identity in subset and all(
-        group.mul(a, b) in subset for a in subset for b in subset)
+        group.table[a][b] in subset for a in subset for b in subset)
 
 
 def _oracle_subgroups(group):
@@ -569,7 +591,7 @@ def _oracle_subgroups(group):
 
 
 def _oracle_coset(group, subgroup, rep):
-    return frozenset(group.mul(rep, s) for s in subgroup)
+    return frozenset(group.table[rep][s] for s in subgroup)
 
 
 def _oracle_neumann_check(group, cover):
@@ -629,10 +651,9 @@ def test_neumann_sweep_matches_the_set_oracle():
 
 def test_subgroups_match_the_set_oracle():
     for group in SMALL_GROUPS:
-        assert group.subgroups() == _oracle_subgroups(group)
         for bits in range(1 << len(group)):
             subset = [x for x in range(len(group)) if bits >> x & 1]
-            assert group.is_subgroup(subset) == _oracle_is_subgroup(group, subset)
+            assert group._closed(bits) == _oracle_is_subgroup(group, subset)
             assert group._mask(subset) == bits
 
 
@@ -647,7 +668,7 @@ def _outcome(fn, *args):
 def test_neumann_check_matches_the_set_oracle(data):
     group = data.draw(st.sampled_from(SMALL_GROUPS))
     n = len(group)
-    subgroups = group.subgroups()
+    subgroups = _oracle_subgroups(group)
     # mostly true subgroups, so that covers turn up; sometimes any subset
     subsets = st.one_of(st.sampled_from(subgroups), st.sets(st.integers(0, n - 1)))
     cover = data.draw(st.lists(st.tuples(subsets, st.integers(0, n - 1)), max_size=6))

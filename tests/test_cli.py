@@ -247,10 +247,19 @@ def test_compress_proj_obeys_budget(capsys, monkeypatch):
 
 def test_neumann_obeys_budget(capsys, monkeypatch):
     monkeypatch.setenv("GERMLAB_BUDGET", "20")
-    # Z/3 already has 27 associativity triples
+    # 22 coset sets by order 3
     code, out, err = run(capsys, "neumann", "--n", "6", "--r", "3")
     assert code == 2 and out == ""
     assert "budget" in err and "Traceback" not in err
+
+
+def test_neumann_order_19_answers_under_the_default_budget(capsys, monkeypatch):
+    # Z/19 has two subgroups; no search over its 2^18 subsets is made
+    monkeypatch.delenv("GERMLAB_BUDGET", raising=False)
+    code, out, err = run(capsys, "neumann", "--n", "19", "--r", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"groups": 19, "r_max": 1, "covers_checked": 19,
+                               "max_min_index": 1}
 
 
 @pytest.mark.parametrize("argv, budget, message", [

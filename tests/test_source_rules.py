@@ -43,3 +43,36 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _definitions():
+    """(module file, qualified name, node) for every class and function in src/."""
+    def walk(path, prefix, body):
+        for node in body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                name = prefix + node.name
+                yield path.name, name, node
+                yield from walk(path, name + ".", node.body)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from walk(path, "", ast.parse(path.read_text(), str(path)).body)
+
+
+def test_only_immutable_defines_setattr():
+    # the immutability guard is written once, in kernel.Immutable
+    found = [(module, name) for module, name, node in _definitions()
+             if isinstance(node, ast.FunctionDef) and name.endswith(".__setattr__")]
+    assert found == [("kernel.py", "Immutable.__setattr__")]
+
+
+def test_budget_errors_are_raised_in_two_places():
+    # every count-before gate goes through kernel.check_budget; only the ball
+    # walk checks inside its loop, where its message names the radius
+    found = [
+        (module, name)
+        for module, name, node in _definitions()
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "BudgetError"
+    ]
+    assert sorted(found) == [("chabauty.py", "_walk"), ("kernel.py", "check_budget")]

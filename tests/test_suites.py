@@ -10,7 +10,7 @@ import germlab.suites as suites
 from germlab.chabauty import BudgetError
 from germlab.plcircle import T_GROUP
 from germlab.suites import (
-    _TREE_PAIR,
+    _tree_pair,
     available_suites,
     make_cocycle_check,
     make_elliptic_check,
@@ -214,9 +214,9 @@ def test_spell_words():
 def test_check_factories_run_standalone():
     rng = random.Random(4)
     ray = (0, 1, 0, 1, 0, 1)
-    assert make_cocycle_check(_TREE_PAIR, 3, 2)(rng)["pairs"] == 3
-    assert make_elliptic_check(_TREE_PAIR, ray, 4)(rng)["elements"] == 4
-    out = make_level_check(_TREE_PAIR, ray, 2, 4)(rng)
+    assert make_cocycle_check(_tree_pair(), 3, 2)(rng)["pairs"] == 3
+    assert make_elliptic_check(_tree_pair(), ray, 4)(rng)["elements"] == 4
+    out = make_level_check(_tree_pair(), ray, 2, 4)(rng)
     assert out["pairs"] > 0
 
 
@@ -226,7 +226,7 @@ def test_check_factories_run_standalone():
 ])
 def test_level_check_counts_are_pinned(depth, want):
     ray = (0, 1) * 4
-    assert make_level_check(_TREE_PAIR, ray, depth, 4)(random.Random(0)) == want
+    assert make_level_check(_tree_pair(), ray, depth, 4)(random.Random(0)) == want
 
 
 def test_level_check_obeys_budget(monkeypatch):
@@ -252,10 +252,10 @@ def test_level_check_obeys_budget(monkeypatch):
 def test_level_check_needs_a_ray_longer_than_the_depth():
     # a depth-6 ball holds the whole ray prefix (0, 1, 0, 1, 0, 1), which has no level
     ray = (0, 1) * 3
-    make_level_check(_TREE_PAIR, ray, 5, 100)
+    make_level_check(_tree_pair(), ray, 5, 100)
     for depth in (6, 7):
         with pytest.raises(ValueError, match="depth must be below the ray length 6, got %d" % depth):
-            make_level_check(_TREE_PAIR, ray, depth, 4)
+            make_level_check(_tree_pair(), ray, depth, 4)
     with pytest.raises(ValueError, match="below the ray length 8, got 8"):
         run_suite("gff-levels", {"depth": 8})
 
