@@ -52,6 +52,3 @@ def test_check_budget_boundary(monkeypatch):
     with pytest.raises(BudgetError) as caught:
         check_budget(11, "11 widgets")
     assert str(caught.value) == "11 widgets exceed the 10-element budget"
-    monkeypatch.setenv("GERMLAB_BUDGET", "ten")
-    with pytest.raises(ValueError, match="GERMLAB_BUDGET must be an integer, got 'ten'"):
-        check_budget(0, "no widgets")
