@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .chabauty import MarkedGroup
@@ -51,16 +50,19 @@ def translate_word(w: str, n: int) -> str:
 
 
 def meeting(rules, w: str):
-    """The entries of rules whose cylinders meet C_w, in order.
+    r"""The entries of rules whose cylinders meet C_w, in order.
 
     rules is sorted by its first fields, which form a complete prefix
     code.  The one entry over w is the last one at or before w; else the
     entries under w follow it in one block, which ends before w + "2".
+    No binary word sorts between w and w + "\0", nor equals w + "2", so
+    the probes (w + "\0",) and (w + "2",) compare on the first field alone,
+    whatever the type of the second.
     """
-    k = bisect_right(rules, w, key=itemgetter(0))
+    k = bisect_right(rules, (w + "\0",))
     if k and w.startswith(rules[k - 1][0]):
         return rules[k - 1 : k]
-    return rules[k : bisect_left(rules, w + "2", key=itemgetter(0))]
+    return rules[k : bisect_left(rules, (w + "2",), k)]
 
 
 def complete_code(words: Iterable[str]) -> bool:
@@ -365,9 +367,9 @@ class PrefixMap(GroupElement):
             return NotImplemented
         rules, out = self.rules, []
         for v, w in other.rules:
-            # "2" sorts after every binary word, so the rule over w is the
-            # last one up to (w, "2") and the block under w ends at w + "2"
-            k = bisect_right(rules, (w, "2"))
+            # meeting's probes: the rule over w is the last one before
+            # (w + "\0",) and the block under w ends at (w + "2",)
+            k = bisect_right(rules, (w + "\0",))
             if k and w.startswith(rules[k - 1][0]):
                 p, q = rules[k - 1]
                 _push_merged(out, v, q + w[len(p):])

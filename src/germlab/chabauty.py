@@ -75,9 +75,6 @@ class MarkedGroup(Immutable):
         object.__setattr__(self, "gens", table)
         object.__setattr__(self, "identity", identity)
 
-    def labels(self):
-        return tuple(sorted(self.gens))
-
     def spell(self, word):
         return spell(self.gens, word)
 
@@ -180,11 +177,12 @@ def ball(group, radius):
 
 
 class SubgroupSpec(Immutable):
-    """A subgroup given by a decidable membership predicate.
+    """A subgroup given by a decidable membership predicate, of one of four
+    kinds: the whole group, the trivial group, the elements supported in a
+    closed region, and the elements with trivial germs at given points.
 
-    On the first contains call a generated spec enumerates its ball, and a
-    support spec takes the closure of its region's complement; each keeps
-    that for every later call.
+    On the first contains call a support spec takes the closure of its
+    region's complement and keeps it for every later call.
     """
 
     __slots__ = ("kind", "data", "_derived")
@@ -211,23 +209,15 @@ class SubgroupSpec(Immutable):
         return cls("germ", tuple(points))
 
     @classmethod
-    def generated(cls, elements, radius):
-        return cls("generated", (tuple(elements), radius))
-
-    @classmethod
     def conjugate(cls, spec, g):
-        """gHg^-1 as a spec of H's kind: its region, germ points or
-        generators pushed forward along g (word radii carry over)."""
+        """gHg^-1 as a spec of H's kind: its region or germ points pushed
+        forward along g."""
         if spec.kind in ("whole", "trivial"):
             return spec
         if spec.kind == "support":
             return cls("support", spec.data.image(g))
         if spec.kind == "germ":
             return cls("germ", tuple(g(p) for p in spec.data))
-        if spec.kind == "generated":
-            elements, radius = spec.data
-            inv = g.inverse()
-            return cls.generated([g * s * inv for s in elements], radius)
         raise ValueError("unknown spec kind %r" % spec.kind)
 
     def contains(self, element):
@@ -245,27 +235,28 @@ class SubgroupSpec(Immutable):
         if self.kind == "germ":
             germ_trivial_at = _protocol(element, "germ_trivial_at")
             return all(germ_trivial_at(p) for p in self.data)
-        if self.kind == "generated":
-            if self._derived is None:
-                elements, radius = self.data
-                labels = {chr(ord("a") + i): g for i, g in enumerate(elements)}
-                members = ball(MarkedGroup(labels), radius)
-                object.__setattr__(self, "_derived", members)
-            return element in self._derived
         raise ValueError("unknown spec kind %r" % self.kind)
 
 
-def disagreements(h_spec, k_spec, group, radius):
-    """Words of the radius ball, in ball order, on which the two specs differ."""
+def first_disagreements(h_spec, k_spec, group, radius):
+    """The shortest words of the radius ball on which the two specs differ,
+    in ball order; none when they agree on the whole ball.  The ball is in
+    word-length order, so the scan stops at the end of the first shell that
+    holds a disagreement."""
+    length = radius + 1
     for element, word in ball(group, radius)._index.items():
+        if len(word) > length:
+            return
         if h_spec.contains(element) != k_spec.contains(element):
+            length = len(word)
             yield word
 
 
 def chabauty_agree_radius(h_spec, k_spec, group, r_max):
-    """Largest r <= r_max at which the two truncations coincide.  The ball is
-    in word-length order, so the first disagreement decides it."""
-    return next((len(w) - 1 for w in disagreements(h_spec, k_spec, group, r_max)), r_max)
+    """Largest r <= r_max at which the two truncations coincide: one less
+    than the length of the first disagreement."""
+    return next((len(w) - 1 for w in first_disagreements(h_spec, k_spec, group, r_max)),
+                r_max)
 
 
 def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius):

@@ -12,12 +12,13 @@ import sys
 from fractions import Fraction
 
 from .cantorv import V_GROUP, Cylinders, EventuallyPeriodic, compress_v
-from .chabauty import BudgetError, SubgroupSpec, disagreements, neumann_sweep
+from .chabauty import BudgetError, SubgroupSpec, first_disagreements, neumann_sweep
 from .fullgroups import quasi_isometry_check, schreier_patch
 from .plcircle import F_GROUP, T_GROUP, ArcSet, compress, in_derived_F
 from .projline import interval_compression_witness
 from .scalars import Dyadic
 from .suites import (
+    _TREE_RAY,
     available_suites,
     check_outcome,
     make_cocycle_check,
@@ -176,10 +177,9 @@ def _cmd_chabauty(args):
     group = _GROUPS[args.group]
     h_spec = _parse_spec(args.h, args.group)
     k_spec = _parse_spec(args.k, args.group)
-    words = list(disagreements(h_spec, k_spec, group, args.radius))
-    agree = min((len(w) - 1 for w in words), default=args.radius)
-    witnesses = sorted(w for w in words if len(w) == agree + 1)
-    _print_json({"agree_radius": agree, "witness_elements": witnesses})
+    words = list(first_disagreements(h_spec, k_spec, group, args.radius))
+    agree = len(words[0]) - 1 if words else args.radius
+    _print_json({"agree_radius": agree, "witness_elements": sorted(words)})
     return 0
 
 
@@ -201,16 +201,15 @@ def _cmd_schreier(args):
 def _cmd_tree_verify(args):
     if args.f != "cycle" or args.fprime != "alt":
         raise ValueError("supported point groups: --f cycle --fprime alt")
-    pair = PermGroupPair(
-        args.omega, cyclic_perms(args.omega), alternating_perms(args.omega)
-    )
-    ray = tuple([0, 1] * 4)
+    # the d! gate of the large group runs before the cyclic group's d^2 entries
+    large = alternating_perms(args.omega)
+    pair = PermGroupPair(args.omega, cyclic_perms(args.omega), large)
     if args.suite == "cocycle":
         fn = make_cocycle_check(pair, args.count, args.depth)
     elif args.suite == "germ":
-        fn = make_elliptic_check(pair, ray, args.count)
+        fn = make_elliptic_check(pair, _TREE_RAY, args.count)
     else:
-        fn = make_level_check(pair, ray, args.depth, 4)
+        fn = make_level_check(pair, _TREE_RAY, args.depth, 4)
     status, witness = check_outcome(fn, random.Random(args.seed))
     _print_json({"suite": args.suite, "status": status, "witness": witness})
     return 0 if status == "pass" else 1

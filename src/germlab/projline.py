@@ -82,7 +82,6 @@ _IDENTITY_V = (1, 0, 0, 0, 0, 0, 1, 0)
 def _mobius(v: tuple) -> "Mobius":
     m = object.__new__(Mobius)
     object.__setattr__(m, "v", v)
-    object.__setattr__(m, "_entries", None)
     return m
 
 
@@ -155,10 +154,10 @@ class Mobius(Immutable):
 
     The boundary is that of the pivot-normalized matrix: the constructor
     takes QuadExt, Fraction or int entries, and .p/.q/.r/.s are the
-    entries divided by the pivot, as QuadExt, built on first use.
+    entries divided by the pivot, as QuadExt, built on each read.
     """
 
-    __slots__ = ("v", "_entries")
+    __slots__ = ("v",)
 
     def __init__(self, p: Scalar, q: Scalar, r: Scalar, s: Scalar):
         parts = []
@@ -172,19 +171,14 @@ class Mobius(Immutable):
                      p0 * s1 + p1 * s0 - q0 * r1 - q1 * r0) <= 0:
             raise ValueError("determinant must be positive")
         object.__setattr__(self, "v", m.v)
-        object.__setattr__(self, "_entries", None)
 
     def _quads(self) -> tuple[QuadExt, QuadExt, QuadExt, QuadExt]:
-        """(p, q, r, s) divided by the pivot, cached on first use."""
-        if self._entries is None:
-            v = self.v
-            # the pivot is the first nonzero even slot: its sqrt(2) part is 0
-            pivot = next(x for x in v[::2] if x)
-            object.__setattr__(self, "_entries", tuple(
-                QuadExt(Fraction(v[i], pivot), Fraction(v[i + 1], pivot))
-                for i in (0, 2, 4, 6)
-            ))
-        return self._entries
+        """(p, q, r, s) divided by the pivot."""
+        v = self.v
+        # the pivot is the first nonzero even slot: its sqrt(2) part is 0
+        pivot = next(x for x in v[::2] if x)
+        return tuple(QuadExt(Fraction(v[i], pivot), Fraction(v[i + 1], pivot))
+                     for i in (0, 2, 4, 6))
 
     p = property(lambda self: self._quads()[0])
     q = property(lambda self: self._quads()[1])
@@ -242,7 +236,7 @@ class Mobius(Immutable):
         return hash(self.v)
 
     def __repr__(self):
-        return f"Mobius({self.p}, {self.q}, {self.r}, {self.s})"
+        return "Mobius(%s, %s, %s, %s)" % self._quads()
 
 
 class PPMap(GroupElement):
@@ -390,10 +384,7 @@ class PPMap(GroupElement):
     def to_json(self) -> dict:
         return {
             "breaks": [b.to_json() for b in self.breaks],
-            "maps": [
-                [m.p.to_json(), m.q.to_json(), m.r.to_json(), m.s.to_json()]
-                for m in self.maps
-            ],
+            "maps": [[x.to_json() for x in m._quads()] for m in self.maps],
         }
 
     @staticmethod

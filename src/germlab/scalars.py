@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: dyadic rationals and the quadratic field Q(sqrt 2).
+"""Exact scalars: dyadic rationals, the PL kernel's boundary values, and the
+quadratic field Q(sqrt 2).
 
 Every comparison in the package bottoms out here, so both types decide order
 and equality with integer arithmetic only.  No floats anywhere.
@@ -62,10 +63,11 @@ def reduced(num: int, exp: int) -> tuple[int, int]:
 class Dyadic(Immutable):
     """A dyadic rational num / 2**exp in canonical form.
 
-    Canonical means exp == 0, or num is odd.  Dyadics are closed under
-    addition, subtraction, multiplication and multiplication by 2**k; they
-    are *not* closed under general division, which is deliberately absent.
-    Equality, order and hash agree with int and Fraction by value.
+    Canonical means exp == 0, or num is odd.  Dyadics are the boundary
+    values of the PL kernel, which computes in integers: they are built,
+    parsed, compared, hashed, added, printed and read from JSON, and
+    as_fraction gives the value to Fraction arithmetic.  Equality, order
+    and hash agree with int and Fraction by value.
     """
 
     __slots__ = ("num", "exp")
@@ -119,39 +121,6 @@ class Dyadic(Immutable):
         return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
 
     __radd__ = __add__
-
-    def __sub__(self, other: IntLike) -> "Dyadic":
-        return self + (-Dyadic.coerce(other))
-
-    def __rsub__(self, other: IntLike) -> "Dyadic":
-        return Dyadic.coerce(other) + (-self)
-
-    def __mul__(self, other: IntLike) -> "Dyadic":
-        o = Dyadic.coerce(other)
-        return Dyadic(self.num * o.num, self.exp + o.exp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.exp)
-
-    def ldexp(self, k: int) -> "Dyadic":
-        """self * 2**k, exact for any integer k."""
-        if k >= 0:
-            return Dyadic(self.num << k, self.exp)
-        return Dyadic(self.num, self.exp - k)
-
-    def half(self) -> "Dyadic":
-        return self.ldexp(-1)
-
-    def floor(self) -> int:
-        return self.num >> self.exp
-
-    def frac(self) -> "Dyadic":
-        return self - self.floor()
-
-    def is_integer(self) -> bool:
-        return self.exp == 0
 
     # -- order ---------------------------------------------------------
 

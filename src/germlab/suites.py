@@ -451,9 +451,11 @@ def make_cocycle_check(pair, count, depth):
             bad = cocycle_failure(g, h, g * h, depth)
             if bad is not None:
                 _fail(vertex=format_vertex(bad))
-        # the ball holds degree * (degree - 1)^(k - 1) vertices at distance k > 0
-        vertices = 1 + sum(pair.degree * (pair.degree - 1) ** k for k in range(depth))
-        return {"pairs": count, "vertices": vertices}
+        # the ball holds degree * (degree - 1)^(k - 1) vertices at distance
+        # k > 0, a geometric sum; a pair's large group has a non-identity
+        # permutation fixing a color, so degree >= 3
+        d = pair.degree
+        return {"pairs": count, "vertices": 1 + d * ((d - 1) ** depth - 1) // (d - 2)}
 
     return cocycle
 

@@ -464,3 +464,25 @@ def test_product_matches_the_sorted_oracle(f, g):
     product = f * g
     assert product.rules == _product_oracle(f, g)
     assert PrefixMap(product.rules) == product
+
+
+@st.composite
+def _coded_tables(draw):
+    """Entries (word, value) sorted by a random complete prefix code, whose
+    values are all str (PrefixMap rules) or all int (full-group cells)."""
+    words = [""]
+    for k in draw(st.lists(st.integers(0, 63), max_size=9)):
+        w = words.pop(k % len(words))
+        words += [w + "0", w + "1"]
+    if draw(st.booleans()):
+        values = draw(st.lists(st.text("012", max_size=3), min_size=len(words), max_size=len(words)))
+    else:
+        values = draw(st.lists(st.integers(-3, 3), min_size=len(words), max_size=len(words)))
+    return tuple(sorted(zip(words, values)))
+
+
+@given(_coded_tables(), st.lists(st.text("01", max_size=6), min_size=1, max_size=8))
+def test_meeting_matches_a_linear_scan(table, probes):
+    for w in probes:
+        want = [e for e in table if e[0].startswith(w) or w.startswith(e[0])]
+        assert list(meeting(table, w)) == want

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import germlab.chabauty as chabauty
 from germlab.cantorv import (
-    GEN_PI0,
     GEN_VA,
     GEN_VB,
     ONE_SEQ,
@@ -255,12 +254,6 @@ def test_support_specs_match_the_support_on_every_kernel():
         assert len(regions) < held < len(regions) * len(elements)
 
 
-def test_generated_spec_membership():
-    spec = SubgroupSpec.generated([GEN_A], 6)
-    assert spec.contains(GEN_A ** 3)
-    assert not spec.contains(GEN_B)
-
-
 def test_conjugation_coherence():
     g = F.spell("ab")
     conj = SubgroupSpec.conjugate(SUPP_H, g)
@@ -311,7 +304,6 @@ def test_pushforward_matches_element_conjugation_on_F():
         SUPP_H,
         SubgroupSpec.support_inside(WRAP_ARC),
         TWO_GERMS,
-        SubgroupSpec.generated([GEN_A], 1),
     ]
     _assert_pushforward_matches(F, 3, specs, F_CONJUGATORS)
     _assert_pushforward_matches(
@@ -326,9 +318,8 @@ def test_pushforward_matches_element_conjugation_on_V():
         SubgroupSpec.trivial(),
         SubgroupSpec.support_inside(Cylinders.of("01", "110")),
         SubgroupSpec.identity_germ_at(ZERO_SEQ, EventuallyPeriodic("1", "01")),
-        SubgroupSpec.generated([GEN_PI0], 1),
     ]
-    conjugators = [group.gens[label] for label in group.labels()]
+    conjugators = [group.gens[label] for label in sorted(group.gens)]
     _assert_pushforward_matches(group, 3, specs, conjugators)
 
 
@@ -388,9 +379,12 @@ def test_agree_radius_matches_the_full_scan():
     for group in (F, T_GROUP):
         for h, k in combinations(specs, 2):
             for r_max in range(5):
-                full_scan = min((len(w) - 1 for w in chabauty.disagreements(h, k, group, r_max)),
-                                default=r_max)
-                assert chabauty_agree_radius(h, k, group, r_max) == full_scan
+                words = [w for e, w in ball(group, r_max)._index.items()
+                         if h.contains(e) != k.contains(e)]
+                agree = min((len(w) - 1 for w in words), default=r_max)
+                assert chabauty_agree_radius(h, k, group, r_max) == agree
+                first = [w for w in words if len(w) == agree + 1]
+                assert list(chabauty.first_disagreements(h, k, group, r_max)) == first
 
 
 def test_agree_radius_stops_at_the_first_disagreement(monkeypatch):
@@ -482,33 +476,6 @@ def test_accumulation_probe_matches_element_conjugation():
                     break
             report = accumulation_probe(spec, F, forbidden, 2)
             assert report == {"witness": want, "exhausted": want is None}
-
-
-def test_generated_spec_builds_its_ball_once(monkeypatch):
-    calls = []
-
-    def counting_ball(*args, **kwargs):
-        calls.append(args)
-        return ball(*args, **kwargs)
-
-    elements = ball(F, 3).elements
-    assert len(elements) == 53
-    generators = [GEN_A * GEN_A, GEN_B]
-    # one fresh spec per element builds a ball per verdict
-    uncached = [SubgroupSpec.generated(generators, 2).contains(e) for e in elements]
-    assert 0 < sum(uncached) < len(elements)
-    monkeypatch.setattr(chabauty, "ball", counting_ball)
-    spec = SubgroupSpec.generated(generators, 2)
-    assert [spec.contains(e) for e in elements] == uncached
-    assert len(calls) == 1
-
-
-def test_generated_spec_budget_fails_on_first_contains(monkeypatch):
-    monkeypatch.setenv("GERMLAB_BUDGET", "5")
-    spec = SubgroupSpec.generated([GEN_A, GEN_B], 3)
-    for _ in range(2):
-        with pytest.raises(BudgetError):
-            spec.contains(GEN_A)
 
 
 def test_finite_group_obeys_budget(monkeypatch):

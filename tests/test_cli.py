@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import germlab.chabauty as chabauty
+import germlab.cli as cli
 from germlab.cli import main
 from germlab.projline import LM_GROUP, image_interval, interval_inside
 from germlab.suites import _tree_pair
@@ -116,6 +117,43 @@ def test_chabauty_pinned_conjugate_germ_walks_one_ball(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# stdout of the full-ball scan, at radii past the first disagreement
+CHABAUTY_PAST_THE_FIRST_SHELL = [
+    (("F", "support:1/4:1/2", "germ:0", "5"),
+     '{"agree_radius":3,"witness_elements":'
+     '["ABab","AbaB","BAba","BabA","aBAb","abAB","bABa","baBA"]}'),
+    (("F", "germ:1/2", "germ:0;1/2", "5"),
+     '{"agree_radius":2,"witness_elements":["ABa","Aba"]}'),
+    (("T", "germ:1/2", "support:1/4:3/4", "5"),
+     '{"agree_radius":2,"witness_elements":["ABa","Aba"]}'),
+    (("T", "support:0:1/2", "germ:1", "5"),
+     '{"agree_radius":3,"witness_elements":'
+     '["ABab","AbaB","BAba","BabA","aBAb","aaBA","abAA","abAB","bABa","baBA"]}'),
+    (("V", "conj:a:support:0", "support:0", "4"),
+     '{"agree_radius":1,"witness_elements":["Ab","Ba"]}'),
+]
+
+
+@pytest.mark.parametrize("argv, want", CHABAUTY_PAST_THE_FIRST_SHELL,
+                         ids=["-".join(argv[:2]) for argv, _ in CHABAUTY_PAST_THE_FIRST_SHELL])
+def test_chabauty_stops_after_the_first_disagreeing_shell(capsys, monkeypatch, argv, want):
+    calls = []
+    contains = chabauty.SubgroupSpec.contains
+
+    def counting(spec, element):
+        calls.append(element)
+        return contains(spec, element)
+
+    monkeypatch.setattr(chabauty.SubgroupSpec, "contains", counting)
+    group, h, k, radius = argv
+    code, out, _ = run(capsys, "chabauty", "--group", group, "--h", h, "--k", k,
+                       "--radius", radius)
+    assert code == 0 and out == want + "\n"
+    # both specs are tested on the words up to the first disagreeing length only
+    shell = len(json.loads(want)["witness_elements"][0])
+    assert len(calls) == 2 * len(chabauty.ball(cli._GROUPS[group], shell))
+
+
 def test_chabauty_rejects_bad_spec(capsys):
     code, _, err = run(capsys, "chabauty", "--group", "F",
                        "--h", "nonsense", "--k", "trivial", "--radius", "1")
@@ -216,6 +254,17 @@ def test_tree_verify_obeys_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "tree-verify", "--suite", "cocycle", "--count", "1")
     assert code == 2 and out == ""
     assert "budget" in err and "Traceback" not in err
+
+
+def test_tree_verify_gates_the_degree_before_building_its_groups(capsys, monkeypatch):
+    # omega! passes the default budget from omega 9 on; the cyclic group
+    # holds omega^2 entries, so it is built after the gate
+    monkeypatch.delenv("GERMLAB_BUDGET", raising=False)
+    built = []
+    monkeypatch.setattr(cli, "cyclic_perms", built.append)
+    code, out, err = run(capsys, "tree-verify", "--omega", "3000", "--suite", "germ")
+    assert code == 2 and out == "" and built == []
+    assert err == "error: 3000! permutations exceed the 200000-element budget\n"
 
 
 def test_chabauty_budget_error_names_the_radius(capsys, monkeypatch):

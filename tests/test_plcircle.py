@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -32,11 +33,17 @@ from germlab.scalars import Dyadic
 D = Dyadic
 
 
+def Q(num, exp=0):
+    """The dyadic num / 2**exp as a Fraction."""
+    return Fraction(num, 1 << exp)
+
+
 def pl_key(f):
     """The pieces of a map or an oracle map as integers,
     ((left.num, left.exp), slope_exp, (intercept.num, intercept.exp)):
     the form the pinned digests were taken over."""
-    return tuple(((l.num, l.exp), s, (c.num, c.exp)) for l, s, c in f.pieces)
+    pieces = [(D.coerce(l), s, D.coerce(c)) for l, s, c in f.pieces]
+    return tuple(((l.num, l.exp), s, (c.num, c.exp)) for l, s, c in pieces)
 
 
 def rand_dyadic(rng, max_exp=8):
@@ -184,7 +191,7 @@ def test_arcset_semantics():
     assert wrap.subset_of(a)
     assert a.glued() == ((D(3, 2), D(5, 2)),)  # [3/4, 1] u [0, 1/4] rejoined
     assert a.contains_point(D(0)) and a.contains_point(D(7, 3))
-    assert not a.contains_point(D(5, 3) - D(1, 5))
+    assert not a.contains_point(D(19, 5))  # 5/8 - 1/32
     c = ArcSet.of((D(1, 2), D(1, 1)))
     assert not c.disjoint_from(a)  # closed arcs touch at 1/4
     assert ArcSet.of((D(17, 5), D(9, 4))).disjoint_from(ArcSet.of((D(1, 3), D(5, 5))))
@@ -269,7 +276,7 @@ def test_expanding_conjugator():
     for n in (1, 2, 5):
         g = expanding_conjugator(n)
         assert in_derived_F(g)
-        assert base.image(g) == ArcSet.of((D(1, n + 2), D(1) - D(1, n + 2)))
+        assert base.image(g) == ArcSet.of((Q(1, n + 2), 1 - Q(1, n + 2)))
 
 
 def test_is_identity_on_and_equal_on():
@@ -304,40 +311,50 @@ def test_json_roundtrip():
         assert PLMap.from_json(f.to_json()) == f
 
 
-# -- the integer kernel against the Dyadic one ----------------------------------
+# -- the integer kernel against the Fraction one ---------------------------------
+
+
+def _fraction(value):
+    """A Dyadic, int or Fraction value as a Fraction."""
+    return value.as_fraction() if isinstance(value, D) else Fraction(value)
+
+
+def _ldexp(x, k):
+    """x * 2**k."""
+    return x * Fraction(2) ** k
 
 
 class _OraclePLMap:
     """The circle map as germlab stored it before the integer form: pieces
-    (left, slope_exp, intercept) of Dyadics, composed by sampling a midpoint
-    per cell and inverted piece by piece."""
+    (left, slope_exp, intercept) of exact rationals, composed by sampling a
+    midpoint per cell and inverted piece by piece, in Fraction arithmetic."""
 
     def __init__(self, pieces):
         merged = []
         for left, s, c in pieces:
-            left, c = D.coerce(left), D.coerce(c)
+            left, c = _fraction(left), _fraction(c)
             if merged and merged[-1][1] == s and merged[-1][2] == c:
                 continue
             merged.append((left, s, c))
         self.pieces = tuple(merged)
         self.lefts = [p[0] for p in merged]
-        self.values = [left.ldexp(s) + c for left, s, c in merged]
+        self.values = [_ldexp(left, s) + c for left, s, c in merged]
         ps = self.pieces
         if not ps:
             raise ValueError("a map needs at least one piece")
-        if ps[0][0] != D(0):
+        if ps[0][0] != 0:
             raise ValueError("first piece must start at 0")
         c0 = ps[0][2]
-        if not (D(0) <= c0 < D(1)):
+        if not (0 <= c0 < 1):
             raise ValueError("lift offset must lie in [0, 1)")
         prev = None
         for i, (left, s, c) in enumerate(ps):
-            right = ps[i + 1][0] if i + 1 < len(ps) else D(1)
+            right = ps[i + 1][0] if i + 1 < len(ps) else 1
             if not (left < right):
                 raise ValueError("breakpoints must increase")
-            if prev is not None and left.ldexp(s) + c != prev:
+            if prev is not None and _ldexp(left, s) + c != prev:
                 raise ValueError(f"discontinuity at {left}")
-            prev = right.ldexp(s) + c
+            prev = _ldexp(right, s) + c
         if prev != c0 + 1:
             raise ValueError("lift must satisfy F(1) = F(0) + 1")
 
@@ -345,10 +362,10 @@ class _OraclePLMap:
         return bisect.bisect_right(self.lefts, x) - 1
 
     def eval_lift(self, t):
-        k = t.floor()
+        k = math.floor(t)
         x = t - k
         left, s, c = self.pieces[self.piece_index(x)]
-        return x.ldexp(s) + c + k
+        return _ldexp(x, s) + c + k
 
     def eval_lift_inverse(self, y):
         c0 = self.pieces[0][2]
@@ -360,7 +377,7 @@ class _OraclePLMap:
         y0 = y - shift
         i = min(max(bisect.bisect_right(self.values, y0) - 1, 0), len(self.pieces) - 1)
         left, s, c = self.pieces[i]
-        return (y0 - c).ldexp(-s) + shift
+        return _ldexp(y0 - c, -s) + shift
 
     def __mul__(self, g):
         f = self
@@ -373,11 +390,11 @@ class _OraclePLMap:
         cuts = sorted(bps)
         pieces = []
         for idx, x in enumerate(cuts):
-            x_next = cuts[idx + 1] if idx + 1 < len(cuts) else D(1)
-            gy = g.eval_lift((x + x_next).half())
-            s = f.pieces[f.piece_index(gy - gy.floor())][1] + g.pieces[g.piece_index(x)][1]
-            pieces.append((x, s, f.eval_lift(g.eval_lift(x)) - x.ldexp(s)))
-        offset = pieces[0][2].floor()
+            x_next = cuts[idx + 1] if idx + 1 < len(cuts) else 1
+            gy = g.eval_lift((x + x_next) / 2)
+            s = f.pieces[f.piece_index(gy % 1)][1] + g.pieces[g.piece_index(x)][1]
+            pieces.append((x, s, f.eval_lift(g.eval_lift(x)) - _ldexp(x, s)))
+        offset = math.floor(pieces[0][2])
         return _OraclePLMap([(l, s, c - offset) for l, s, c in pieces])
 
     def inverse(self):
@@ -385,50 +402,51 @@ class _OraclePLMap:
         out = []
         ends = self.values[1:] + [c0 + 1]
         for (left, s, c), v_lo, v_hi in zip(self.pieces, self.values, ends):
-            lo, hi = max(v_lo, D(1)) - 1, min(v_hi, c0 + 1) - 1
+            lo, hi = max(v_lo, 1) - 1, min(v_hi, c0 + 1) - 1
             if lo < hi:
-                out.append((lo, -s, (D(1) - c).ldexp(-s)))
+                out.append((lo, -s, _ldexp(1 - c, -s)))
         for (left, s, c), v_lo, v_hi in zip(self.pieces, self.values, ends):
-            lo, hi = max(v_lo, c0), min(v_hi, D(1))
+            lo, hi = max(v_lo, c0), min(v_hi, 1)
             if lo < hi:
-                out.append((lo, -s, (-c).ldexp(-s) + 1))
+                out.append((lo, -s, _ldexp(-c, -s) + 1))
         out.sort(key=lambda p: p[0])
-        offset = out[0][2].floor() if out[0][0] == D(0) else 0
+        offset = math.floor(out[0][2]) if out[0][0] == 0 else 0
         return _OraclePLMap([(l, s, c - offset) for l, s, c in out])
 
     def __eq__(self, other):
         return self.pieces == other.pieces
 
     def germ_trivial_at(self, x):
-        x = x.frac()
+        x = _fraction(x) % 1
         _, r_s, r_c = self.pieces[self.piece_index(x)]
-        if x == D(0):
+        if x == 0:
             _, l_s, l_c = self.pieces[-1]
         else:
             _, l_s, l_c = self.pieces[max(bisect.bisect_left(self.lefts, x) - 1, 0)]
-        return l_s == 0 and l_c.is_integer() and r_s == 0 and r_c.is_integer()
+        return l_s == 0 and l_c.denominator == 1 and r_s == 0 and r_c.denominator == 1
 
     def identity_on(self, region):
         for lo, hi in region.arcs:
+            lo, hi = _fraction(lo), _fraction(hi)
             for i, (left, s, c) in enumerate(self.pieces):
-                right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else D(1)
-                if max(left, lo) < min(right, hi) and not (s == 0 and c.is_integer()):
+                right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else 1
+                if max(left, lo) < min(right, hi) and not (s == 0 and c.denominator == 1):
                     return False
-            if lo == hi and self.eval_lift(lo).frac() != lo.frac():
+            if lo == hi and self.eval_lift(lo) % 1 != lo % 1:
                 return False
         return True
 
     def support(self):
         """What the identity pieces leave of [0, 1], as closed arcs."""
-        arcs, cur = [], D(0)
+        arcs, cur = [], Fraction(0)
         for i, (left, s, c) in enumerate(self.pieces):
-            right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else D(1)
-            if s == 0 and c.is_integer():
+            right = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else 1
+            if s == 0 and c.denominator == 1:
                 if cur < left:
                     arcs.append((cur, left))
                 cur = right
-        if cur < D(1):
-            arcs.append((cur, D(1)))
+        if cur < 1:
+            arcs.append((cur, 1))
         return ArcSet(arcs)
 
 
@@ -638,17 +656,17 @@ def test_compose_inverse_and_piece_count_build_no_dyadic(monkeypatch):
     assert count == len(list(h.pieces)) > 1
 
 
-# -- the integer constructions against the Dyadic ones ----------------------------
+# -- the integer constructions against the Fraction ones --------------------------
 
 
 class _OracleSegment:
     """An increasing piecewise-affine bijection of closed dyadic intervals,
-    evaluated piece by piece in Dyadic arithmetic."""
+    evaluated piece by piece in Fraction arithmetic."""
 
     def __init__(self, pieces):
         self.pieces = list(pieces)
         self.lefts = [p[0] for p in self.pieces]
-        self.values = [l.ldexp(s) + c for l, s, c in self.pieces]
+        self.values = [_ldexp(l, s) + c for l, s, c in self.pieces]
 
     def index_at(self, t):
         i = bisect.bisect_right(self.lefts, t) - 1
@@ -656,7 +674,7 @@ class _OracleSegment:
 
     def __call__(self, t):
         _, s, c = self.pieces[self.index_at(t)]
-        return t.ldexp(s) + c
+        return _ldexp(t, s) + c
 
     def slope_at(self, t):
         return self.pieces[self.index_at(t)][1]
@@ -665,22 +683,28 @@ class _OracleSegment:
         i = bisect.bisect_right(self.values, y) - 1
         i = min(max(i, 0), len(self.pieces) - 1)
         _, s, c = self.pieces[i]
-        return (y - c).ldexp(-s)
+        return _ldexp(y - c, -s)
+
+
+def _exp(x):
+    """The exponent e of a dyadic x = n / 2**e in lowest terms."""
+    return x.denominator.bit_length() - 1
 
 
 class _OracleBuild:
-    """The constructions as germlab built them in Dyadic arithmetic: greedy
-    standard subdivisions split one piece at a time, a conjugation that
-    samples a midpoint per cell, and a compressor that searches its depth."""
+    """The constructions as germlab built them in Dyadic arithmetic, here in
+    Fraction arithmetic: greedy standard subdivisions split one piece at a
+    time, a conjugation that samples a midpoint per cell, and a compressor
+    that searches its depth."""
 
     @staticmethod
     def standard_subdivision(p, q):
         out, cur = [], p
         while cur < q:
             d = q - cur
-            k = max(cur.exp, max(0, d.exp - d.num.bit_length() + 1))
+            k = max(_exp(cur), max(0, _exp(d) - d.numerator.bit_length() + 1))
             out.append((cur, k))
-            cur = cur + D(1, k)
+            cur = cur + Q(1, k)
         return out
 
     @staticmethod
@@ -689,7 +713,7 @@ class _OracleBuild:
             k_min = min(k for _, k in lst)
             i = next(i for i, (_, k) in enumerate(lst) if k == k_min)
             start, k = lst[i]
-            lst[i : i + 1] = [(start, k + 1), (start + D(1, k + 1), k + 1)]
+            lst[i : i + 1] = [(start, k + 1), (start + Q(1, k + 1), k + 1)]
 
         while len(a) < len(b):
             split_largest(a)
@@ -701,7 +725,7 @@ class _OracleBuild:
         dom = cls.standard_subdivision(p, q)
         ran = cls.standard_subdivision(r, s)
         cls.equalize(dom, ran)
-        return [(x, kx - ky, y - x.ldexp(kx - ky)) for (x, kx), (y, ky) in zip(dom, ran)]
+        return [(x, kx - ky, y - _ldexp(x, kx - ky)) for (x, kx), (y, ky) in zip(dom, ran)]
 
     @classmethod
     def through_points(cls, points):
@@ -712,21 +736,22 @@ class _OracleBuild:
 
     @classmethod
     def expanding_conjugator(cls, n):
-        delta = D(1, n + 3)
+        delta = Q(1, n + 3)
         return cls.through_points([
-            (D(0), D(0)), (delta, delta), (D(1, 2), D(1, n + 2)),
-            (D(1, 1), D(1) - D(1, n + 2)), (D(1) - delta, D(1) - delta), (D(1), D(1))])
+            (Q(0), Q(0)), (delta, delta), (Q(1, 2), Q(1, n + 2)),
+            (Q(1, 1), 1 - Q(1, n + 2)), (1 - delta, 1 - delta), (Q(1), Q(1))])
 
     @classmethod
     def conjugate_into_interval(cls, f, a, b):
         f = _OraclePLMap(f.pieces)
-        phi = _OracleSegment(cls.interval_map_pieces(D(0), D(1), a, b))
+        a, b = _fraction(a), _fraction(b)
+        phi = _OracleSegment(cls.interval_map_pieces(Q(0), Q(1), a, b))
 
         def f_seg(t):
-            return f.eval_lift(t) if t < D(1) else D(1)
+            return f.eval_lift(t) if t < 1 else Q(1)
 
         def f_inv_seg(t):
-            return f.eval_lift_inverse(t) if t < D(1) else D(1)
+            return f.eval_lift_inverse(t) if t < 1 else Q(1)
 
         cuts = {a, b}
         for left in phi.lefts:
@@ -735,52 +760,53 @@ class _OracleBuild:
         for left in f.lefts:
             cuts.add(phi(left))
         ordered = sorted(x for x in cuts if a <= x <= b)
-        pieces = [(D(0), 0, D(0))] if a > D(0) else []
+        pieces = [(Q(0), 0, Q(0))] if a > 0 else []
         for x, x_next in zip(ordered, ordered[1:]):
-            t = phi.inv((x + x_next).half())
+            t = phi.inv((x + x_next) / 2)
             s = phi.slope_at(f_seg(t)) + f.pieces[f.piece_index(t)][1] - phi.slope_at(t)
-            pieces.append((x, s, phi(f_seg(phi.inv(x))) - x.ldexp(s)))
-        if b < D(1):
-            pieces.append((b, 0, D(0)))
+            pieces.append((x, s, phi(f_seg(phi.inv(x))) - _ldexp(x, s)))
+        if b < 1:
+            pieces.append((b, 0, Q(0)))
         return _OraclePLMap(pieces)
 
     @classmethod
     def compress(cls, region, beta, alpha):
-        if cls.inside_target(region, beta, alpha):
-            return _OraclePLMap([(D(0), 0, D(0))])
-        a, b = cls.pick_gap(region)
+        arcs = [(_fraction(lo), _fraction(hi)) for lo, hi in region.glued()]
+        beta, alpha = _fraction(beta), _fraction(alpha)
+        if cls.inside_target(arcs, beta, alpha):
+            return _OraclePLMap([(Q(0), 0, Q(0))])
+        a, b = cls.pick_gap(arcs)
         alpha0 = alpha if alpha <= a else a
         beta0 = beta if beta >= b else b
-        alpha_p = alpha0.half()
-        beta_p = (beta0 + 1).half()
+        alpha_p = alpha0 / 2
+        beta_p = (beta0 + 1) / 2
         n = 1
-        while not ((a - alpha_p).ldexp(-n) < alpha0 - alpha_p
-                   and (beta_p - b).ldexp(-n) < beta_p - beta0):
+        while not (_ldexp(a - alpha_p, -n) < alpha0 - alpha_p
+                   and _ldexp(beta_p - b, -n) < beta_p - beta0):
             n += 1
-        c1 = alpha_p - alpha_p.ldexp(-n)
-        c2 = beta_p - beta_p.ldexp(-n)
-        pieces = [(D(0), 0, D(0)), (alpha_p, -n, c1)]
-        pieces.extend(cls.interval_map_pieces(a, b, a.ldexp(-n) + c1, b.ldexp(-n) + c2))
-        pieces += [(b, -n, c2), (beta_p, 0, D(0))]
+        c1 = alpha_p - _ldexp(alpha_p, -n)
+        c2 = beta_p - _ldexp(beta_p, -n)
+        pieces = [(Q(0), 0, Q(0)), (alpha_p, -n, c1)]
+        pieces.extend(cls.interval_map_pieces(a, b, _ldexp(a, -n) + c1, _ldexp(b, -n) + c2))
+        pieces += [(b, -n, c2), (beta_p, 0, Q(0))]
         return _OraclePLMap(pieces)
 
     @staticmethod
-    def pick_gap(region):
+    def pick_gap(arcs):
         # the gap after the first maximal arc, up to the next one (or the
         # first one again, a turn later)
-        arcs = region.glued()
         end = arcs[0][1]
-        s = end.frac()
+        s = end % 1
         e = s + (arcs[1][0] if len(arcs) > 1 else arcs[0][0] + 1) - end
-        if s < D(1) < e:
+        if s < 1 < e:
             width = e - 1
-            return width.ldexp(-2), width.half()
+            return width / 4, width / 2
         width = e - s
-        return s + width.ldexp(-2), s + width.half()
+        return s + width / 4, s + width / 2
 
     @staticmethod
-    def inside_target(region, beta, alpha):
-        for s, e in region.glued():
+    def inside_target(arcs, beta, alpha):
+        for s, e in arcs:
             if s == beta:
                 return False
             if not (s if s > beta else s + 1) + (e - s) < alpha + 1:
@@ -890,7 +916,7 @@ def _members(arcs):
 
 def _holds(arcs, x):
     """Does the circle point x lie in the union of the closed arcs over 2**4?"""
-    x = x.frac()
+    x = x.as_fraction() % 1
     return any(D(lo, _GRID) <= x <= D(hi, _GRID) or x == 0 and hi == 16 for lo, hi in arcs)
 
 

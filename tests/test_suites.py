@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from germlab.suites import (
     run_suite,
     spell,
 )
+from germlab.treesgff import PermGroupPair, cyclic_perms
 
 # small overrides so the whole registry runs quickly; empty means defaults
 FAST = {
@@ -218,6 +220,25 @@ def test_check_factories_run_standalone():
     assert make_elliptic_check(_tree_pair(), ray, 4)(rng)["elements"] == 4
     out = make_level_check(_tree_pair(), ray, 2, 4)(rng)
     assert out["pairs"] > 0
+
+
+@pytest.mark.parametrize("degree", range(3, 8))
+def test_cocycle_ball_count_is_the_geometric_sum(degree):
+    small = cyclic_perms(degree)
+    # the dihedral group: the rotations and the reflections, one fixing 0
+    large = small | {tuple((k - i) % degree for i in range(degree)) for k in range(degree)}
+    pair = PermGroupPair(degree, small, large)
+    for depth in range(13):
+        want = 1 + sum(degree * (degree - 1) ** k for k in range(depth))
+        assert make_cocycle_check(pair, 0, depth)(random.Random(0))["vertices"] == want
+
+
+def test_cocycle_ball_count_at_depth_100000_is_fast():
+    # a sum of depth big-integer terms took 21.9 s here; the walk stops growing
+    start = time.perf_counter()
+    out = make_cocycle_check(_tree_pair(), 5, 100_000)(random.Random(0))
+    assert time.perf_counter() - start < 1.0
+    assert out["pairs"] == 5 and out["vertices"].bit_length() == 200_001
 
 
 @pytest.mark.parametrize("depth, want", [
