@@ -234,7 +234,8 @@ def test_cocycle_ball_count_is_the_geometric_sum(degree):
 
 
 def test_cocycle_ball_count_at_depth_100000_is_fast():
-    # a sum of depth big-integer terms took 21.9 s here; the walk stops growing
+    # summing the depth big-integer terms took 21.9 s on a 2-vCPU host; the
+    # walk stops growing, and the closed form is one power
     start = time.perf_counter()
     out = make_cocycle_check(_tree_pair(), 5, 100_000)(random.Random(0))
     assert time.perf_counter() - start < 1.0
