@@ -1,21 +1,15 @@
-"""Truncated subgroup-space probes, coset covers, and micro-support builders.
+"""Balls, subgroup specs, probes and the micro-support builders.
 
-A MarkedGroup is any of the exact map kernels together with a labeled finite
-generating set; balls in its word metric are enumerated exactly and
-deduplicated, so a subgroup given by a decidable membership predicate can be
-truncated to a finite set and compared against other subgroups radius by
-radius; a conjugate spec is the spec pushed forward along the conjugator.
-On top of that sit the conjugate-net limit probe, the finite coset-cover
-oracle, the deterministic disjoint-open-set search, and the two-conjugate
-product a = (g f^-1 g^-1)(h f h^-1) whose defining identities are verified
-exactly elsewhere.
+A MarkedGroup is an exact kernel with labeled generators; its word-metric
+balls are enumerated exactly, so subgroups given by decidable membership
+specs can be compared radius by radius (the agree radius), and pushed
+forward along conjugators.  The probes are the conjugate-net limit and the
+accumulation search; the builders are the disjoint-open-set search and the
+product (g f^-1 g^-1)(h f h^-1), with its three identities verified exactly.
 """
 
-from itertools import combinations
-from math import comb
-
 # the budget names stay importable from this module
-from .kernel import DEFAULT_BUDGET, BudgetError, Immutable, check_budget, element_budget
+from .kernel import DEFAULT_BUDGET, BudgetError, Immutable, element_budget
 
 
 def _protocol(element, name):
@@ -240,11 +234,11 @@ class SubgroupSpec(Immutable):
 
 def first_disagreements(h_spec, k_spec, group, radius):
     """The shortest words of the radius ball on which the two specs differ,
-    in ball order; none when they agree on the whole ball.  The ball is in
-    word-length order, so the scan stops at the end of the first shell that
-    holds a disagreement."""
+    in ball order; none when they agree on the whole ball.  The walk is in
+    word-length order, so it stops at the end of the first shell that holds
+    a disagreement, and the ball past that shell is never built."""
     length = radius + 1
-    for element, word in ball(group, radius)._index.items():
+    for element, word in walk(group, radius, sorted(group.gens)):
         if len(word) > length:
             return
         if h_spec.contains(element) != k_spec.contains(element):
@@ -265,10 +259,10 @@ def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius):
     Reports the least position after which every later conjugate matches the
     predicted limit on the radius ball, or None when the net never settles.
     """
-    full = ball(group, radius)
+    elements = ball(group, radius).elements
 
     def kept(spec):
-        return frozenset(el for el in full._index if spec.contains(el))
+        return frozenset(el for el in elements if spec.contains(el))
 
     target = kept(predicted_limit)
     matches = [kept(SubgroupSpec.conjugate(h_spec, g)) == target for g in conjugators]
@@ -277,12 +271,8 @@ def conjugate_net_probe(group, h_spec, conjugators, predicted_limit, radius):
         if not matches[n - 1]:
             break
         stabilizes_at = n
-    return {
-        "radius": radius,
-        "target_size": len(target),
-        "matches": matches,
-        "stabilizes_at": stabilizes_at,
-    }
+    return {"radius": radius, "target_size": len(target), "matches": matches,
+            "stabilizes_at": stabilizes_at}
 
 
 def accumulation_probe(h_spec, group, forbidden, search_radius):
@@ -297,163 +287,12 @@ def accumulation_probe(h_spec, group, forbidden, search_radius):
             raise ValueError("the forbidden set must not contain the identity")
         if p not in full:
             raise ValueError("forbidden elements must lie in the search ball")
-    for element, word in full._index.items():
+    for element, word in zip(full.elements, full.words):
         # gpg^-1 lies in H exactly when p lies in g^-1 H g
         pulled = SubgroupSpec.conjugate(h_spec, element.inverse())
         if not any(pulled.contains(p) for p in forbidden):
             return {"witness": word, "exhausted": False}
     return {"witness": None, "exhausted": True}
-
-
-# -- finite coset covers -------------------------------------------------------
-
-
-class FiniteGroup(Immutable):
-    """A finite group as a multiplication table over 0..n-1.
-
-    A set of elements is also an n-bit mask, bit x for element x, so a
-    union of cosets is an OR and a cover test compares with 2**n - 1.
-    The n**3 associativity check obeys GERMLAB_BUDGET: past it, it raises
-    BudgetError before looping.
-    """
-
-    __slots__ = ("table", "identity")
-
-    def __init__(self, table):
-        n = len(table)
-        rows = tuple(tuple(row) for row in table)
-        if any(len(row) != n for row in rows):
-            raise ValueError("table must be square")
-        if any(x < 0 or x >= n for row in rows for x in row):
-            raise ValueError("entries must index elements")
-        check_budget(n ** 3, "%d associativity steps of a %d-element table" % (n ** 3, n))
-        identity = None
-        for e in range(n):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-                identity = e
-        if identity is None:
-            raise ValueError("no identity element")
-        for a in range(n):
-            if identity not in rows[a]:
-                raise ValueError("element %d has no inverse" % a)
-            for b in range(n):
-                for c in range(n):
-                    if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                        raise ValueError("multiplication is not associative")
-        object.__setattr__(self, "table", rows)
-        object.__setattr__(self, "identity", identity)
-
-    def __len__(self):
-        return len(self.table)
-
-    def _mask(self, elements):
-        """The mask of a set of elements."""
-        bits = 0
-        for x in elements:
-            if not 0 <= x < len(self.table):
-                raise ValueError("element %r is not in 0..%d" % (x, len(self.table) - 1))
-            bits |= 1 << x
-        return bits
-
-    def _closed(self, bits):
-        """Whether the mask holds the identity and each product of two of its
-        elements."""
-        members = _members(bits)
-        rows = self.table
-        return bits >> self.identity & 1 == 1 and all(
-            bits >> rows[a][b] & 1 for a in members for b in members)
-
-    def _coset_mask(self, bits, rep):
-        row, out = self.table[rep], 0
-        for s in _members(bits):
-            out |= 1 << row[s]
-        return out
-
-
-def _members(bits):
-    """The elements of a mask, in increasing order."""
-    return [x for x in range(bits.bit_length()) if bits >> x & 1]
-
-
-def cyclic_group(n):
-    return FiniteGroup([[(a + b) % n for b in range(n)] for a in range(n)])
-
-
-def neumann_check(group, cover):
-    """Minimal subgroup index in a finite coset cover.
-
-    The cover is a list of (subgroup elements, coset representative); it must
-    exactly cover the group.  A minimum index above the number of cosets
-    raises RuntimeError.
-    """
-    cosets = []
-    for subgroup, rep in cover:
-        bits = group._mask(subgroup)
-        if not group._closed(bits):
-            raise ValueError("cover lists a non-subgroup")
-        cosets.append((group._coset_mask(bits, rep), len(group) // bits.bit_count()))
-    return _min_index(len(group), cosets)
-
-
-def _min_index(n, cosets):
-    """neumann_check on (coset mask, subgroup index) pairs."""
-    covered = 0
-    for bits, _ in cosets:
-        covered |= bits
-    if covered != (1 << n) - 1:
-        raise ValueError("not a cover: union misses elements")
-    best = min(index for _, index in cosets)
-    if best > len(cosets):
-        raise RuntimeError(
-            "a cover by %d cosets has minimal index %d" % (len(cosets), best)
-        )
-    return best
-
-
-def neumann_sweep(n_max, r_max):
-    """Exhaustive coset-cover check over all cyclic groups of order <= n_max.
-
-    Every set of at most r_max distinct cosets whose union is the whole group
-    is validated as neumann_check validates a cover, and the worst minimal
-    index seen is reported.  Z/n has one subgroup dZ/n, of index d, for
-    each d dividing n, and its cosets are its mask shifted by 0..d-1.  The
-    sets are counted first: when the sum of comb(cosets, r) over every
-    order and r passes GERMLAB_BUDGET, BudgetError is raised before any
-    set is tried.
-    """
-    if n_max < 0 or r_max < 0:
-        raise ValueError("n_max and r_max must be nonnegative, got %d and %d" % (n_max, r_max))
-    tables, count = [], 0
-    for n in range(1, n_max + 1):
-        cosets = []
-        for d in range(1, n + 1):
-            if n % d == 0:
-                bits = sum(1 << x for x in range(0, n, d))
-                cosets += [(bits << k, d) for k in range(d)]
-        count += sum(comb(len(cosets), r) for r in range(1, r_max + 1))
-        check_budget(count, "%d coset sets in groups of order up to %d" % (count, n))
-        tables.append((n, cosets))
-    covers_checked = 0
-    max_min_index = 0
-    for n, cosets in tables:
-        whole = (1 << n) - 1
-        for r in range(1, r_max + 1):
-            for chosen in combinations(cosets, r):
-                union = 0
-                for bits, _ in chosen:
-                    union |= bits
-                if union != whole:
-                    continue
-                best = _min_index(n, chosen)
-                covers_checked += 1
-                if best > max_min_index:
-                    max_min_index = best
-    return {
-        "groups": n_max,
-        "r_max": r_max,
-        "covers_checked": covers_checked,
-        "max_min_index": max_min_index,
-    }
 
 
 # -- disjoint open sets and the micro-support product -------------------------
@@ -493,22 +332,20 @@ def disjoint_open_search(elements, z, max_depth=8):
     raise ValueError("no neighbourhood of z found; retry with more depth")
 
 
-def micro_support_element(gamma, delta, g_ell, regions=None, w=None):
-    """The product (gamma g^-1 gamma^-1)(delta g delta^-1).
-
-    When the search regions are supplied, gamma and delta are first checked
-    to be supported inside their union and to leave each region invariant.
+def micro_support_element(gamma, delta, g_ell, regions):
+    """The product (gamma g^-1 gamma^-1)(delta g delta^-1), after checking
+    that gamma and delta are supported inside the union of the search
+    regions and leave each region invariant.
     """
-    if regions is not None:
-        union = regions[0]
-        for region in regions[1:]:
-            union = union.union(region)
-        for element in (gamma, delta):
-            if not element.support().subset_of(union):
-                raise ValueError("conjugators must be supported in the regions")
-            for region in regions:
-                if region.image(element) != region:
-                    raise ValueError("conjugators must preserve each region")
+    union = regions[0]
+    for region in regions[1:]:
+        union = union.union(region)
+    for element in (gamma, delta):
+        if not element.support().subset_of(union):
+            raise ValueError("conjugators must be supported in the regions")
+        for region in regions:
+            if region.image(element) != region:
+                raise ValueError("conjugators must preserve each region")
     return (gamma * g_ell.inverse() * gamma.inverse()) * (
         delta * g_ell * delta.inverse()
     )

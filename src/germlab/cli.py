@@ -12,14 +12,16 @@ import sys
 from fractions import Fraction
 
 from .cantorv import V_GROUP, Cylinders, EventuallyPeriodic, compress_v
-from .chabauty import BudgetError, SubgroupSpec, first_disagreements, neumann_sweep
+from .chabauty import BudgetError, SubgroupSpec, first_disagreements
+from .cosets import neumann_sweep
 from .fullgroups import quasi_isometry_check, schreier_patch
 from .plcircle import F_GROUP, T_GROUP, ArcSet, compress, in_derived_F
 from .projline import interval_compression_witness
-from .scalars import Dyadic
+from .scalars import Dyadic, _json_int
 from .suites import (
     _TREE_RAY,
     available_suites,
+    canonical_json,
     check_outcome,
     make_cocycle_check,
     make_elliptic_check,
@@ -33,7 +35,7 @@ _GROUPS = {"F": F_GROUP, "T": T_GROUP, "V": V_GROUP}
 
 
 def _print_json(data, out=None):
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    text = canonical_json(data)
     if out is None:
         print(text)
     else:
@@ -236,7 +238,8 @@ def _cmd_verify(args):
 
 def _cmd_replay(args):
     with open(args.report, encoding="ascii") as fh:
-        report = json.load(fh)
+        # integers of any length, as verify writes them
+        report = json.load(fh, parse_int=lambda text: _json_int(text, "report"))
     record = replay(report, args.check_id)
     _print_json(record)
     return 0 if record["status"] == "pass" else 1

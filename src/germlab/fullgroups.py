@@ -171,8 +171,8 @@ def gamma_tv(t, v):
     return FullGroupElement(((v, t), (image, -t), (rest, 0)))
 
 
-def return_set(u, shift=0):
-    """A finite T: from any point, some t in T (plus shift) lands in u.
+def return_set(u):
+    """A finite T: from any point, some t in T lands in u.
 
     Membership in u only depends on the first L digits, and those digits
     advance through all residues mod 2^L along the orbit, so the minimal
@@ -185,10 +185,7 @@ def return_set(u, shift=0):
     length = u.max_length()
     check_budget(1 << length, "2^%d residues" % length)
     targets = [(word_to_int(w), 1 << len(w)) for w in u.words]
-    times = {
-        min((w - r) % m for w, m in targets) + shift for r in range(1 << length)
-    }
-    return tuple(sorted(times))
+    return tuple(sorted({min((w - r) % m for w, m in targets) for r in range(1 << length)}))
 
 
 class SchreierPatch(Immutable):

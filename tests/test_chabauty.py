@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import germlab.chabauty as chabauty
+import germlab.cosets as cosets
 from germlab.cantorv import (
     GEN_VA,
     GEN_VB,
@@ -27,17 +28,14 @@ from germlab.chabauty import (
     ball,
     chabauty_agree_radius,
     conjugate_net_probe,
-    cyclic_group,
     disjoint_open_search,
     equal_on,
-    FiniteGroup,
     micro_support_element,
-    neumann_check,
-    neumann_sweep,
     verify_micro_support,
     walk,
 )
-from germlab.fullgroups import FullGroupElement, gamma_tv
+from germlab.cosets import FiniteGroup, cyclic_group, neumann_check, neumann_sweep
+from germlab.fullgroups import gamma_tv
 from germlab.plcircle import (
     F_GROUP,
     GEN_A,
@@ -50,8 +48,9 @@ from germlab.plcircle import (
     in_derived_F,
     rigid_stabilizer_gens,
 )
-from germlab.projline import LM_GROUP, PPMap
+from germlab.projline import LM_GROUP
 from germlab.scalars import Dyadic
+from test_protocol import FULL_GROUP
 
 F = F_GROUP
 QUARTER_HALF = ArcSet.of((Fraction(1, 4), Fraction(1, 2)))
@@ -77,29 +76,21 @@ def test_marked_group_validation():
     assert F.spell("ab") == GEN_A * GEN_B
 
 
-# (marked group, kernel, ball sizes at radius 0, 1, ...)
+# (marked group, ball sizes at radius 0, 1, ...)
 BALL_SIZES = {
-    "F": (F, PLMap, [1, 5, 17, 53, 161]),
-    "V": (V_GROUP, PrefixMap, [1, 8, 44, 209, 951]),
-    "LM": (LM_GROUP, PPMap, [1, 7, 37, 187]),
-    # three involutions
-    "full": (MarkedGroup({"a": gamma_tv(1, Cylinders.of("00")),
-                          "b": gamma_tv(2, Cylinders.of("01")),
-                          "c": gamma_tv(-1, Cylinders.of("111"))}),
-             FullGroupElement, [1, 4, 9, 16, 25, 37]),
+    "F": (F, [1, 5, 17, 53, 161]),
+    "V": (V_GROUP, [1, 8, 44, 209, 951]),
+    "LM": (LM_GROUP, [1, 7, 37, 187]),
+    "full": (FULL_GROUP, [1, 4, 9, 16, 25, 37]),
 }
 
 
 def test_ball_sizes_and_monotonicity():
-    for name, (group, kernel, sizes) in BALL_SIZES.items():
+    for name, (group, sizes) in BALL_SIZES.items():
         balls = [ball(group, r) for r in range(len(sizes))]
         assert [len(b) for b in balls] == sizes, name
         for inner, outer in zip(balls, balls[1:]):
             assert frozenset(inner.elements) <= frozenset(outer.elements)
-        # a ball holds elements by == and hash, so an equal object built
-        # afresh is found in it
-        for element in balls[-1].elements:
-            assert kernel.from_json(element.to_json()) in balls[-1], name
 
 
 def _walk_oracle(group, radius, order):
@@ -120,7 +111,7 @@ def _walk_oracle(group, radius, order):
 
 
 def test_walk_matches_the_walk_that_tries_every_label():
-    walks = [(F, 5), (T_GROUP, 4), (V_GROUP, 4), (LM_GROUP, 3), (BALL_SIZES["full"][0], 5)]
+    walks = [(F, 5), (T_GROUP, 4), (V_GROUP, 4), (LM_GROUP, 3), (FULL_GROUP, 5)]
     for group, radius in walks:
         order = sorted(group.gens)
         for r in range(radius + 1):
@@ -238,7 +229,7 @@ def test_support_specs_match_the_support_on_every_kernel():
     clopens = [Cylinders.empty(), Cylinders.full(), Cylinders.of("1"), Cylinders.of("01"),
                Cylinders.of("00", "11"), Cylinders.of("0", "101"), Cylinders.of("110")]
     prefix = list(ball(V_GROUP, 2).elements) + list(rigid_stabilizer_v("01"))
-    full = list(ball(BALL_SIZES["full"][0], 3).elements)
+    full = list(ball(FULL_GROUP, 3).elements)
     full += [gamma_tv(1, Cylinders.of("110")), gamma_tv(2, Cylinders.of("000"))]
     for regions, elements in ((arcs, pl), (clopens, prefix), (clopens, full)):
         for region in regions:
@@ -520,8 +511,8 @@ def test_neumann_sweep_small():
 
 def test_neumann_sweep_builds_no_group_tables(monkeypatch):
     # Z/n's cosets come from the divisors of n, so no table is checked
-    monkeypatch.setattr(chabauty, "FiniteGroup", None)
-    monkeypatch.setattr(chabauty, "cyclic_group", None)
+    monkeypatch.setattr(cosets, "FiniteGroup", None)
+    monkeypatch.setattr(cosets, "cyclic_group", None)
     assert neumann_sweep(6, 3)["covers_checked"] == 137
 
 
@@ -536,7 +527,7 @@ def test_neumann_sweep_counts_its_coset_sets_first(monkeypatch):
             neumann_sweep(n_max, r_max)
     # no cover is tried before the count passes the budget
     monkeypatch.delenv("GERMLAB_BUDGET")
-    monkeypatch.setattr(chabauty, "_min_index", None)
+    monkeypatch.setattr(cosets, "_min_index", None)
     with pytest.raises(BudgetError, match="^204892 coset sets in groups of order up to 14 "):
         neumann_sweep(24, 5)
 
@@ -695,7 +686,7 @@ def test_disjoint_search_prefix_kernel():
 def test_micro_support_cancellation():
     u, v = rigid_stabilizer_gens(Dyadic(1, 2), Dyadic(3, 3))
     gamma = u * v
-    a = micro_support_element(gamma, gamma, GEN_A)
+    a = micro_support_element(gamma, gamma, GEN_A, [ArcSet.of((Dyadic(1, 2), Dyadic(3, 3)))])
     assert a.is_identity()
 
 
@@ -705,7 +696,7 @@ def test_micro_support_delta_identity():
     u1, u2 = rigid_stabilizer_gens(lo, hi)
     gamma = u1 * u2
     delta = F.identity
-    a = micro_support_element(gamma, delta, GEN_A, regions=regions, w=w)
+    a = micro_support_element(gamma, delta, GEN_A, regions=regions)
     assert verify_micro_support(a, gamma, delta, regions[0], w)
     assert equal_on(a, gamma, regions[0])
 
@@ -713,7 +704,7 @@ def test_micro_support_delta_identity():
 def test_micro_support_precondition():
     regions, w = disjoint_open_search([GEN_A], Dyadic(7, 3))
     with pytest.raises(ValueError):
-        micro_support_element(GEN_B, GEN_B, GEN_A, regions=regions, w=w)
+        micro_support_element(GEN_B, GEN_B, GEN_A, regions=regions)
 
 
 def test_micro_support_random_instances():
@@ -727,7 +718,7 @@ def test_micro_support_random_instances():
         for _ in range(rng.randrange(1, 4)):
             gamma = gamma * rng.choice(gens) ** rng.choice([-1, 1])
             delta = delta * rng.choice(gens) ** rng.choice([-1, 1])
-        a = micro_support_element(gamma, delta, GEN_A, regions=regions, w=w)
+        a = micro_support_element(gamma, delta, GEN_A, regions=regions)
         assert verify_micro_support(a, gamma, delta, regions[0], w)
         assert a.identity_on(w)
 
@@ -738,22 +729,6 @@ def test_micro_support_prefix_kernel():
     gens = rigid_stabilizer_v(word)
     gamma = gens[0] * gens[1]
     delta = gens[1]
-    a = micro_support_element(gamma, delta, GEN_VA, regions=regions, w=w)
+    a = micro_support_element(gamma, delta, GEN_VA, regions=regions)
     assert verify_micro_support(a, gamma, delta, regions[0], w)
 
-
-def test_specs_on_kernels_without_the_region_protocol_raise_type_error():
-    from germlab.projline import LM_A
-    from germlab.treesgff import PermGroupPair, TreeAut, alternating_perms, cyclic_perms
-
-    pair = PermGroupPair(5, cyclic_perms(5), alternating_perms(5))
-    tree = TreeAut.constant(pair, sorted(pair.small)[1])
-    for element in (tree, LM_A):
-        kernel = type(element).__name__
-        with pytest.raises(TypeError, match=kernel + ".*germ_trivial_at"):
-            GERM_LIMIT.contains(element)
-        with pytest.raises(TypeError, match=kernel + ".*support"):
-            SUPP_H.contains(element)
-        with pytest.raises(TypeError, match=kernel + ".*region_type"):
-            disjoint_open_search([element], Dyadic(0))
-        assert SubgroupSpec.whole_group().contains(element)

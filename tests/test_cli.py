@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -101,20 +102,21 @@ def test_chabauty_conjugate_and_v_specs(capsys):
     assert code == 0 and json.loads(out)["agree_radius"] == 2
 
 
+def _walked(monkeypatch):
+    """The list of the (element, word) pairs that chabauty.walk yields."""
+    walked, walk = [], chabauty.walk
+    monkeypatch.setattr(chabauty, "walk", lambda *a: (walked.append(s) or s for s in walk(*a)))
+    return walked
+
+
 def test_chabauty_pinned_conjugate_germ_walks_one_ball(capsys, monkeypatch):
-    calls = []
-    ball = chabauty.ball
-
-    def counting_ball(*args, **kwargs):
-        calls.append(args)
-        return ball(*args, **kwargs)
-
-    monkeypatch.setattr(chabauty, "ball", counting_ball)
+    walked = _walked(monkeypatch)
     code, out, _ = run(capsys, "chabauty", "--group", "F", "--h", "germ:0",
                        "--k", "conj:ab:germ:1/2", "--radius", "4")
     assert code == 0
     assert out.strip() == '{"agree_radius":0,"witness_elements":["B","b"]}'
-    assert len(calls) == 1
+    # one walk, up to the first word of length 2
+    assert len(walked) == 6
 
 
 # stdout of the full-ball scan, at radii past the first disagreement
@@ -131,6 +133,8 @@ CHABAUTY_PAST_THE_FIRST_SHELL = [
      '["ABab","AbaB","BAba","BabA","aBAb","aaBA","abAA","abAB","bABa","baBA"]}'),
     (("V", "conj:a:support:0", "support:0", "4"),
      '{"agree_radius":1,"witness_elements":["Ab","Ba"]}'),
+    (("F", "whole", "trivial", "5"),
+     '{"agree_radius":0,"witness_elements":["A","B","a","b"]}'),
 ]
 
 
@@ -145,13 +149,16 @@ def test_chabauty_stops_after_the_first_disagreeing_shell(capsys, monkeypatch, a
         return contains(spec, element)
 
     monkeypatch.setattr(chabauty.SubgroupSpec, "contains", counting)
+    walked = _walked(monkeypatch)
     group, h, k, radius = argv
     code, out, _ = run(capsys, "chabauty", "--group", group, "--h", h, "--k", k,
                        "--radius", radius)
     assert code == 0 and out == want + "\n"
-    # both specs are tested on the words up to the first disagreeing length only
-    shell = len(json.loads(want)["witness_elements"][0])
-    assert len(calls) == 2 * len(chabauty.ball(cli._GROUPS[group], shell))
+    # both specs are tested on the words up to the first disagreeing length
+    # only, and the walk stops at the first longer word
+    shell, tested = len(json.loads(want)["witness_elements"][0]), len(walked)
+    size = len(chabauty.ball(cli._GROUPS[group], shell))
+    assert len(calls) == 2 * size and tested == size + 1
 
 
 def test_chabauty_rejects_bad_spec(capsys):
@@ -221,6 +228,11 @@ def test_tree_verify_batteries(capsys):
     assert code == 0 and json.loads(out)["witness"]["pairs"] > 0
     code, _, err = run(capsys, "tree-verify", "--suite", "cocycle", "--f", "dihedral")
     assert code == 2 and "supported point groups" in err
+    # 1 + 5 (4^10000 - 1) / 3 vertices: 6,021 digits, past str(int)'s limit
+    code, out, _ = run(capsys, "tree-verify", "--suite", "cocycle", "--depth", "10000",
+                       "--count", "2")
+    assert code == 0 and out == '{"status":"pass","suite":"cocycle","witness":%s}\n' % (
+        '{"pairs":2,"vertices":%s}' % Decimal(1 + 5 * (4 ** 10000 - 1) // 3))
 
 
 def test_tree_verify_rejects_omega_3(capsys):
@@ -269,8 +281,9 @@ def test_tree_verify_gates_the_degree_before_building_its_groups(capsys, monkeyp
 
 def test_chabauty_budget_error_names_the_radius(capsys, monkeypatch):
     monkeypatch.setenv("GERMLAB_BUDGET", "20")
+    # two specs that agree on the whole ball, so the walk must reach radius 3
     code, out, err = run(capsys, "chabauty", "--group", "F", "--h", "whole",
-                         "--k", "trivial", "--radius", "3")
+                         "--k", "whole", "--radius", "3")
     assert code == 2 and out == ""
     assert "budget at radius 3 of 3, with 20 elements" in err
     assert "Traceback" not in err
@@ -411,6 +424,11 @@ def test_replay_passing_check(capsys, tmp_path):
     assert code == 0 and json.loads(out)["status"] == "pass"
     code, _, err = run(capsys, "replay", str(saved), "bogus")
     assert code == 2 and "unknown check id" in err
+    # a report holding a ball count past str(int)'s limit reads back
+    run(capsys, "verify", "gff-cocycle", "--set", "depth=10000", "--set", "pairs=2",
+        "--out", str(saved))
+    code, out, _ = run(capsys, "replay", str(saved), "cocycle-identity")
+    assert code == 0 and '"status":"pass"' in out and out[:-1] in saved.read_text()
 
 
 def test_budget_env_is_honored(capsys, monkeypatch):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from germlab.cantorv import GEN_VA, ZERO_SEQ, Cylinders
-from germlab.chabauty import SubgroupSpec, ball, cyclic_group
+from germlab.chabauty import SubgroupSpec, ball
+from germlab.cosets import cyclic_group
 from germlab.fullgroups import FullGroupElement, schreier_patch
 from germlab.kernel import BudgetError, GroupElement, Immutable, check_budget
 from germlab.plcircle import F_GROUP, GEN_A, ArcSet
@@ -11,6 +12,7 @@ from germlab.projline import LM_A
 from germlab.scalars import Dyadic, QuadExt
 from germlab.suites import _tree_pair
 from germlab.treesgff import TreeAut
+from test_protocol import _subclasses
 
 
 def _immutable_values():
@@ -26,16 +28,10 @@ def _immutable_values():
     ]
 
 
-def _subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
-
-
 def test_every_immutable_class_is_covered():
     values = {type(v) for v in _immutable_values()}
     assert len(values) == 17
-    assert values == set(_subclasses(Immutable)) - {GroupElement}
+    assert values == _subclasses(Immutable) - {GroupElement}
 
 
 @pytest.mark.parametrize("value", _immutable_values(), ids=lambda v: type(v).__name__)

@@ -182,21 +182,6 @@ def test_piece_merging():
     assert not g.breaks
 
 
-def test_group_laws_random_words():
-    rng = random.Random(1717)
-    for _ in range(60):
-        f = rand_word(rng, rng.randrange(1, 9))
-        g = rand_word(rng, rng.randrange(1, 9))
-        h = f * g
-        assert (f * f.inverse()).is_identity()
-        for _ in range(6):
-            x = rand_scalar(rng)
-            assert h(x) == f(g(x))
-            assert f.inverse()(f(x)) == x
-    f, g, h = (rand_word(rng, 5) for _ in range(3))
-    assert (f * g) * h == f * (g * h)
-
-
 def test_a_inverse_composes_to_identity():
     assert (LM_A * LM_A.inverse()).is_identity()
     assert not (LM_A * LM_B).is_identity()
@@ -314,13 +299,6 @@ def test_witness_matches_the_breadth_first_oracle(budget, monkeypatch):
         for max_len in range(6):
             want = _outcome(_oracle_witness, i1, i2, max_len)
             assert _outcome(interval_compression_witness, i1, i2, max_len) == want, (i1, i2, max_len)
-
-
-def test_json_roundtrip():
-    rng = random.Random(55)
-    for _ in range(15):
-        g = rand_word(rng, 6)
-        assert PPMap.from_json(g.to_json()) == g
 
 
 # -- the integer Mobius kernel against the Fraction-normalized one ------------

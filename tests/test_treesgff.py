@@ -203,20 +203,6 @@ def test_act_inverse_roundtrip():
             assert g.act_on(g.act_inv(v)) == v
 
 
-def test_group_laws():
-    rng = random.Random(18)
-    for _ in range(20):
-        g = rand_word(rng, rng.randrange(1, 4))
-        h = rand_word(rng, rng.randrange(1, 4))
-        assert (g * g.inverse()).is_identity()
-        gh = g * h
-        for _ in range(10):
-            v = rand_vertex(rng, 4, 5)
-            assert gh.act_on(v) == g.act_on(h.act_on(v))
-    f, g, h = (rand_word(rng, 2) for _ in range(3))
-    assert (f * g) * h == f * (g * h)
-
-
 def test_cocycle_identity_on_ball():
     rng = random.Random(19)
     vertices = ball(5, 4)
@@ -646,13 +632,6 @@ def test_vertex_formatting():
         parse_vertex("1.1")
 
 
-def test_json_roundtrip():
-    rng = random.Random(22)
-    for _ in range(15):
-        g = rand_word(rng, 3)
-        assert TreeAut.from_json(PAIR, g.to_json()) == g
-
-
 def test_from_json_rejects_an_exception_at_the_base_vertex():
     data = {"base_image": "", "default": [0, 1, 2, 3, 4], "exceptions": {"": [1, 2, 3, 4, 0]}}
     with pytest.raises(ValueError, match="default"):
@@ -828,21 +807,16 @@ def test_products_and_equality_classes_match_the_oracle(data):
     (f, o), (g, p) = data.draw(_words(pair)), data.draw(_words(pair))
     assert tree_key(f * g) == tree_key(o * p)
     assert tree_key((g * f).inverse()) == tree_key((p * o).inverse())
+    # the last three rows are one element, its portrait filled in other orders
     for x, y, ox, oy in ((f, g, o, p), (f * g, g * f, o * p, p * o),
-                         (f * g * f.inverse(), g, o * p * o.inverse(), p)):
+                         (f * g * f.inverse(), g, o * p * o.inverse(), p),
+                         ((f * g) * f, f * (g * f), (o * p) * o, o * (p * o)),
+                         (g.inverse() * f.inverse(), (f * g).inverse(),
+                          p.inverse() * o.inverse(), (o * p).inverse()),
+                         (f * g * g.inverse(), f, o * p * p.inverse(), o)):
         assert (x == y) == (ox == oy)
         if x == y:
             assert hash(x) == hash(y)
-
-
-@given(st.data())
-def test_hash_agrees_on_one_element_built_in_different_orders(data):
-    pair = data.draw(st.sampled_from(PAIRS))
-    (f, _), (g, _) = data.draw(_words(pair)), data.draw(_words(pair))
-    # each pair is one element whose portrait dict was filled in another order
-    for x, y in (((f * g) * f, f * (g * f)), (g.inverse() * f.inverse(), (f * g).inverse()),
-                 (f * g * g.inverse(), f)):
-        assert x == y and hash(x) == hash(y)
 
 
 @given(st.data())
