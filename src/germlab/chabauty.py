@@ -298,13 +298,17 @@ def accumulation_probe(h_spec, group, forbidden, search_radius):
 # -- disjoint open sets and the micro-support product -------------------------
 
 
-def disjoint_open_search(elements, z, max_depth=8):
+# the finest cells disjoint_open_search scans
+SEARCH_DEPTH = 8
+
+
+def disjoint_open_search(elements, z):
     """Regions U_1..U_r and a neighbourhood W of z, all verified disjoint.
 
     The U_i, together with their images g_i(U_i), are pairwise disjoint, and
     W avoids every U_i and every preimage g_j^-1(U_i).  Candidates are
-    scanned in the region type's cell order (coarsest first), so the
-    outcome is deterministic.
+    scanned in the region type's cell order (coarsest first) down to
+    SEARCH_DEPTH, so the outcome is deterministic.
     """
     if not elements:
         raise ValueError("need at least one element")
@@ -315,7 +319,7 @@ def disjoint_open_search(elements, z, max_depth=8):
     chosen = []
     acc = region_type.empty()
     for g in elements:
-        for u in region_type.cells(max_depth):
+        for u in region_type.cells(SEARCH_DEPTH):
             if any(u.contains_point(p) for p in orbit):
                 continue
             img = u.image(g)
@@ -324,12 +328,13 @@ def disjoint_open_search(elements, z, max_depth=8):
                 acc = acc.union(u).union(img)
                 break
         else:
-            raise ValueError("no disjoint region found; retry with more depth")
+            raise ValueError("no disjoint region found among the cells down to depth %d"
+                             % SEARCH_DEPTH)
     avoid = chosen + [u.preimage(g) for u in chosen for g in elements]
-    for w in region_type.neighbourhoods(z, max_depth):
+    for w in region_type.neighbourhoods(z, SEARCH_DEPTH):
         if all(w.disjoint_from(u) for u in avoid):
             return tuple(chosen), w
-    raise ValueError("no neighbourhood of z found; retry with more depth")
+    raise ValueError("no neighbourhood of z found down to depth %d" % SEARCH_DEPTH)
 
 
 def micro_support_element(gamma, delta, g_ell, regions):

@@ -6,17 +6,22 @@ odometer (add one with carry) is EventuallyPeriodic + 1.
 
 Clopen subsets are cantorv.Cylinders: finite unions of cylinders
 C_w = {x : x starts with w}; translate(n), the image under x -> x + n, adds
-n to each word read as a 2-adic integer.  Elements of the full group carry
-a finite table of (clopen piece, integer shift) pairs, checked by a sorted
-sweep per side and an integer Kraft sum, and composed word by word.  The
-Schreier patch of an orbit is a set of integers whose graph distances come
-from a greedy sweep.
+n to each word read as a 2-adic integer.  An element of the full group is
+a dict {(length, value): shift} over its maximal cylinders of constant
+shift, where C_w is (len(w), word_to_int(w)), first letter lowest bit.
+C_w + n is then (length, (value + n) mod 2^length), an ancestor is the
+value under a shorter mask and a sibling flips the top bit, so products
+and inverses never spell a word, and the dict is canonical.  The public
+``table`` of (shift, piece) pairs is a view built on each read; the
+constructor checks its pieces by a sorted sweep per side and an integer
+Kraft sum.  The Schreier patch of an orbit is a set of integers whose
+graph distances come from a greedy sweep.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .cantorv import Cylinders, complete_code, meeting, translate_word, word_to_int
+from .cantorv import Cylinders, complete_code, int_to_word, translate_word, word_to_int
 from .kernel import GroupElement, Immutable, check_budget
 
 # callers that import the clopen type from this module
@@ -44,14 +49,14 @@ class FullGroupElement(GroupElement):
 
     Built from (clopen piece, shift) pairs; the element sends x to
     x + shift on each piece, and both the pieces and their images must
-    partition the space.  table keeps one (shift, piece) pair per shift,
-    in shift order, and _cells the (word, shift) pairs in word order.
-    ``__init__`` and ``from_json`` check the shifts and both partitions;
-    products and inverses, partitions with one piece per shift by
-    construction, only drop empty pieces and sort by shift.
+    partition the space.  _cells maps each maximal cylinder of constant
+    shift, as (length, value), to its shift; the table view has one
+    (shift, piece) pair per shift, in shift order.  ``__init__`` and
+    ``from_json`` check the shifts and both partitions; products and
+    inverses, partitions by construction, build the dict directly.
     """
 
-    __slots__ = ("table", "_cells")
+    __slots__ = ("_cells",)
     region_type = Cylinders
 
     def __init__(self, table):
@@ -61,10 +66,10 @@ class FullGroupElement(GroupElement):
                 raise ValueError("shifts must be integers")
             by_shift.setdefault(shift, []).append(piece)
         # a shift's only piece is already reduced, so it is kept as it is
-        self._set((shift, same[0] if len(same) == 1 else
-                   Cylinders(w for p in same for w in p.words)) for shift, same in by_shift.items())
+        pieces = sorted((shift, same[0] if len(same) == 1 else
+                         Cylinders(w for p in same for w in p.words)) for shift, same in by_shift.items())
         # the pieces are in shift order, so shifts name them in the same order
-        cells = self._cells
+        cells = [(w, shift) for shift, piece in pieces for w in piece.words]
         domain = _first_meeting(cells)
         image = _first_meeting([(translate_word(w, shift), shift) for w, shift in cells])
         # the first meeting pair of pieces names the side, the domain first
@@ -75,72 +80,114 @@ class FullGroupElement(GroupElement):
         # translation keeps measure, so the images cover when the pieces do
         if not complete_code(w for w, _ in cells):
             raise ValueError("pieces must partition the space")
+        # each piece is reduced, so its words are the maximal cylinders
+        object.__setattr__(self, "_cells", {(len(w), word_to_int(w)): shift for w, shift in cells})
 
-    def _set(self, pieces):
-        """Store (shift, piece) pairs of distinct shifts, empty pieces dropped,
-        without __init__'s checks."""
-        table = tuple(sorted((shift, piece) for shift, piece in pieces if piece.words))
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_cells", tuple(sorted(
-            (w, shift) for shift, piece in table for w in piece.words)))
-        return self
+    @classmethod
+    def _of(cls, cells):
+        """The element with the canonical dict cells, without __init__'s checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_cells", cells)
+        return out
+
+    @property
+    def table(self):
+        """((shift, piece), ...) in shift order, one pair per shift, built on each read."""
+        words = {}
+        for (n, v), shift in self._cells.items():
+            words.setdefault(shift, []).append(int_to_word(v, n))
+        return tuple((shift, object.__new__(Cylinders)._set(words[shift])) for shift in sorted(words))
 
     @classmethod
     def identity(cls):
-        return cls(((Cylinders.full(), 0),))
+        return cls._of({(0, 0): 0})
 
     def shift_at(self, point):
-        return meeting(self._cells, point.digits(max(len(w) for w, _ in self._cells)))[0][1]
+        # the point's cylinder as deep as the deepest cell lies in one cell
+        top = max(n for n, _ in self._cells)
+        return self._meets(top, word_to_int(point.digits(top)))[0][2]
 
     def __call__(self, point):
         return point + self.shift_at(point)
 
-    def _meets(self, w):
-        """(meet, shift) for each cell meeting C_w: of two words that meet,
-        the longer one spans the meet."""
-        return [(v if len(v) > len(w) else w, shift) for v, shift in meeting(self._cells, w)]
+    def _meets(self, m, x):
+        """(length, value, shift) of each cell meeting the cylinder (m, x): of
+        two cylinders that meet, the longer one is the meet, so either one
+        cell lies over (m, x) or every cell that meets it lies under it."""
+        cells = self._cells
+        for n in range(m + 1):
+            shift = cells.get((n, x & ((1 << n) - 1)))
+            if shift is not None:
+                return [(m, x, shift)]
+        mask = (1 << m) - 1
+        return [(n, v, s) for (n, v), s in cells.items() if n > m and v & mask == x]
 
     def __mul__(self, other):
         """Composition self o other: each cell of other, moved by its shift,
-        is cut by self's cells and pulled back."""
+        meets self's cells, and each meet is pulled back.
+
+        Two cylinders meet when one lies under the other, so each moved
+        cell probes its ancestors among self's cells, and each of self's
+        cells its strict ancestors among the moved cells; the meets are a
+        partition, whose equal-shift siblings are then merged bottom-up.
+        """
         if not isinstance(other, FullGroupElement):
             return NotImplemented
-        by_shift = {}
-        for v, first in other._cells:
-            for meet, second in self._meets(translate_word(v, first)):
-                by_shift.setdefault(first + second, []).append(translate_word(meet, -first))
-        return object.__new__(FullGroupElement)._set(
-            (shift, object.__new__(Cylinders)._set(words)) for shift, words in by_shift.items())
+        cells, out = self._cells, {}
+        moved = {(n, (v + s) & ((1 << n) - 1)): (v, s) for (n, v), s in other._cells.items()}
+        masks = [(k, (1 << k) - 1) for k in sorted({k for k, _ in cells})]
+        for (n, x), (v, s) in moved.items():
+            for k, mask in masks:
+                if k > n:
+                    break
+                t = cells.get((k, x & mask))
+                if t is not None:
+                    out[n, v] = s + t
+                    break
+        masks = [(n, (1 << n) - 1) for n in sorted({n for n, _ in moved})]
+        for (k, x), t in cells.items():
+            for n, mask in masks:
+                if n >= k:
+                    break
+                hit = moved.get((n, x & mask))
+                if hit is not None:
+                    out[k, (x - hit[1]) & ((1 << k) - 1)] = hit[1] + t
+                    break
+        return FullGroupElement._of(_merged(out))
 
     def inverse(self):
-        return object.__new__(FullGroupElement)._set(
-            (-shift, piece.translate(shift)) for shift, piece in self.table)
+        # x -> x + s moves siblings onto siblings, so the images stay maximal
+        return FullGroupElement._of(
+            {(n, (v + s) & ((1 << n) - 1)): -s for (n, v), s in self._cells.items()})
 
     def is_identity(self):
-        return all(shift == 0 for shift, _ in self.table)
+        return all(shift == 0 for shift in self._cells.values())
 
     # -- regions and germs ----------------------------------------------------
 
     def support(self):
         """Exact support: the action is free, so nonzero pieces never fix."""
-        return Cylinders(w for shift, piece in self.table if shift for w in piece.words)
+        return Cylinders(int_to_word(v, n) for (n, v), shift in self._cells.items() if shift)
 
     def image_words(self, w):
         """The image of C_w as a list of cylinder words."""
-        return [translate_word(meet, shift) for meet, shift in self._meets(w)]
+        meets = sorted((int_to_word(v, n), shift)
+                       for n, v, shift in self._meets(len(w), word_to_int(w)))
+        return [translate_word(meet, shift) for meet, shift in meets]
 
     def identity_on(self, region):
-        return all(shift == 0 for w in region.words for _, shift in meeting(self._cells, w))
+        return all(shift == 0 for w in region.words
+                   for _, _, shift in self._meets(len(w), word_to_int(w)))
 
     def germ_trivial_at(self, point):
         # the action is free: trivial near a point exactly when it is fixed
         return self.shift_at(point) == 0
 
     def __eq__(self, other):
-        return isinstance(other, FullGroupElement) and self.table == other.table
+        return isinstance(other, FullGroupElement) and self._cells == other._cells
 
     def __hash__(self):
-        return hash(("FullGroupElement", self.table))
+        return hash(frozenset(self._cells.items()))
 
     def __repr__(self):
         return "FullGroupElement(%s)" % ", ".join(
@@ -156,6 +203,23 @@ class FullGroupElement(GroupElement):
         if not all(isinstance(entry["words"], list) for entry in data["pieces"]):
             raise ValueError("piece words must be a list of words")
         return cls(tuple((Cylinders(entry["words"]), entry["shift"]) for entry in data["pieces"]))
+
+
+def _merged(cells):
+    """cells, a partition {(length, value): shift}, with every pair of
+    equal-shift siblings merged into their parent, deepest first."""
+    levels = {}
+    for n, v in cells:
+        levels.setdefault(n, []).append(v)
+    for n in range(max(levels), 0, -1):
+        half = 1 << (n - 1)
+        for v in levels.get(n, ()):
+            # a value with the top bit clear is its parent's value too
+            if not v & half and cells.get((n, v | half)) == cells[n, v]:
+                levels.setdefault(n - 1, []).append(v)
+                cells[n - 1, v] = cells.pop((n, v))
+                del cells[n, v | half]
+    return cells
 
 
 def gamma_tv(t, v):

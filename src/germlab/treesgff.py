@@ -1,8 +1,8 @@
 """Automorphisms of an edge-colored regular tree with prescribed local action.
 
-Vertices are reduced words over the color set: no letter repeats twice in
-a row, and the neighbour of v along color w is v with w appended, or the
-parent when w is v's last letter.  An automorphism is stored as a finite
+Vertices are reduced words over the colors 0..d-1: no letter repeats twice
+in a row, and the neighbour of v along color w is v with w appended, or
+the parent when w is v's last letter.  An automorphism is a finite
 prefix-closed portrait {vertex: permutation} plus the image of the base
 vertex; outside the portrait the local permutation is forced, because a
 group acting freely on the colors has exactly one element with a given
@@ -10,28 +10,37 @@ value at a given point.  Portrait entries come from the large group, the
 forced values always lie in the small free one, so every stored element
 has all but finitely many local permutations in the small group.
 
-Every operation is one walk.  Below the portrait the local permutation is
+Inside the kernel a vertex is an integer code: code(()) = 0 and
+code(v + (c,)) = d * code(v) + c + 1, so the parent is (code - 1) // d,
+the last color (code - 1) % d, and code order is shortlex order.  A
+permutation is its number in the pair's sorted large group, composed and
+inverted by table lookup.  A TreeAut keeps {code: number} in descending
+code order, so that reversed() meets parents first, and the base image's
+code.  ``portrait`` and ``base_image`` are views built as vertex tuples on
+each read, as are the vertices that act_on, act_inv, images, local_perm
+and elliptic_germ_check take or give.
+
+Every operation is a walk.  Below the portrait the local permutation is
 constant on each hanging subtree: at a child a+(c,) of a portrait vertex a
 the forced value s = taking(c, portrait[a][c]) lies in the free group, and
-taking(c', s[c']) == s for every color c'.  So a walk state (vertex,
-permutation, inside the portrait) moves one edge, up or down, with at most
-one dictionary lookup.  Inside a walk a permutation is its number in the
-pair's sorted large group, composed and inverted by table lookup.  A
-product pulls the left factor's whole portrait back through the right
-factor in one walk, one step per portrait vertex.  The cocycle check
-stops its walk where no local permutation can change any more: below
-three portraits, along an edge that h carries downward.  Level pairs
-come from buckets: two vertices of one horosphere are within 2k of each
-other exactly when their k-th pushes toward the end agree.  Level
-witnesses share one memo, which keeps each permuter's images, so a level
-check walks each (permuter, vertex) once.
+taking(c', s[c']) == s for every color c'.  So a walk state (code, number)
+moves one edge, up or down, with one dictionary lookup.  A product pulls
+the left factor's portrait back through the right factor in one loop over
+that portrait in code order, and carries the left factor over the right
+one's portrait in another; an inverse carries its own portrait forward in
+one loop.  The cocycle check stops its walk where no local permutation
+can change any more: below three portraits, along an edge that h carries
+downward.  Level pairs come from buckets: two vertices of one horosphere
+are within 2k of each other exactly when their k-th pushes toward the end
+agree.  Level witnesses share one memo, which keeps each permuter's
+images, so a level check walks each (permuter, vertex) once.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import permutations
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .kernel import GroupElement, Immutable, check_budget
@@ -66,13 +75,15 @@ class PermGroupPair(Immutable):
     The large group is numbered once, in sorted order: perms[i] is the i-th
     permutation and index[p] its number, mul[i][j] numbers perms[i] o perms[j],
     inv[i] the inverse, take[c][x] the free-group element sending c to x,
-    bit i of masks[c][x] is set when perms[i] sends c to x, and stabilizers[c]
-    lists the non-identity perms fixing c (half-tree permuters need one).
-    The compose table takes |large|^2 steps, so it obeys GERMLAB_BUDGET.
+    forced[i][c] the value forced at the child along c of a vertex whose
+    value is perms[i], back[i][c] the color perms[i] sends to c, bit i of
+    masks[c][x] is set when perms[i] sends c to x, and stabilizers[c] lists
+    the non-identity perms fixing c (half-tree permuters need one).  The
+    compose table takes |large|^2 steps, so it obeys GERMLAB_BUDGET.
     """
 
     __slots__ = ("degree", "small", "large", "perms", "index", "mul", "inv", "take",
-                 "masks", "stabilizers", "_two_transitive")
+                 "forced", "back", "masks", "stabilizers", "_two_transitive")
 
     def __init__(self, degree: int, small: Iterable[Perm], large: Iterable[Perm]):
         small = frozenset(tuple(p) for p in small)
@@ -89,7 +100,12 @@ class PermGroupPair(Immutable):
             raise ValueError("free group must sit inside the large one")
         perms = tuple(sorted(large))
         index = {p: i for i, p in enumerate(perms)}
-        mul = tuple(tuple(index.get(perm_compose(p, q)) for q in perms) for p in perms)
+        # column j holds perms[i] o perms[j] for every i, as itemgetter(*q)
+        # sends p to p o q; below two colors the one permutation is the
+        # identity, and itemgetter of one index would return a bare item
+        columns = [map(index.get, map(itemgetter(*q) if degree > 1 else tuple, perms))
+                   for q in perms]
+        mul = tuple(zip(*columns))
         if any(None in row for row in mul) or any(
                 perm_compose(p, q) not in small for p in small for q in small):
             raise ValueError("group not closed under composition")
@@ -102,10 +118,13 @@ class PermGroupPair(Immutable):
             tuple(p for p in perms if p[c] == c and p != ident) for c in range(degree))
         if not any(stabilizers):
             raise ValueError("no non-identity large-group permutation fixes a color")
+        inv = tuple(row.index(index[ident]) for row in mul)
+        take = tuple(tuple(by_value[c, x] for x in range(degree)) for c in range(degree))
         for name, value in {
             "degree": degree, "small": small, "large": large, "perms": perms, "index": index,
-            "mul": mul, "inv": tuple(row.index(index[ident]) for row in mul),
-            "take": tuple(tuple(by_value[c, x] for x in range(degree)) for c in range(degree)),
+            "mul": mul, "inv": inv, "take": take,
+            "forced": tuple(tuple(take[c][p[c]] for c in range(degree)) for p in perms),
+            "back": tuple(perms[inv[i]] for i in range(len(perms))),
             "masks": tuple(tuple(sum(1 << i for i, p in enumerate(perms) if p[c] == x)
                                  for x in range(degree)) for c in range(degree)),
             "stabilizers": stabilizers,
@@ -167,22 +186,46 @@ def parse_vertex(text: str) -> Vertex:
     return v
 
 
+def _code(degree: int, v: Vertex) -> int:
+    """The integer code of a vertex: d * code(parent) + last color + 1."""
+    x = 0
+    for c in v:
+        x = x * degree + c + 1
+    return x
+
+def _vertex(degree: int, x: int) -> Vertex:
+    """The vertex whose code is x."""
+    colors = []
+    while x:
+        x -= 1
+        colors.append(x % degree)
+        x //= degree
+    colors.reverse()
+    return tuple(colors)
+
+def _neighbour(degree: int, x: int, color: int) -> int:
+    """neighbour(v, color) on the code of v."""
+    return (x - 1) // degree if x and (x - 1) % degree == color else x * degree + color + 1
+
+
 class TreeAut(GroupElement):
     """A tree automorphism with finitely many prescribed local permutations.
 
-    portrait maps vertices to permutations; it contains the empty word and
-    is closed under prefixes.  At any other vertex v the local permutation
-    is the unique free-group element agreeing with the parent's one on
-    v's last color, so a finite dictionary pins down the map everywhere.
-    Stored canonically: removable leaves (entries equal to their forced
-    value) are pruned, making equality structural.
+    The portrait maps vertices to permutations; it contains the empty word
+    and is closed under prefixes.  At any other vertex v the local
+    permutation is the unique free-group element agreeing with the parent's
+    one on v's last color, so a finite dictionary pins down the map
+    everywhere.  Stored canonically, as {code: permutation number} in
+    descending code order with the base image's code: removable leaves
+    (entries equal to their forced value) are pruned, making equality
+    structural.
 
-    Every query walks with _step, which moves a state (vertex, permutation
-    number, inside the portrait) one edge; below the portrait the number
-    stays put.  Products and inverses walk the prefix tree they need.
+    A walk state is (code, permutation number); _step moves it one edge,
+    and below the portrait the number stays put.  Products and inverses
+    loop over the portraits in code order, with the step written out.
     """
 
-    __slots__ = ("pair", "base_image", "_at")
+    __slots__ = ("pair", "_base", "_at")
 
     def __init__(self, pair: PermGroupPair, base_image: Vertex, portrait: dict):
         base_image = tuple(base_image)
@@ -201,28 +244,37 @@ class TreeAut(GroupElement):
         for v, p in entries.items():
             if v and p[v[-1]] != entries[v[:-1]][v[-1]]:
                 raise ValueError(f"portrait at {v} disagrees with its parent on color {v[-1]}")
-        self._settle(pair, base_image, {v: pair.index[p] for v, p in entries.items()})
+        d = pair.degree
+        self._settle(pair, _code(d, base_image),
+                     {_code(d, v): pair.index[p] for v, p in entries.items()})
 
-    def _settle(self, pair, base_image, at) -> "TreeAut":
-        """Fill the fields from a valid numbered portrait, pruning forced leaves
-        deepest first; object.__new__(TreeAut)._settle(...) skips __init__'s checks."""
-        perms, take = pair.perms, pair.take
-        kept_child = set()
-        for v in sorted(at, key=len, reverse=True)[:-1]:  # the root sorts last
-            c = v[-1]
-            if v not in kept_child and at[v] == take[c][perms[at[v[:-1]]][c]]:
-                del at[v]
-            else:
-                kept_child.add(v[:-1])
-        for name, value in zip(self.__slots__, (pair, base_image, at)):
+    def _settle(self, pair, base, at) -> "TreeAut":
+        """Fill the fields from a valid numbered portrait keyed by code, pruning
+        forced leaves deepest first, in descending code order;
+        object.__new__(TreeAut)._settle(...) skips __init__'s checks."""
+        d, forced = pair.degree, pair.forced
+        kept, parents = {}, set()
+        order = sorted(at, reverse=True)
+        for x in order[:-1]:  # the root sorts last, and stays
+            p = (x - 1) // d
+            if x in parents or at[x] != forced[at[p]][x - 1 - p * d]:
+                kept[x] = at[x]
+                parents.add(p)
+        kept[0] = at[0]
+        for name, value in zip(self.__slots__, (pair, base, kept)):
             object.__setattr__(self, name, value)
         return self
 
     @property
+    def base_image(self) -> Vertex:
+        """The image of the base vertex, decoded on each read."""
+        return _vertex(self.pair.degree, self._base)
+
+    @property
     def portrait(self) -> dict:
-        """{vertex: permutation}, built from the numbered portrait on each read."""
-        perms = self.pair.perms
-        return {v: perms[i] for v, i in self._at.items()}
+        """{vertex: permutation}, in shortlex order, built on each read."""
+        d, perms = self.pair.degree, self.pair.perms
+        return {_vertex(d, x): perms[i] for x, i in reversed(self._at.items())}
 
     @staticmethod
     def identity(pair: PermGroupPair) -> "TreeAut":
@@ -237,101 +289,191 @@ class TreeAut(GroupElement):
         if not is_reduced(base_image):
             raise ValueError("base image must be a reduced word")
         # one entry is a valid portrait, with nothing to prune
-        return object.__new__(TreeAut)._settle(pair, base_image, {(): pair.index[perm]})
-
-    def _root(self) -> tuple:
-        return ((), self._at[()], True)
+        return object.__new__(TreeAut)._settle(
+            pair, _code(pair.degree, base_image), {0: pair.index[perm]})
 
     def _step(self, state: tuple, color: int) -> tuple:
-        """The walk state one edge along color from state's vertex."""
-        v, i, inside = state
-        if v and v[-1] == color:
-            v = v[:-1]
-            j = self._at.get(v)
-            return (v, i, False) if j is None else (v, j, True)
-        v += (color,)
-        if not inside:
-            return (v, i, False)
-        j = self._at.get(v)
-        if j is None:
-            return (v, self.pair.take[color][self.pair.perms[i][color]], False)
-        return (v, j, True)
-
-    def _carry(self, walked: tuple, color: int) -> tuple:
-        """_step on (state, image of its vertex), moving the image too."""
-        state, img = walked
-        return self._step(state, color), neighbour(img, self.pair.perms[state[1]][color])
+        """The walk state one edge along color from state's vertex: off the
+        portrait the forced step from a free-group value keeps that value."""
+        x, i = state
+        d = self.pair.degree
+        if x and (x - 1) % d == color:
+            x = (x - 1) // d
+            return (x, self._at.get(x, i))
+        x = x * d + color + 1
+        j = self._at.get(x)
+        return (x, self.pair.forced[i][color] if j is None else j)
 
     def _walk(self, v: Vertex) -> tuple:
-        """(walk state at v, image of v)."""
-        return reduce(self._carry, v, (self._root(), self.base_image))
-
-    def _back(self, state: tuple, color: int) -> tuple:
-        """The walk state at the neighbour whose image lies along color."""
-        return self._step(state, self.pair.perms[self.pair.inv[state[1]]][color])
+        """(walk state at v, code of the image of v)."""
+        d, perms = self.pair.degree, self.pair.perms
+        state, img = (0, self._at[0]), self._base
+        for c in v:
+            img = _neighbour(d, img, perms[state[1]][c])
+            state = self._step(state, c)
+        return state, img
 
     def _pull(self, v: Vertex) -> tuple:
         """The walk state at act_inv(v), along the image geodesic to v."""
-        v = tuple(v)
-        common = common_prefix_len(self.base_image, v)
-        return reduce(self._back, self.base_image[common:][::-1] + v[common:], self._root())
+        v, back = tuple(v), self.pair.back
+        base = self.base_image
+        common = common_prefix_len(base, v)
+        state = (0, self._at[0])
+        for c in base[common:][::-1] + v[common:]:
+            state = self._step(state, back[state[1]][c])
+        return state
 
     def local_perm(self, v: Vertex) -> Perm:
         return self.pair.perms[self._walk(tuple(v))[0][1]]
 
     def act_on(self, v: Vertex) -> Vertex:
-        return self._walk(tuple(v))[1]
+        return _vertex(self.pair.degree, self._walk(tuple(v))[1])
 
     def act_inv(self, v: Vertex) -> Vertex:
         """The unique u with act_on(u) = v, by walking the image geodesic."""
-        return self._pull(v)[0]
+        return _vertex(self.pair.degree, self._pull(v)[0])
 
     def images(self, vertices: Iterable[Vertex]) -> list[Vertex]:
         """act_on of each vertex, in order, from one walk over their prefixes."""
-        vertices = [tuple(v) for v in vertices]
-        walked = _grow({(): (self._root(), self.base_image)}, vertices, self._carry)
-        return [walked[v][1] for v in vertices]
+        d, perms = self.pair.degree, self.pair.perms
+        walked = {0: ((0, self._at[0]), self._base)}
+        out = []
+        for v in vertices:
+            x = 0
+            for c in v:
+                y = x * d + c + 1
+                if y not in walked:
+                    state, img = walked[x]
+                    walked[y] = (self._step(state, c), _neighbour(d, img, perms[state[1]][c]))
+                x = y
+            out.append(_vertex(d, walked[x][1]))
+        return out
 
     def __mul__(self, other: "TreeAut") -> "TreeAut":
-        """Composition self o other (apply other first)."""
+        """Composition self o other (apply other first).
+
+        The product's value at u is self's at other(u) after other's at u,
+        and its portrait is the prefix closure of other's portrait and of
+        the preimages of self's.  Three loops fill it: along the path to b,
+        other's base image, self forward from the root and other back from
+        the root, whose states meet on the geodesic from the root to
+        other's preimage of the root; then self over other's portrait, and
+        other back over self's portrait, each in code order from that path.
+        """
         if not isinstance(other, TreeAut):
             return NotImplemented
-        if self.pair != other.pair:
+        pair = self.pair
+        if pair != other.pair:
             raise ValueError("elements live over different color groups")
-        perms, mul = self.pair.perms, self.pair.mul
-        # other at the preimage of each vertex v of self's portrait, in one
-        # walk, beside self at v itself
-        pulled = _grow({(): other._pull(())}, self._at, other._back)
-        states = {s[0]: (s, (v, self._at[v], True)) for v, s in pulled.items()}
-        # the preimages form a subtree hanging from its shortest vertex, top,
-        # so the path down to top is all their prefix closure lacks
-        top = min(states, key=len)
-        start, base_image = self._walk(other.base_image)
-        states.setdefault((), (other._root(), start))
-        # other at v and self at other's image of v, in lockstep
-        states = _grow(states, [top[:-1], *other._at], lambda s, c: (
-            other._step(s[0], c), self._step(s[1], perms[s[0][1]][c])))
-        at = {v: mul[s[1]][o[1]] for v, (o, s) in states.items()}
-        return object.__new__(TreeAut)._settle(self.pair, base_image, at)
+        d, perms, mul, forced, back = pair.degree, pair.perms, pair.mul, pair.forced, pair.back
+        f_at, g_at = self._at, other._at
+        f_get, g_get = f_at.get, g_at.get
+        path, b = [], other._base
+        while b:
+            b -= 1
+            path.append(b % d)
+            b //= d
+        # self forward along the path, carrying the image of the base vertex
+        x, i, img = 0, f_at[0], self._base
+        forward = [i]
+        for c in reversed(path):
+            y = perms[i][c]
+            img = (img - 1) // d if img and (img - 1) % d == y else img * d + y + 1
+            if x and (x - 1) % d == c:
+                x = (x - 1) // d
+                i = f_get(x, i)
+            else:
+                x = x * d + c + 1
+                j = f_get(x)
+                i = forced[i][c] if j is None else j
+            forward.append(i)
+        # other back along the path, from the root: at the k-th vertex from
+        # the end it stands at the preimage of the path's k-th vertex
+        at, u, j = {}, 0, g_at[0]
+        at[0] = mul[i][j]
+        for c, i in zip(path, reversed(forward[:-1])):
+            c = back[j][c]
+            if u and (u - 1) % d == c:
+                u = (u - 1) // d
+                j = g_get(u, j)
+            else:
+                u = u * d + c + 1
+                k = g_get(u)
+                j = forced[j][c] if k is None else k
+            at[u] = mul[i][j]
+        # other back over self's portrait, from the preimage of the root
+        pulled = {0: (u, j)}
+        for v, i in reversed(f_at.items()):
+            if not v:
+                continue
+            p = (v - 1) // d
+            u, j = pulled[p]
+            c = back[j][v - 1 - p * d]
+            if u and (u - 1) % d == c:
+                u = (u - 1) // d
+                j = g_get(u, j)
+            else:
+                u = u * d + c + 1
+                k = g_get(u)
+                j = forced[j][c] if k is None else k
+            pulled[v] = (u, j)
+            at[u] = mul[i][j]
+        # self over other's portrait, from the image of the root
+        walked = {0: (x, forward[-1])}
+        for u, j in reversed(g_at.items()):
+            if u:
+                p = (u - 1) // d
+                x, i = walked[p]
+                c = perms[g_at[p]][u - 1 - p * d]
+                if x and (x - 1) % d == c:
+                    x = (x - 1) // d
+                    i = f_get(x, i)
+                else:
+                    x = x * d + c + 1
+                    k = f_get(x)
+                    i = forced[i][c] if k is None else k
+                walked[u] = (x, i)
+            at[u] = mul[walked[u][1]][j]
+        return object.__new__(TreeAut)._settle(pair, img, at)
 
     def inverse(self) -> "TreeAut":
-        images = _grow({(): (self._root(), self.base_image)}, self._at, self._carry)
-        # self at the preimage of each vertex of the inverse's portrait
-        states = _grow({(): self._pull(())}, [img for _, img in images.values()], self._back)
-        at = {v: self.pair.inv[s[1]] for v, s in states.items()}
-        return object.__new__(TreeAut)._settle(self.pair, states[()][0], at)
+        """The inverse's value at self(u) is the inverse of self's at u, over
+        the images of self's portrait, and over the path from the root to the
+        base image, which self walks back from the root to its preimage."""
+        pair, at = self.pair, self._at
+        d, perms, inv, forced, back = pair.degree, pair.perms, pair.inv, pair.forced, pair.back
+        images, out = {0: self._base}, {self._base: inv[at[0]]}
+        for x, i in reversed(at.items()):
+            if x:
+                p = (x - 1) // d
+                images[x] = y = _neighbour(d, images[p], perms[at[p]][x - 1 - p * d])
+                out[y] = inv[i]
+        u, j, w = 0, at[0], self._base
+        while w:
+            w -= 1
+            c = back[j][w % d]
+            w //= d
+            if u and (u - 1) % d == c:
+                u = (u - 1) // d
+                j = at.get(u, j)
+            else:
+                u = u * d + c + 1
+                k = at.get(u)
+                j = forced[j][c] if k is None else k
+            out[w] = inv[j]
+        return object.__new__(TreeAut)._settle(pair, u, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TreeAut):
             return NotImplemented
-        return (self.pair == other.pair and self.base_image == other.base_image
-                and self._at == other._at)
+        return self.pair == other.pair and self._base == other._base and self._at == other._at
 
     def __hash__(self):
-        return hash((self.base_image, frozenset(self._at.items())))
+        # _at is in descending code order, so equal elements give equal item tuples
+        return hash((self._base, tuple(self._at.items())))
 
     def is_identity(self) -> bool:
-        return not self.base_image and self._at == {(): self.pair.index[perm_identity(self.pair.degree)]}
+        return not self._base and self._at == {0: self.pair.index[perm_identity(self.pair.degree)]}
 
     def __repr__(self):
         bits = ", ".join(
@@ -357,22 +499,6 @@ class TreeAut(GroupElement):
         return TreeAut(pair, parse_vertex(data["base_image"]), portrait)
 
 
-def _grow(states: dict, keys: Iterable[Vertex], step) -> dict:
-    """Extend states, keyed by vertex and holding the root, to every prefix
-    of every key; a vertex's state is step(its parent's state, its last
-    color).  A new key steps forward from its longest stored prefix, so a
-    prefix-closed key set costs one step per new vertex."""
-    for v in keys:
-        if v in states:
-            continue
-        k = len(v) - 1
-        while (state := states.get(v[:k])) is None:
-            k -= 1
-        for k in range(k, len(v)):
-            state = states[v[:k + 1]] = step(state, v[k])
-    return states
-
-
 # -- building blocks --------------------------------------------------------
 
 def halftree_permuter(pair: PermGroupPair, m: Vertex, fixed_color: int, perm: Perm) -> TreeAut:
@@ -394,13 +520,15 @@ def halftree_permuter(pair: PermGroupPair, m: Vertex, fixed_color: int, perm: Pe
         raise ValueError(f"not a reduced word: {m}")
     # the chain up from m is prefix-closed and agrees with each parent by
     # construction, so it is settled without the constructor's checks
-    at = {m: pair.index[perm]}
-    img: Vertex = m
-    for j in range(len(m), 0, -1):
-        c = m[j - 1]
-        x = pair.perms[at[m[:j]]][c]
-        at[m[:j - 1]] = pair.take[c][x]
-        img = neighbour(img, x)
+    d = pair.degree
+    x = img = _code(d, m)
+    at = {x: pair.index[perm]}
+    while x:
+        p, c = divmod(x - 1, d)
+        image = pair.perms[at[x]][c]
+        at[p] = pair.take[c][image]
+        img = _neighbour(d, img, image)
+        x = p
     return object.__new__(TreeAut)._settle(pair, img, at)
 
 
@@ -481,15 +609,17 @@ def elliptic_germ_check(g: TreeAut, ray_prefix: Vertex, depth: int) -> tuple:
     the identity.  Returns ("pending",) when the prefix is too short and
     raises if g fixes no tail of the prefix at all.
     """
+    d, perms = g.pair.degree, g.pair.perms
     fixed_somewhere = False
-    walked = (g._root(), g.base_image)
+    state, img = (0, g._at[0]), g._base
     for c in tuple(ray_prefix)[:max(depth, 0)]:
-        (u, _, _), u_img = walked
-        (w, _, inside), w_img = walked = g._carry(walked, c)
-        if u_img == u and w_img == w:
+        u, u_img = state[0], img
+        img = _neighbour(d, img, perms[state[1]][c])
+        state = g._step(state, c)
+        if u_img == u and img == state[0]:
             fixed_somewhere = True
-            if not inside:  # outside the portrait, so no entry lies beyond w
-                return ("fixes_half_tree", (u, w))
+            if state[0] not in g._at:  # so no entry lies beyond it
+                return ("fixes_half_tree", (_vertex(d, u), _vertex(d, state[0])))
     if not fixed_somewhere:
         raise ValueError("element does not fix the explored ray prefix")
     return ("pending",)
@@ -498,7 +628,8 @@ def elliptic_germ_check(g: TreeAut, ray_prefix: Vertex, depth: int) -> tuple:
 def cocycle_failure(g: TreeAut, h: TreeAut, gh: TreeAut, radius: int) -> Optional[Vertex]:
     """The first v of ball(degree, radius), ordered by length and then word,
     where gh's local permutation is not g's at h(v) after h's at v, or None;
-    h, gh and g at h(v) walk together depth first, skipping later-only subtrees.
+    h, gh and g at h(v) walk together depth first, skipping later-only
+    subtrees, and the first v is the least code that fails.
 
     The walk also stops below a vertex v where the identity holds, all three
     states lie outside their portraits, and h carries v's parent edge onto
@@ -506,23 +637,30 @@ def cocycle_failure(g: TreeAut, h: TreeAut, gh: TreeAut, radius: int) -> Optiona
     h(v), so all three walks only go down from there, where no local
     permutation changes: every check below v is the one that held at v.
     """
-    perms, mul, colors = g.pair.perms, g.pair.mul, range(g.pair.degree)
+    d, perms, mul = g.pair.degree, g.pair.perms, g.pair.mul
     h_step, gh_step, g_step = h._step, gh._step, g._step
-    first = (radius + 1, None)
+    h_at, gh_at, g_at = h._at, gh._at, g._at
+    first, first_len = None, radius + 1
 
-    def visit(hs, ghs, gs):
-        nonlocal first
-        v, h_perm = hs[0], perms[hs[1]]
+    def visit(hs, ghs, gs, depth):
+        nonlocal first, first_len
+        x, h_perm = hs[0], perms[hs[1]]
         if ghs[1] != mul[gs[1]][hs[1]]:
-            first = min(first, (len(v), v))
-        elif len(v) < min(radius, first[0]) and (
-                hs[2] or ghs[2] or gs[2] or gs[0][-1] != h_perm[v[-1]]):
-            for c in colors:
-                if not v or v[-1] != c:
-                    visit(h_step(hs, c), gh_step(ghs, c), g_step(gs, h_perm[c]))
+            if first is None or x < first:
+                first, first_len = x, depth
+        elif depth < min(radius, first_len) and (
+                x in h_at or ghs[0] in gh_at or gs[0] in g_at
+                or (gs[0] - 1) % d != h_perm[(x - 1) % d]):
+            last = (x - 1) % d if x else None
+            for c in range(d):
+                if c != last:
+                    visit(h_step(hs, c), gh_step(ghs, c), g_step(gs, h_perm[c]), depth + 1)
 
-    visit(h._root(), gh._root(), g._walk(h.base_image)[0])
-    return first[1]
+    gs = (0, g._at[0])
+    for c in h.base_image:
+        gs = g_step(gs, c)
+    visit((0, h._at[0]), (0, gh._at[0]), gs, 0)
+    return None if first is None else _vertex(d, first)
 
 
 def level_transitivity_witness(pair: PermGroupPair, xi_prefix: Vertex, v: Vertex,

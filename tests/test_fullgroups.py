@@ -12,7 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import germlab.fullgroups as fullgroups
-from germlab.cantorv import ZERO_SEQ, EventuallyPeriodic, int_to_word, word_to_int
+import germlab.cantorv as cantorv
+from germlab.cantorv import (
+    ONE_SEQ,
+    ZERO_SEQ,
+    Cylinders,
+    EventuallyPeriodic,
+    int_to_word,
+    meeting,
+    translate_word,
+    word_to_int,
+)
 from germlab.chabauty import BudgetError, MarkedGroup, SubgroupSpec, ball, disjoint_open_search
 from germlab.fullgroups import (
     Clopen,
@@ -346,6 +356,92 @@ def test_powers_and_support():
     assert FullGroupElement.identity().support() == Clopen.empty()
 
 
+# -- the string-word product, kept as an oracle -------------------------------
+
+
+def _oracle_product(f, g):
+    """f o g on tables of (shift, piece), word by word: each word of g's
+    pieces, moved by its shift, is cut by f's words and pulled back."""
+    cells = sorted((w, shift) for shift, piece in f for w in piece.words)
+    by_shift = {}
+    for first, piece in g:
+        for v in piece.words:
+            moved = translate_word(v, first)
+            for w, second in meeting(cells, moved):
+                meet = w if len(w) > len(moved) else moved
+                by_shift.setdefault(first + second, []).append(translate_word(meet, -first))
+    return tuple(sorted((shift, Cylinders(words)) for shift, words in by_shift.items()))
+
+
+def _oracle_inverse(f):
+    return tuple(sorted((-shift, piece.translate(shift)) for shift, piece in f))
+
+
+def _oracle_json(f):
+    return {"pieces": [{"words": list(piece.words), "shift": shift} for shift, piece in f]}
+
+
+@st.composite
+def _gammas(draw):
+    """gamma_tv(t, C_w) for a word w of at most 8 letters, and its table."""
+    w = draw(st.text("01", min_size=1, max_size=8))
+    # C_w + t is C_w exactly when 2^len(w) divides t, else disjoint from it
+    t = draw(st.integers(-9, 9).filter(lambda t: t % (1 << len(w))))
+    g = gamma_tv(t, Clopen.of(w))
+    return g, g.table
+
+
+@st.composite
+def _pool_words(draw):
+    """A product of up to six pool elements or inverses, with its oracle table."""
+    g, table = FullGroupElement.identity(), FullGroupElement.identity().table
+    for h, oracle in draw(st.lists(_gammas(), min_size=1, max_size=6)):
+        if draw(st.booleans()):
+            h, oracle = h.inverse(), _oracle_inverse(oracle)
+        g, table = g * h, _oracle_product(table, oracle)
+    return g, table
+
+
+@given(_pool_words(), _pool_words())
+def test_products_and_inverses_match_the_string_word_oracle(word, other):
+    (f, f_table), (g, g_table) = word, other
+    for got, want in ((f, f_table), (g, g_table), (f * g, _oracle_product(f_table, g_table)),
+                      (g * f, _oracle_product(g_table, f_table)),
+                      (f.inverse(), _oracle_inverse(f_table))):
+        assert got.to_json() == _oracle_json(want)
+        # the JSON view merges siblings again, so the cells are compared too
+        rebuilt = FullGroupElement([(piece, shift) for shift, piece in want])
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+    assert ((f * g) == (g * f)) == (_oracle_product(f_table, g_table)
+                                    == _oracle_product(g_table, f_table))
+
+
+def test_products_inverses_and_equality_spell_no_word(monkeypatch):
+    rng = random.Random(27)
+    f, g = rand_product(rng), rand_product(rng)
+    called = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (cantorv, fullgroups):
+        for name in ("word_to_int", "int_to_word", "translate_word"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in ("__init__", "_set"):
+        monkeypatch.setattr(Cylinders, name, counting("Cylinders", getattr(Cylinders, name)))
+    h = f * g
+    inv = f.inverse()
+    same = f == g
+    hashes = hash(f), hash(h), hash(inv)
+    monkeypatch.undo()
+    assert called == []
+    assert h * g.inverse() == f and (f * inv).is_identity() and not same
+    assert hashes == (hash(f), hash(h), hash(inv))
+
+
 # -- the region protocol ---------------------------------------------------
 
 
@@ -407,6 +503,14 @@ def test_disjoint_open_search_on_full_group():
     u = regions[0]
     assert u.disjoint_from(u.image(g)) and w.contains_point(ZERO_SEQ)
     assert w.disjoint_from(u) and w.disjoint_from(u.preimage(g))
+
+
+def test_disjoint_open_search_names_the_depth_it_gave_up_at():
+    # the support lies in two cylinders of depth 10, so every cell down to
+    # depth 8 is fixed somewhere and meets its own image
+    g = gamma_tv(1, Clopen.of("0" * 10))
+    with pytest.raises(ValueError, match="no disjoint region found among the cells down to depth 8"):
+        disjoint_open_search([g], ONE_SEQ)
 
 
 def test_patch_full_space():

@@ -48,6 +48,16 @@ def _tree_reduced(g):
                for v in at if v and not any(v + (c,) in at for c in range(PAIR.degree)))
 
 
+def _full_reduced(cells):
+    """{(length, value): shift} holds maximal cylinders, as no two siblings
+    share a shift, and partitions the space, as no cell lies under another
+    and the Kraft sum is 1."""
+    top = max(n for n, _ in cells)
+    return (not any(n and cells.get((n, v ^ 1 << n - 1)) == s for (n, v), s in cells.items())
+            and not any((k, v & (1 << k) - 1) in cells for n, v in cells for k in range(n))
+            and sum(1 << top - n for n, _ in cells) == 1 << top)
+
+
 class Family(NamedTuple):
     group: MarkedGroup
     radius: int  # of the ball the ball-word checks run on
@@ -83,7 +93,7 @@ FAMILIES = {
                    lambda g: FullGroupElement([(piece, shift) for shift, piece in g.table]),
                    lambda g: [s for s, _ in g.table] == sorted({s for s, _ in g.table})
                    and all(p.words and Cylinders(p.words) == p for _, p in g.table)
-                   and list(g._cells) == sorted((w, s) for s, p in g.table for w in p.words),
+                   and _full_reduced(g._cells),
                    # the first leaves no rest piece
                    extra=tuple(gamma_tv(t, Cylinders.of(w)) for t, w in (
                        (1, "0"), (1, "00"), (2, "01"), (-1, "11"), (3, "010"), (5, "1011")))),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import germlab.treesgff as treesgff
 from germlab.chabauty import BudgetError
 from germlab.suites import _rand_tree_word
 from germlab.treesgff import (
@@ -216,23 +217,20 @@ def test_cocycle_identity_on_ball():
 
 
 def _oracle_cocycle_failure(g, h, gh, radius):
-    """cocycle_failure without the stop at forced subtrees: the walk goes
-    on through every vertex of the ball until a first failure is known."""
-    perms, mul, degree = g.pair.perms, g.pair.mul, g.pair.degree
-    first = (radius + 1, None)
+    """cocycle_failure from the public local_perm and act_on, without the
+    walk: the first vertex of ball(degree, radius), in its length-then-word
+    order, where gh's local permutation is not g's at h(v) after h's at v."""
+    for v in ball(g.pair.degree, radius):
+        if gh.local_perm(v) != perm_compose(g.local_perm(h.act_on(v)), h.local_perm(v)):
+            return v
+    return None
 
-    def visit(hs, ghs, gs):
-        nonlocal first
-        v = hs[0]
-        if ghs[1] != mul[gs[1]][hs[1]]:
-            first = min(first, (len(v), v))
-        elif len(v) < min(radius, first[0]):
-            for c in range(degree):
-                if not v or v[-1] != c:
-                    visit(h._step(hs, c), gh._step(ghs, c), g._step(gs, perms[hs[1]][c]))
 
-    visit(h._root(), gh._root(), g._walk(h.base_image)[0])
-    return first[1]
+def _oracle_cocycle_failures(g, h, gh, radii):
+    """_oracle_cocycle_failure at each radius, from one pass over the
+    largest ball: the smaller balls are its first vertices, in order."""
+    bad = _oracle_cocycle_failure(g, h, gh, max(radii))
+    return [bad if bad is not None and len(bad) <= r else None for r in radii]
 
 
 def _depth(g):
@@ -256,8 +254,7 @@ def test_pruned_cocycle_walk_matches_the_oracle():
             k = halftree_permuter(pair, m, color, rng.choice(pair.stabilizers[color]))
             assert _depth(k) > max(_depth(g), _depth(h))
             for gh in (g * h, g * h * k, k * g * h):
-                for radius in range(6):
-                    bad = _oracle_cocycle_failure(g, h, gh, radius)
+                for radius, bad in enumerate(_oracle_cocycle_failures(g, h, gh, range(6))):
                     assert cocycle_failure(g, h, gh, radius) == bad
                     failures += bad is not None
     assert failures > 0
@@ -271,14 +268,13 @@ def test_cocycle_walk_follows_g_back_into_its_portrait():
     h = TreeAut(PAIR, (0, 1, 2), {(): perm_identity(5)})
     g = halftree_permuter(PAIR, (0,), 0, (0, 1, 3, 4, 2))
     v = (2,)
-    hs, gs = h._walk(v)[0], g._walk(h.act_on(v))[0]
     assert h.act_on(v) == (0, 1) and h.act_on(v + (1,)) == (0,)
     assert h.act_on(v)[-1] != h.local_perm(v)[v[-1]]
-    assert not hs[2] and not gs[2] and (0,) in g.portrait
+    assert v not in h.portrait and h.act_on(v) not in g.portrait and (0,) in g.portrait
     # a wrong product: g * h with its portrait cut at v, so constant below v
     gh = g * h
     cut = TreeAut(PAIR, gh.base_image, {u: p for u, p in gh.portrait.items() if u[:1] != v})
-    assert not cut._walk(v)[0][2]
+    assert v not in cut.portrait
     assert cut.local_perm(v) == perm_compose(g.local_perm(h.act_on(v)), h.local_perm(v))
     for radius in range(6):
         want = (2, 1) if radius >= 2 else None
@@ -325,22 +321,56 @@ def test_cocycle_walk_cost_stops_growing_with_the_radius(monkeypatch):
     assert 0 < cost[20] <= 2 * cost[5]
 
 
-def test_product_pulls_the_left_factor_in_one_walk(monkeypatch):
+def test_product_pulls_the_left_factor_in_one_walk():
     rng = random.Random(12)
     f, g = _rand_tree_word(rng, PAIR, 12), _rand_tree_word(rng, PAIR, 12)
     steps = [0]
-    back = TreeAut._back
 
-    def counting(self, state, color):
-        steps[0] += 1
-        return back(self, state, color)
+    class CountingPortrait(dict):
+        """g's numbered portrait; a step of a walk of g looks it up once."""
 
-    monkeypatch.setattr(TreeAut, "_back", counting)
-    fg = f * g
+        def get(self, *args):
+            steps[0] += 1
+            return dict.get(self, *args)
+
+    counted = object.__new__(TreeAut)
+    for name, value in (("pair", g.pair), ("_base", g._base), ("_at", CountingPortrait(g._at))):
+        object.__setattr__(counted, name, value)
+    fg = f * counted
     # pulling each of f's portrait vertices from the root separately takes 297 steps
     assert 0 < steps[0] <= len(f.portrait) + len(g.base_image)
-    monkeypatch.undo()
+    assert fg == f * g
     assert all(fg.act_on(v) == f.act_on(g.act_on(v)) for v in ball(PAIR.degree, 4))
+
+
+def test_products_inverses_and_equality_build_no_vertex_tuple(monkeypatch):
+    rng = random.Random(27)
+    f, g = _rand_tree_word(rng, PAIR, 8), _rand_tree_word(rng, PAIR, 8)
+    called = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # every helper that takes or gives a vertex tuple, and the views
+    for name in ("_code", "_vertex", "neighbour", "is_reduced", "common_prefix_len", "ball"):
+        monkeypatch.setattr(treesgff, name, counting(name, getattr(treesgff, name)))
+    for name in ("portrait", "base_image"):
+        view = getattr(TreeAut, name)
+        monkeypatch.setattr(TreeAut, name, property(counting(name, view.fget)))
+    for name in ("_walk", "_pull", "local_perm", "act_on", "act_inv", "images"):
+        monkeypatch.setattr(TreeAut, name, counting(name, getattr(TreeAut, name)))
+    h = f * g
+    inv = f.inverse()
+    same = f == g
+    hashes = hash(f), hash(h), hash(inv)
+    monkeypatch.undo()
+    assert called == []
+    assert all(type(x) is int for k in (h, inv) for x in (k._base, *k._at))
+    assert h * g.inverse() == f and (f * inv).is_identity() and not same
+    assert hashes == (hash(f), hash(h), hash(inv))
 
 
 def test_composition_keeps_portrait_finite_and_large():
