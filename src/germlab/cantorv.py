@@ -147,9 +147,6 @@ class EventuallyPeriodic(Immutable):
             head += int_to_word(value, len(p))
         return EventuallyPeriodic(head, p)
 
-    def __sub__(self, n: int) -> "EventuallyPeriodic":
-        return self + -n
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventuallyPeriodic):
             return NotImplemented

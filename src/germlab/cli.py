@@ -201,8 +201,6 @@ def _cmd_schreier(args):
 
 
 def _cmd_tree_verify(args):
-    if args.f != "cycle" or args.fprime != "alt":
-        raise ValueError("supported point groups: --f cycle --fprime alt")
     # the d! gate of the large group runs before the cyclic group's d^2 entries
     large = alternating_perms(args.omega)
     pair = PermGroupPair(args.omega, cyclic_perms(args.omega), large)
@@ -306,10 +304,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="DOT file to write")
     p.set_defaults(fn=_cmd_schreier)
 
-    p = sub.add_parser("tree-verify", help="tree automorphism check batteries")
+    p = sub.add_parser("tree-verify", help="tree checks, cyclic and alternating point groups")
     p.add_argument("--omega", type=int, default=5, help="vertex degree")
-    p.add_argument("--f", default="cycle", help="small point group (cycle)")
-    p.add_argument("--fprime", default="alt", help="large point group (alt)")
     p.add_argument("--suite", required=True, choices=["cocycle", "germ", "levels"])
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--depth", type=int, default=4)

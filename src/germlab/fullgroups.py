@@ -285,27 +285,15 @@ class SchreierPatch(Immutable):
         for name, value in zip(self.__slots__, (u, x, radius, s_bound, vertices, edges)):
             object.__setattr__(self, name, value)
 
-    def graph_distances(self, source):
-        """Graph distance from source to every vertex it reaches."""
-        if source not in self.vertices:
-            return {source: 0}
-        i, reach = self.vertices.index(source), 3 * self.s_bound
-        left, right = self.vertices[i::-1], self.vertices[i:]
-        dist = dict(zip(left, _sweep([-v for v in left], reach)))
-        dist.update(zip(right, _sweep(right, reach)))
-        return dist
-
-    def _bound(self, margin):
-        return self.radius - (3 * self.radius // 4 if margin is None else margin)
-
-    def interior(self, margin=None):
-        bound = self._bound(margin)
+    def interior(self):
+        """The vertices within radius - 3 * radius // 4 of the base point."""
+        bound = self.radius - 3 * self.radius // 4
         return tuple(n for n in self.vertices if abs(n) <= bound)
 
-    def one_density_holds(self, margin=None):
-        """Every group element in the window is one S-step from a vertex:
-        the vertices' [v - s, v + s] leave no gap in [-bound, bound]."""
-        s, bound = self.s_bound, self._bound(margin)
+    def one_density_holds(self):
+        """Every group element in the interior window is one S-step from a
+        vertex: the vertices' [v - s, v + s] leave no gap in [-bound, bound]."""
+        s, bound = self.s_bound, self.radius - 3 * self.radius // 4
         # the least element of the window not yet within s of a vertex
         gap = -bound
         for v in self.vertices:
@@ -347,7 +335,7 @@ def schreier_patch(u, s_bound, x, radius):
     return SchreierPatch(u, s_bound, x, radius)
 
 
-def quasi_isometry_check(patch, margin=None):
+def quasi_isometry_check(patch):
     """Verify delta <= d <= 3*delta on interior vertex pairs.
 
     Returns a report dict with every violating pair (empty on success) and
@@ -363,9 +351,10 @@ def quasi_isometry_check(patch, margin=None):
     sweep steps and then the violating pairs are counted against
     GERMLAB_BUDGET before either is made.
     """
-    inner, s = patch.interior(margin), patch.s_bound
+    inner, s = patch.interior(), patch.s_bound
     n, period = len(inner), 1 << patch.u.max_length()
-    m = bisect_left(inner, inner[0] + period) if inner else 0
+    # the base point is vertex 0, so the interior is never empty
+    m = bisect_left(inner, inner[0] + period)
     steps = m * n - m * (m - 1) // 2
     check_budget(steps, "%d sweep steps" % steps)
     top, bottom = 0, 1
@@ -395,5 +384,5 @@ def quasi_isometry_check(patch, margin=None):
         "pairs": n * (n - 1) // 2,
         "violations": violations,
         "max_ratio": "%d/%d" % (max_ratio.numerator, max_ratio.denominator),
-        "one_dense": patch.one_density_holds(margin),
+        "one_dense": patch.one_density_holds(),
     }

@@ -46,9 +46,6 @@ class GroupElement(Immutable):
 
     __slots__ = ()
 
-    def __invert__(self):
-        return self.inverse()
-
     def __pow__(self, n: int):
         """Square-and-multiply; ``g ** 0`` is ``g * g^-1``."""
         if n < 0:

@@ -145,11 +145,6 @@ class PLMap(GroupElement):
         y = self._y[i] + (k << self._e)
         return (y << (pe + a)) + ((t - (self._x[i] << pe)) << (s + a)), d + a
 
-    def eval_lift(self, t: Dyadic) -> Dyadic:
-        """The Z-periodic extension of the lift, F(t + k) = F(t) + k."""
-        t = Dyadic.coerce(t)
-        return Dyadic(*self._lift(t.num, t.exp))
-
     def __call__(self, x: Dyadic) -> Dyadic:
         """Image of the circle point x, reduced into [0, 1)."""
         x = Dyadic.coerce(x)
@@ -536,11 +531,6 @@ class ArcSet(Immutable):
         """The arcs cut at 0 and sorted, as (lo, hi) with 0 <= lo <= hi <= 1."""
         e = self._e
         return tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self._cut())
-
-    def glued(self) -> tuple[tuple[Dyadic, Dyadic], ...]:
-        """Maximal arcs as (start, lifted_end); wraps across 0 are rejoined."""
-        e = self._e
-        return tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self._a)
 
     def contains_point(self, x: Dyadic) -> bool:
         x = Dyadic.coerce(x)

@@ -16,8 +16,8 @@ points are ordered by the sign of an element of Z[sqrt 2]
 Products, inverses, equality and hashing build no Fraction and no QuadExt.
 
 QuadExt is only the public view: the constructor takes QuadExt, Fraction
-or int values, and ``breaks``, evaluation, ``preimage_point``, ``pole``,
-.p/.q/.r/.s, repr and to_json give QuadExt values back.
+or int values, and ``breaks``, evaluation, .p/.q/.r/.s, repr and to_json
+give QuadExt values back.
 """
 
 from __future__ import annotations
@@ -196,12 +196,6 @@ class Mobius(Immutable):
     def is_affine(self) -> bool:
         return not (self.v[4] or self.v[5])
 
-    def pole(self) -> Optional[QuadExt]:
-        """The finite point sent to infinity, if any."""
-        # the inverse sends infinity to -s / r
-        pole = _apply(_adjugate(self.v), None)
-        return None if pole is None else _quad(pole)
-
     def __call__(self, x):
         """(p x + q) / (r x + s), INF where r x + s = 0."""
         return _quad(_apply(self.v, None if isinstance(x, _Infinity) else _triple(x)))
@@ -312,18 +306,6 @@ class PPMap(GroupElement):
             return INF
         t = _triple(x)
         return _quad(_apply(self.maps[self._cell(t)].v, t))
-
-    def preimage_point(self, y: Scalar) -> QuadExt:
-        """The unique x with self(x) = y, found piece by piece."""
-        y = _triple(y)
-        bs = self._breaks
-        for i, m in enumerate(self.maps):
-            x = _apply(_adjugate(m.v), y)
-            if x is None:
-                continue
-            if (i == 0 or _cmp(bs[i - 1], x) <= 0) and (i == len(bs) or _cmp(x, bs[i]) <= 0):
-                return _quad(x)
-        raise AssertionError("increasing bijection must attain every value")
 
     def __mul__(self, other: "PPMap") -> "PPMap":
         """Composition self o other (apply other first).

@@ -672,6 +672,9 @@ def replay(report, check_id):
     name = report.get("suite")
     merged = resolve_config(name, report.get("config"))
     seed = report.get("seed", 0)
+    # the seed names each check's RNG, so "0" would replay as 0
+    if type(seed) is not int:
+        raise ValueError("a report's seed must be an integer, got %r" % (seed,))
     _, builder = SUITES[name]
     for cid, fn in builder(merged):
         if cid == check_id:

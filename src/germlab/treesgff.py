@@ -17,8 +17,8 @@ permutation is its number in the pair's sorted large group, composed and
 inverted by table lookup.  A TreeAut keeps {code: number} in descending
 code order, so that reversed() meets parents first, and the base image's
 code.  ``portrait`` and ``base_image`` are views built as vertex tuples on
-each read, as are the vertices that act_on, act_inv, images, local_perm
-and elliptic_germ_check take or give.
+each read, as are the vertices that act_on, images, local_perm and
+elliptic_germ_check take or give.
 
 Every operation is a walk.  Below the portrait the local permutation is
 constant on each hanging subtree: at a child a+(c,) of a portrait vertex a
@@ -313,25 +313,11 @@ class TreeAut(GroupElement):
             state = self._step(state, c)
         return state, img
 
-    def _pull(self, v: Vertex) -> tuple:
-        """The walk state at act_inv(v), along the image geodesic to v."""
-        v, back = tuple(v), self.pair.back
-        base = self.base_image
-        common = common_prefix_len(base, v)
-        state = (0, self._at[0])
-        for c in base[common:][::-1] + v[common:]:
-            state = self._step(state, back[state[1]][c])
-        return state
-
     def local_perm(self, v: Vertex) -> Perm:
         return self.pair.perms[self._walk(tuple(v))[0][1]]
 
     def act_on(self, v: Vertex) -> Vertex:
         return _vertex(self.pair.degree, self._walk(tuple(v))[1])
-
-    def act_inv(self, v: Vertex) -> Vertex:
-        """The unique u with act_on(u) = v, by walking the image geodesic."""
-        return _vertex(self.pair.degree, self._pull(v)[0])
 
     def images(self, vertices: Iterable[Vertex]) -> list[Vertex]:
         """act_on of each vertex, in order, from one walk over their prefixes."""

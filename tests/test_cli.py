@@ -226,8 +226,10 @@ def test_tree_verify_batteries(capsys):
     assert code == 0 and json.loads(out)["status"] == "pass"
     code, out, _ = run(capsys, "tree-verify", "--suite", "levels", "--depth", "2")
     assert code == 0 and json.loads(out)["witness"]["pairs"] > 0
-    code, _, err = run(capsys, "tree-verify", "--suite", "cocycle", "--f", "dihedral")
-    assert code == 2 and "supported point groups" in err
+    # the point groups are fixed, cyclic and alternating, so there is no --f
+    with pytest.raises(SystemExit) as stop:
+        main(["tree-verify", "--suite", "cocycle", "--f", "cycle"])
+    assert stop.value.code == 2
     # 1 + 5 (4^10000 - 1) / 3 vertices: 6,021 digits, past str(int)'s limit
     code, out, _ = run(capsys, "tree-verify", "--suite", "cocycle", "--depth", "10000",
                        "--count", "2")
@@ -455,6 +457,18 @@ def test_replay_rejects_non_object_report(capsys, tmp_path):
     code, out, err = run(capsys, "replay", str(saved), "sweep")
     assert code == 2 and out == ""
     assert "config must be an object" in err
+
+
+@pytest.mark.parametrize("seed", ['"abc"', "[1]", "true", "1.5", "null", '"0"'])
+def test_replay_rejects_a_non_integer_seed(capsys, tmp_path, seed):
+    saved = tmp_path / "seed.json"
+    saved.write_text('{"suite": "neumann", "seed": %s}\n' % seed)
+    code, out, err = run(capsys, "replay", str(saved), "index-example")
+    assert code == 2 and out == ""
+    assert "seed must be an integer" in err
+    saved.write_text('{"suite": "neumann", "seed": 7}\n')
+    code, out, _ = run(capsys, "replay", str(saved), "index-example")
+    assert code == 0 and json.loads(out)["status"] == "pass"
 
 
 def test_non_integer_budget_names_the_variable(capsys, monkeypatch):

@@ -115,18 +115,18 @@ def test_carry_propagation():
 def test_carries_through_constant_periods():
     # (1) is -1 and (0) is 0: a carry out of the head wraps the period
     assert EventuallyPeriodic("", "1") + 1 == ZERO_SEQ
-    assert ZERO_SEQ - 1 == EventuallyPeriodic("", "1")
+    assert ZERO_SEQ + -1 == EventuallyPeriodic("", "1")
     assert EventuallyPeriodic("1", "1") + 1 == EventuallyPeriodic("0", "0")
     assert EventuallyPeriodic("0", "1") + 1 == EventuallyPeriodic("", "1")
-    assert EventuallyPeriodic("01", "0") - 3 == EventuallyPeriodic("", "1")
+    assert EventuallyPeriodic("01", "0") + -3 == EventuallyPeriodic("", "1")
     # other periods absorb the carry in their next copy
     assert EventuallyPeriodic("1", "01") + 1 == EventuallyPeriodic("011", "01")
-    assert EventuallyPeriodic("", "10") - 2 == EventuallyPeriodic("110", "01")
+    assert EventuallyPeriodic("", "10") + -2 == EventuallyPeriodic("110", "01")
     for pre, per, n in (("", "1", 1), ("", "0", -1), ("111", "1", 5), ("000", "0", -9),
                         ("", "01", 1), ("", "10", -1), ("1", "110", 6)):
         x = EventuallyPeriodic(pre, per)
         assert _oracle(x + n).value == _oracle(x).value + n
-        assert _oracle(x - n).value == _oracle(x).value - n
+        assert _oracle(x + -n).value == _oracle(x).value - n
 
 
 def test_point_encoding():
@@ -161,7 +161,7 @@ def test_odometer_matches_fraction_oracle():
         x = rand_point(rng)
         n = rng.choice([rng.randrange(-70, 70), rng.randrange(-10**6, 10**6)])
         assert _point(_oracle(x) + n) == x + n
-        assert _point(_oracle(x) - n) == x - n
+        assert _point(_oracle(x) - n) == x + -n
         # both notations read the same point
         text = "%s,%s" % (x.preperiod, x.period)
         assert _point(_OracleOdometerPoint.parse(text)) == EventuallyPeriodic.parse(text)
@@ -174,7 +174,7 @@ def test_freeness():
         x = rand_point(rng)
         for n in range(1, 1025):
             assert x + n != x
-            assert x - n != x
+            assert x + -n != x
 
 
 def test_clopen_canonical():
@@ -604,15 +604,15 @@ class _OraclePatch:
             frontier = nxt
         return dist
 
-    def one_density_holds(self, margin=None):
-        bound = self.radius - (3 * self.radius // 4 if margin is None else margin)
+    def one_density_holds(self):
+        bound = self.radius - 3 * self.radius // 4
         return all(
             any(abs(m - v) <= self.s_bound for v in self.vertices)
             for m in range(-bound, bound + 1)
         )
 
-    def quasi_isometry_check(self, margin=None):
-        bound = self.radius - (3 * self.radius // 4 if margin is None else margin)
+    def quasi_isometry_check(self):
+        bound = self.radius - 3 * self.radius // 4
         inner = tuple(n for n in self.vertices if abs(n) <= bound)
         violations, max_ratio, pairs = [], Fraction(0), 0
         for i, y in enumerate(inner):
@@ -632,16 +632,18 @@ class _OraclePatch:
             "pairs": pairs,
             "violations": violations,
             "max_ratio": "%d/%d" % (max_ratio.numerator, max_ratio.denominator),
-            "one_dense": self.one_density_holds(margin),
+            "one_dense": self.one_density_holds(),
         }
 
 
 def _patch_cases():
     rng = random.Random(71)
     # unit generators cannot cross the gaps of 16 in C_0000: disconnected
-    yield Clopen.of("0000"), 1, ZERO_SEQ, 60, None
-    yield Clopen.of("0000"), 4, ZERO_SEQ, 60, 10
-    yield Clopen.full(), 1, ZERO_SEQ, 12, 0
+    yield Clopen.of("0000"), 1, ZERO_SEQ, 200
+    yield Clopen.of("0000"), 4, ZERO_SEQ, 200
+    # a period of 16 wider than the interior's bound 15: one interior vertex
+    yield Clopen.of("0000"), 1, ZERO_SEQ, 60
+    yield Clopen.full(), 1, ZERO_SEQ, 12
     for _ in range(120):
         words = ["".join(rng.choice("01") for _ in range(rng.randrange(6)))
                  for _ in range(rng.randrange(1, 4))]
@@ -649,32 +651,39 @@ def _patch_cases():
         w = rng.choice(u.words)
         x = EventuallyPeriodic(w + "".join(rng.choice("01") for _ in range(3)),
                                rng.choice(["0", "1", "01", "110"]))
-        radius = rng.randrange(1, 70)
-        margin = rng.choice([None, 0, rng.randrange(radius + 1)])
-        yield u, rng.randrange(1, 5), x, radius, margin
+        yield u, rng.randrange(1, 5), x, rng.randrange(1, 100)
+
+
+def _sweep_distances(patch, source):
+    """Graph distances from a vertex by two sweeps, left and right."""
+    i, reach = patch.vertices.index(source), 3 * patch.s_bound
+    left, right = patch.vertices[i::-1], patch.vertices[i:]
+    dist = dict(zip(left, fullgroups._sweep([-v for v in left], reach)))
+    dist.update(zip(right, fullgroups._sweep(right, reach)))
+    return dist
 
 
 def test_patch_sweep_matches_bfs_oracle():
-    disconnected = 0
-    for u, s_bound, x, radius, margin in _patch_cases():
+    disconnected = single = 0
+    for u, s_bound, x, radius in _patch_cases():
         patch = schreier_patch(u, s_bound, x, radius)
         oracle = _OraclePatch(u, s_bound, x, radius)
         assert patch.vertices == oracle.vertices
         assert patch.edges == oracle.edges
         for source in patch.vertices:
-            assert patch.graph_distances(source) == oracle.graph_distances(source)
-        assert patch.graph_distances(radius + 1) == {radius + 1: 0}
-        assert patch.one_density_holds(margin) == oracle.one_density_holds(margin)
-        report = quasi_isometry_check(patch, margin)
-        assert report == oracle.quasi_isometry_check(margin)
+            assert _sweep_distances(patch, source) == oracle.graph_distances(source)
+        assert patch.one_density_holds() == oracle.one_density_holds()
+        report = quasi_isometry_check(patch)
+        assert report == oracle.quasi_isometry_check() == _quadratic_qi_check(patch)
         disconnected += any("reason" in v for v in report["violations"])
-    assert disconnected >= 5
+        single += report["interior_vertices"] == 1
+    assert disconnected >= 5 and single >= 1
 
 
-def _quadratic_qi_check(patch, margin=None):
+def _quadratic_qi_check(patch):
     """The quasi-isometry check before the periodic sweep: one sweep from
     every interior vertex, and 1-density by a bisection per window point."""
-    inner, s = patch.interior(margin), patch.s_bound
+    inner, s = patch.interior(), patch.s_bound
     violations = []
     top, bottom = 0, 1
     for i, y in enumerate(inner):
@@ -687,7 +696,7 @@ def _quadratic_qi_check(patch, margin=None):
                 top, bottom = d, delta
         violations += ({"pair": [y, z], "reason": "disconnected"}
                        for z in inner[i + len(dist):])
-    line, bound = patch.vertices, patch._bound(margin)
+    line, bound = patch.vertices, patch.radius - 3 * patch.radius // 4
     one_dense = True
     for m in range(-bound, bound + 1):
         i = bisect_left(line, m - s)
@@ -706,32 +715,30 @@ def _quadratic_qi_check(patch, margin=None):
 
 @st.composite
 def _patches(draw):
-    """A random patch and margin: any cylinder set, a base point in it,
-    s_bound 1 to 3, and margins that may empty the interior."""
+    """A random patch: any cylinder set, a base point in it, s_bound 1 to 3."""
     u = Clopen(draw(st.lists(st.text("01", max_size=5), min_size=1, max_size=4)))
     x = EventuallyPeriodic(draw(st.sampled_from(u.words)) + draw(st.text("01", max_size=3)),
                            draw(st.sampled_from(["0", "1", "01", "110"])))
     radius = draw(st.integers(1, 150))
-    patch = schreier_patch(u, draw(st.integers(1, 3)), x, radius)
-    return patch, draw(st.one_of(st.none(), st.integers(0, radius + 2)))
+    return schreier_patch(u, draw(st.integers(1, 3)), x, radius)
 
 
 @given(_patches())
-def test_periodic_qi_check_matches_the_quadratic_sweep(case):
-    patch, margin = case
+def test_periodic_qi_check_matches_the_quadratic_sweep(patch):
     # whole dicts: every violation, in the same order, and the same ratio
-    assert quasi_isometry_check(patch, margin) == _quadratic_qi_check(patch, margin)
+    assert quasi_isometry_check(patch) == _quadratic_qi_check(patch)
 
 
-@pytest.mark.parametrize("word, s_bound, radius, margin", [
-    ("0000", 1, 200, 0),  # every pair disconnected: 300 violations
-    ("0000", 4, 300, 20),
-    ("011", 2, 257, None),
-    ("", 1, 90, 3),
+@pytest.mark.parametrize("word, s_bound, radius", [
+    ("0000", 1, 800),  # every pair disconnected: 300 violations
+    ("0000", 4, 300),
+    ("0000", 1, 60),  # one interior vertex
+    ("011", 2, 257),
+    ("", 1, 90),
 ])
-def test_periodic_qi_check_matches_on_fixed_patches(word, s_bound, radius, margin):
+def test_periodic_qi_check_matches_on_fixed_patches(word, s_bound, radius):
     patch = schreier_patch(Clopen.of(word), s_bound, EventuallyPeriodic.parse(word + ",0"), radius)
-    assert quasi_isometry_check(patch, margin) == _quadratic_qi_check(patch, margin)
+    assert quasi_isometry_check(patch) == _quadratic_qi_check(patch)
 
 
 def test_qi_check_sweeps_one_period(monkeypatch):
@@ -769,18 +776,20 @@ def test_patch_and_qi_check_obey_budget(monkeypatch):
     monkeypatch.setenv("GERMLAB_BUDGET", "291")
     assert len(schreier_patch(Clopen.full(), 1, x, 49).edges) == 291
     # a vertex every 16: 25 interior vertices, and all 300 pairs disconnected
-    sparse = schreier_patch(Clopen.of("0000"), 1, EventuallyPeriodic.parse("0000,0"), 200)
+    sparse = schreier_patch(Clopen.of("0000"), 1, EventuallyPeriodic.parse("0000,0"), 800)
     monkeypatch.setenv("GERMLAB_BUDGET", "299")
     with pytest.raises(BudgetError, match="^300 violating pairs exceed the 299-element budget$"):
-        quasi_isometry_check(sparse, 0)
+        quasi_isometry_check(sparse)
     monkeypatch.setenv("GERMLAB_BUDGET", "300")
-    assert len(quasi_isometry_check(sparse, 0)["violations"]) == 300
-    # 63 of the 64 residues mod 64: 63 sweeps over 79 interior vertices
+    assert len(quasi_isometry_check(sparse)["violations"]) == 300
+    # 63 of the 64 residues mod 64: 63 sweeps over 80 interior vertices,
+    # 63 * 80 - 63 * 62 // 2 steps
     dense = Clopen(["%06d" % int(bin(k)[2:]) for k in range(1, 64)])
-    patch = schreier_patch(dense, 1, EventuallyPeriodic.parse("100000,0"), 40)
-    n = len(patch.interior(1))
-    with pytest.raises(BudgetError, match="^%d sweep steps exceed" % (63 * n - 63 * 62 // 2)):
-        quasi_isometry_check(patch, 1)
+    monkeypatch.setenv("GERMLAB_BUDGET", "3086")
+    patch = schreier_patch(dense, 1, EventuallyPeriodic.parse("100000,0"), 160)
+    assert len(patch.interior()) == 80
+    with pytest.raises(BudgetError, match="^3087 sweep steps exceed the 3086-element budget$"):
+        quasi_isometry_check(patch)
 
 
 def _oracle_table(table):

@@ -162,9 +162,9 @@ def test_arcset_semantics():
     b = ArcSet.of((D(13, 4), D(15, 4)))
     assert b.subset_of(a)
     assert not a.subset_of(b)
+    # [7/8, 9/8] lies in the one arc [3/4, 5/4] that [3/4, 1] u [0, 1/4] rejoin
     wrap = ArcSet.of((D(7, 3), D(1)), (D(0), D(1, 3)))
     assert wrap.subset_of(a)
-    assert a.glued() == ((D(3, 2), D(5, 2)),)  # [3/4, 1] u [0, 1/4] rejoined
     assert a.contains_point(D(0)) and a.contains_point(D(7, 3))
     assert not a.contains_point(D(19, 5))  # 5/8 - 1/32
     c = ArcSet.of((D(1, 2), D(1, 1)))
@@ -499,16 +499,27 @@ def _fraction_lift(pieces, t):
     return Fraction(2) ** s * x + c.as_fraction() + k
 
 
+def _lifted_arc(lo, hi):
+    """The closed arc from lo to hi, 0 <= hi - lo <= 1, as an ArcSet."""
+    k = lo.numerator // lo.denominator
+    lo, hi = lo - k, hi - k
+    pairs = [(lo, hi)] if hi <= 1 else [(lo, 1), (0, hi - 1)]
+    return ArcSet.of(*[(D.from_fraction(a), D.from_fraction(b)) for a, b in pairs])
+
+
 @given(_ANY_WORDS, st.lists(_POINTS, min_size=1, max_size=6))
 def test_evaluation_matches_fraction_arithmetic(word, points):
     f, _ = word
     pieces = list(f.pieces)
     # the breaks, their images, and the integers, where pieces and periods meet
-    ends = [left for left, _, _ in pieces] + [f.eval_lift(left) for left, _, _ in pieces]
+    ends = [left for left, _, _ in pieces] + [f(left) for left, _, _ in pieces]
     for t in points + ends + [D(0), D(1), D(-1)]:
-        value = f.eval_lift(t)
-        assert value.as_fraction() == _fraction_lift(pieces, t.as_fraction())
         assert f(t).as_fraction() == _fraction_lift(pieces, t.as_fraction()) % 1
+    # the lift, integer part too, is where the arc between two cuts goes
+    cuts = sorted({t.as_fraction() % 1 for t in points + ends} | {Fraction(0)})
+    for lo, hi in zip(cuts, cuts[1:] + [Fraction(1)]):
+        image = ArcSet.of((D.from_fraction(lo), D.from_fraction(hi))).image(f)
+        assert image == _lifted_arc(_fraction_lift(pieces, lo), _fraction_lift(pieces, hi))
 
 
 def test_random_t_word_prefixes_match_oracle():
@@ -739,7 +750,7 @@ class _OracleBuild:
 
     @classmethod
     def compress(cls, region, beta, alpha):
-        arcs = [(_fraction(lo), _fraction(hi)) for lo, hi in region.glued()]
+        arcs = _glued(region)
         beta, alpha = _fraction(beta), _fraction(alpha)
         if cls.inside_target(arcs, beta, alpha):
             return _OraclePLMap([(Q(0), 0, Q(0))])
@@ -780,6 +791,16 @@ class _OracleBuild:
             if not (s if s > beta else s + 1) + (e - s) < alpha + 1:
                 return False
         return True
+
+
+def _glued(region):
+    """region's maximal arcs as Fraction (start, lifted end), sorted by
+    start: the arcs cut at 0, with an arc from 0 and one up to 1 rejoined."""
+    arcs = [(_fraction(lo), _fraction(hi)) for lo, hi in region.arcs]
+    if len(arcs) > 1 and arcs[0][0] == 0 and arcs[-1][1] == 1:
+        (_, hi), (lo, _) = arcs.pop(0), arcs.pop()
+        arcs.append((lo, hi + 1))
+    return arcs
 
 
 def _dyadic_pairs(depth, size):

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +77,36 @@ def test_budget_errors_are_raised_in_two_places():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "BudgetError"
     ]
     assert sorted(found) == [("chabauty.py", "_walk"), ("kernel.py", "check_budget")]
+
+
+def _names_used(path):
+    """Every name a module reads: Name, Attribute, import aliases and the
+    words of string constants other than docstrings."""
+    tree = ast.parse(path.read_text(), str(path))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings:
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_public_name_has_a_caller():
+    # a public class, function or method that no module of the package or of
+    # perfbench names is surface that only tests reach; the three left are
+    # boundary API the README documents or that a planned probe will call
+    used = {name for root in (SRC.parent, SRC.parent.parent / "perfbench")
+            for path in sorted(root.rglob("*.py")) for name in _names_used(path)}
+    unused = [name for _, name, _ in _definitions()
+              if not any(part.startswith("_") for part in name.split("."))
+              and name.split(".")[-1] not in used]
+    assert unused == ["accumulation_probe", "Dyadic.as_fraction", "PermGroupPair.taking"]
